@@ -57,7 +57,6 @@ class RunConfig:
     grids: Dict[str, Tuple[float, float, int]] = field(default_factory=dict)
     query_times: Tuple[float, ...] = ()
     seed: int = 0
-    threads: Optional[int] = None
     boxes: int = 100
     domain: Tuple[float, float] = (0.0, 1.0)
     kind: Optional[str] = None
@@ -111,17 +110,6 @@ class ResultBundle:
             },
             "marginals": self.marginals,
         }
-
-
-def _limit_threads(n: Optional[int]) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except Exception:
-        logger.warning("threadpoolctl unavailable; --threads ignored")
 
 
 def _sparse_entries(weights: np.ndarray) -> Tuple[List[List[float]], float]:
@@ -416,7 +404,6 @@ def _run_generate(config: RunConfig) -> ResultBundle:
 def run(config: RunConfig) -> ResultBundle:
     """Execute one configured run and write its output files."""
     config.validate()
-    _limit_threads(config.threads)
     start = time.perf_counter()
     dispatch = {
         "regress": _run_regress,
@@ -484,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-file")
         p.add_argument("--query-times", default="", help="comma-separated times for marginal output")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int)
         p.add_argument("--output", help="output directory")
 
     p = sub.add_parser("regress", help="fit a measure-valued curve to snapshot data")
@@ -542,7 +528,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         grids=_parse_grid_option(getattr(args, "grid", None)),
         query_times=query,
         seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", None),
         boxes=getattr(args, "boxes", 100),
         domain=domain,
         kind=getattr(args, "kind", None),

@@ -108,6 +108,8 @@ class SnapshotDataset:
             raise ValueError("timestamps must be strictly increasing")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if ts[0] < 0:
+            raise ValueError(f"timestamps must lie within [0, horizon]; got t = {ts[0]:g} below the lower bound 0")
         if ts[-1] > self.horizon + 1e-12:
             raise ValueError("timestamps must lie within [0, horizon]")
         if np.any(lams <= 0):

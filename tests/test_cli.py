@@ -281,6 +281,16 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["category"] == "precondition"
 
+    def test_negative_timestamp_is_precondition(self, tmp_path, capsys):
+        p = tmp_path / "neg.csv"
+        write(p, "t,x1\n-0.5,0.1\n-0.5,0.3\n0,0.4\n0,0.6\n1,0.9\n1,0.7\n")
+        rc = cli.main(["regress", "--input", str(p), "--grid", "0:1:8"])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["category"] == "precondition"
+        assert "[0, horizon]" in err["error"]["message"]
+        assert "lower bound 0" in err["error"]["message"]
+
     def test_bad_grid_spec_rejected(self, capsys):
         rc = cli.main(["regress", "--input", "x.csv", "--grid", "q=0:1:5"])
         assert rc == 4

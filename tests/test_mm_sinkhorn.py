@@ -1,7 +1,13 @@
 """Engine tests: kernels, factored projections, scaling sweeps, two-marginal transport."""
 
+import dataclasses
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
@@ -188,9 +194,9 @@ class TestSinkhornSolve:
         assert not state.used_log_domain
         targets = ds.target_matrix()
         log_a0 = np.zeros((kernels.n_snapshots, kernels.n_support))
-        log_a, _, _, final, ok = _log_phase(kernels, targets, 1e-11, 10000, log_a0, [], 0)
-        assert ok and final <= 1e-11
-        log_obj = transport_objective_from_logs(kernels, log_a)
+        finish, _, _, ok = _log_phase(kernels, targets, 1e-11, 10000, log_a0, [], 0)
+        assert ok and finish.residual <= 1e-11
+        log_obj = transport_objective_from_logs(kernels, finish.log_a)
         np.testing.assert_allclose(log_obj, state.objective, rtol=1e-8)
 
     def test_mid_run_switch_to_log_domain(self):
@@ -238,14 +244,13 @@ class TestExpSweep:
     """
 
     @staticmethod
-    def _sweep_both(monkeypatch, kern, targets, n_sweeps, m_start=None):
+    def _sweep_both(kern, targets, n_sweeps, m_start=None):
         """Yield (sweep number, result, reference result) with states compared after each sweep.
 
         Potentials start at 1 and factor sums at K a, or at ``m_start``.
         """
         import wasscurve.mm_sinkhorn as engine
 
-        monkeypatch.setattr(engine, "_HAVE_NUMBA", False)
         a_ref = np.ones((kern.shape[0], kern.shape[2]))
         m_ref = np.einsum("npx,nx->np", kern, a_ref) if m_start is None else np.array(m_start, dtype=float)
         a, m = a_ref.copy(), m_ref.copy()
@@ -258,7 +263,7 @@ class TestExpSweep:
             yield k, res, res_ref
 
     @pytest.mark.parametrize("n_snapshots, zero_targets, seed", [(1, False, 41), (3, True, 42), (8, False, 43), (8, True, 44)])
-    def test_matches_reference_sweep(self, monkeypatch, n_snapshots, zero_targets, seed):
+    def test_matches_reference_sweep(self, n_snapshots, zero_targets, seed):
         rng = np.random.default_rng(seed)
         grid = grid_1d(np.sort(rng.uniform(0, 1, 6)))
         rows = rng.random((n_snapshots, 6)) + 0.05
@@ -271,24 +276,24 @@ class TestExpSweep:
         param_grids = [grid_1d(np.sort(rng.uniform(0, 1, k))) for k in (4, 5)]
         kern = build_kernels(ds, LINEAR, param_grids, 0.005).kernels()
         residuals = {}
-        for k, res, res_ref in self._sweep_both(monkeypatch, kern, ds.target_matrix(), 50):
+        for k, res, res_ref in self._sweep_both(kern, ds.target_matrix(), 50):
             assert res_ref >= 0
             np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=1e-14)
             residuals[k] = res_ref
         if n_snapshots > 1:  # one snapshot is matched exactly after its first sweep
             assert residuals[50] > 1e-10  # still far from the rounding floor
 
-    def test_zero_projection_at_zero_target(self, monkeypatch):
+    def test_zero_projection_at_zero_target(self):
         # a kernel column of zeros where the target is zero: phi is 0 there, the
         # potential is 0 (not 0/0) and the sweep goes on
         kern = np.array([[[1.0, 0.5, 0.0], [0.3, 1.0, 0.0]], [[1.0, 0.2, 0.4], [0.6, 1.0, 0.9]]])
         targets = np.array([[0.4, 0.6, 0.0], [0.3, 0.3, 0.4]])
-        for _, res, res_ref in self._sweep_both(monkeypatch, kern, targets, 20):
+        for _, res, res_ref in self._sweep_both(kern, targets, 20):
             assert res_ref >= 0
             np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("instance", ["mid_run_switch", "infeasible_2", "infeasible_3", "overflow_at_zero_target"])
-    def test_leaves_safe_range_on_the_same_sweep(self, monkeypatch, instance):
+    def test_leaves_safe_range_on_the_same_sweep(self, instance):
         m_start = None
         if instance == "mid_run_switch":  # from TestSinkhornSolve.test_mid_run_switch_to_log_domain
             pg = (grid_1d([0.0]), grid_1d([0.0]))
@@ -310,7 +315,7 @@ class TestExpSweep:
             targets = np.array([[1.0, 0.0], [0.5, 0.5]])
             m_start = [[1.0, 1.0, 1.0], [1e308, 1e308, 1.0]]
         with np.errstate(over="ignore"):
-            for k, res, res_ref in self._sweep_both(monkeypatch, kern, targets, 1000, m_start):
+            for k, res, res_ref in self._sweep_both(kern, targets, 1000, m_start):
                 if res_ref < 0:
                     break
                 assert res >= 0, f"left the safe range at sweep {k}, the reference did not"
@@ -319,6 +324,123 @@ class TestExpSweep:
         assert res == -1.0, f"the reference left the safe range at sweep {k}, the sweep did not"
         expected = {"mid_run_switch": 1, "infeasible_2": 407, "infeasible_3": 215, "overflow_at_zero_target": 1}
         assert k == expected[instance]
+
+
+class TestFinish:
+    """A solve's residual, objective and coupling come from the factor sums its
+    sweeps hold; they must equal the log-space recomputations from its potentials.
+
+    The residual sums |marginal - target| over unit-mass marginals, so near
+    convergence it is a cancellation; beside rtol 1e-10 it gets atol 1e-14
+    (about 45 ulps of 1), as the exp-sweep comparisons do.
+    """
+
+    @staticmethod
+    def _assert_matches_log_recomputation(state, ds):
+        from wasscurve.mm_sinkhorn import _final_residual, transport_objective_from_logs
+
+        kernels, log_a = state.kernels, state.log_potentials
+        assert state.log_factor_sums is not None
+        residual = _final_residual(kernels.log_kernels, log_a, ds.target_matrix())
+        np.testing.assert_allclose(state.marginal_residual, residual, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(state.objective, transport_objective_from_logs(kernels, log_a), rtol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # states stopped at max_iter
+            cached = extract_param_coupling(state).weights
+            fresh = extract_param_coupling(dataclasses.replace(state, log_factor_sums=None)).weights
+        np.testing.assert_allclose(cached, fresh, rtol=1e-10, atol=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_snapshots=st.integers(1, 5),
+        n_support=st.integers(2, 7),
+        param_sizes=st.sampled_from([(2, 2), (3, 4), (5, 3), (2, 3, 2)]),
+        epsilon=st.floats(0.01, 2.0),
+        zero_targets=st.booleans(),
+        tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
+    )
+    def test_matches_log_recomputation(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, tol):
+        rng = np.random.default_rng(seed)
+        grid = grid_1d(np.sort(rng.uniform(0, 1, n_support)))
+        rows = rng.random((n_snapshots, n_support)) + 0.05
+        if zero_targets:
+            rows[rng.random(rows.shape) < 0.4] = 0.0
+            rows[:, 0] += 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        ts = np.sort(rng.uniform(0, 1, n_snapshots))
+        ts[-1] = 1.0
+        ds = dataset_from_weights(ts, rows, grid)
+        param_grids = [grid_1d(np.sort(rng.uniform(-0.5, 1.5, k))) for k in param_sizes]
+        curve = LINEAR if len(param_sizes) == 2 else QUADRATIC
+        kernels = build_kernels(ds, curve, param_grids, epsilon)
+        state = sinkhorn_solve(kernels, ds, tol=tol, max_iter=3000)
+        self._assert_matches_log_recomputation(state, ds)
+
+    def test_mid_run_switch_to_log_domain(self):
+        # the instance of TestSinkhornSolve.test_mid_run_switch_to_log_domain
+        grid = grid_1d([0.0, 1.0])
+        pg = (grid_1d([0.0]), grid_1d([0.0]))
+        kernels = kernels_from_costs(np.array([[[0.0, 800.0]], [[800.0, 0.0]]]), np.array([0.5, 0.5]), 1.0, pg)
+        m0 = DiscreteMeasure(grid, np.array([0.5, 0.5]))
+        ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]), 1.0, 1.0)
+        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        assert state.used_log_domain and state.converged
+        self._assert_matches_log_recomputation(state, ds)
+
+    def test_pure_log_phase(self):
+        ds, kernels = random_instance(np.random.default_rng(31), n_snapshots=4, n_support=5, param_sizes=(4, 4), epsilon=2e-4)
+        assert kernels.log_kernels.min() < -600.0  # the exp phase is skipped
+        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        assert state.used_log_domain and state.converged
+        self._assert_matches_log_recomputation(state, ds)
+
+    def test_exp_finish_allocates_no_kernel_tensor(self, monkeypatch):
+        # memory allocated after the last sweep stays below the size of one
+        # (N, P, |X|) array: the finish works one snapshot at a time
+        import wasscurve.mm_sinkhorn as engine
+
+        ds, kernels = random_instance(np.random.default_rng(37), n_snapshots=8, n_support=40, param_sizes=(20, 20), epsilon=0.5)
+        tensor_bytes = kernels.log_kernels.nbytes
+        after_sweep = []
+        sweep = engine._sweep_exp_numpy
+
+        def sweep_then_mark(work):
+            res = sweep(work)
+            tracemalloc.reset_peak()
+            after_sweep.append(tracemalloc.get_traced_memory()[0])
+            return res
+
+        monkeypatch.setattr(engine, "_sweep_exp_numpy", sweep_then_mark)
+        tracemalloc.start()
+        try:
+            state = sinkhorn_solve(kernels, ds, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.converged and not state.used_log_domain
+        assert peak - after_sweep[-1] < 0.5 * tensor_bytes
+        self._assert_matches_log_recomputation(state, ds)
+
+    def test_underflowing_factor_sums_finish_in_log_space(self):
+        # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1];
+        # the finish recomputes the factor sums in log space instead of taking log 0
+        from wasscurve.mm_sinkhorn import _finish_exp, _log_factor_sums
+
+        pg = (grid_1d([0.0, 1.0]), grid_1d([0.0]))
+        costs = np.array([[[0.0, 590.0], [590.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 0.5, pg)
+        assert kernels.log_kernels.min() >= -600.0
+        kern = kernels.kernels()
+        a = np.array([[1e-150, 0.0], [2e149, 3e149]])
+        m = np.einsum("npx,nx->np", kern, a)
+        assert m.min() == 0.0
+        targets = np.array([[1.0, 0.0], [0.5, 0.5]])
+        finish = _finish_exp(kernels, kern, a, m, targets)
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a)
+        np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
+        assert np.isfinite(finish.log_m).all()
 
 
 class TestExtractParamCoupling:
@@ -361,18 +483,6 @@ class TestExtractParamCoupling:
             assert mass_on_zero_cost >= previous - 1e-12
             previous = mass_on_zero_cost
         assert previous >= 0.99
-
-    def test_numpy_fallback_sweep_matches(self, monkeypatch):
-        # the pure-numpy sweep must stay interchangeable with the compiled one
-        import wasscurve.mm_sinkhorn as engine
-
-        ds, kernels = random_instance(np.random.default_rng(29), n_snapshots=3, n_support=4)
-        fast = sinkhorn_solve(kernels, ds, tol=1e-11)
-        monkeypatch.setattr(engine, "_HAVE_NUMBA", False)
-        slow = sinkhorn_solve(kernels, ds, tol=1e-11)
-        assert slow.converged and fast.converged
-        np.testing.assert_allclose(slow.objective, fast.objective, rtol=1e-10)
-        np.testing.assert_allclose(slow.potentials, fast.potentials, rtol=1e-9)
 
     def test_solve_is_deterministic(self):
         ds, kernels = random_instance(np.random.default_rng(23), n_snapshots=3, n_support=4)
