@@ -10,6 +10,7 @@ io=2, schema=3, precondition=4, solver-divergence=5.
 import argparse
 import dataclasses
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it when the first parser is built; load it with the module
 import logging
 import os
 import sys
@@ -208,11 +209,15 @@ def _run_regress(config: RunConfig) -> ResultBundle:
 
 def _moments_by_timestamp(path: str):
     schema, rows = dataio.read_snapshot_rows(path)
-    times = sorted({r[0] for r in rows})
+    ts = np.array([r[0] for r in rows])
+    order = np.argsort(ts, kind="stable")  # stable: each timestamp's points keep their file order
+    times, starts = np.unique(ts[order], return_index=True)
+    all_pts = np.concatenate([r[2] for r in rows]).reshape(len(rows), -1)[order]
+    all_wts = np.array([r[1] for r in rows])[order]
     out = []
-    for t in times:
-        pts = np.stack([r[2] for r in rows if r[0] == t])
-        wts = np.array([r[1] for r in rows if r[0] == t])
+    for t, lo, hi in zip(times.tolist(), starts, [*starts[1:], len(rows)]):
+        pts = all_pts[lo:hi]
+        wts = all_wts[lo:hi]
         if schema == "atoms":
             wts = wts / wts.sum()
             mean = wts @ pts
@@ -470,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lambda_policy", choices=["uniform", "file"], default="uniform")
         p.add_argument("--lambda-file")
         p.add_argument("--query-times", default="", help="comma-separated times for marginal output")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="output directory")
 
     p = sub.add_parser("regress", help="fit a measure-valued curve to snapshot data")

@@ -14,6 +14,7 @@ a "basis" list of {mean, covariance} atoms and a "snapshots" list of
 import csv
 import json
 import logging
+import math
 import os
 import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,9 +43,12 @@ class SchemaError(ValueError):
 
 def _parse_float(token: str, path: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise SchemaError(f"{path}:{line_no}: cannot parse {token!r} as a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{line_no}: {token!r} is not a finite number")
+    return value
 
 
 def read_snapshot_rows(path: str) -> Tuple[str, List[Tuple[float, float, np.ndarray]]]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .curves import CurveClass, LINEAR
 from .curve_regression import euclidean_regression_oracle
@@ -308,7 +307,23 @@ def gaussian_1d_parametric_oracle(
         raise ValueError("need at least two distinct timestamps")
     design = np.stack([1.0 - ts, ts], axis=1)
     sw = np.sqrt(lams)
-    params, _ = nnls(design * sw[:, None], sigmas * sw)
+    params, _ = _nnls_two_columns(design * sw[:, None], sigmas * sw)
     fitted = design @ params
     residual = float(np.sum(lams * (fitted - sigmas) ** 2))
     return params, residual
+
+
+def _nnls_two_columns(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
+    """argmin ||a x - b|| over x >= 0 for a design ``a`` of shape (n, 2) and rank 2.
+
+    Returns (x, ||a x - b||) as scipy.optimize.nnls does. The objective is
+    convex, so when the unconstrained least-squares solution is infeasible
+    the optimum lies where a bound is active: on one of the two one-column
+    fits clipped at 0, or at the origin (both clipped to 0). Comparing those
+    candidates covers every active set.
+    """
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if x.min() < 0:
+        fits = np.maximum(a.T @ b / (a * a).sum(axis=0), 0.0)  # one-column fits, clipped at 0
+        x = min(np.diag(fits), key=lambda c: np.linalg.norm(a @ c - b))
+    return x, float(np.linalg.norm(a @ x - b))

@@ -15,8 +15,6 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared
 from .measures import DiscreteMeasure, GaussianMeasure, GaussianMixture, SnapshotDataset, SupportGrid
@@ -24,6 +22,7 @@ from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactoredCoupling,
+    exact_transport_lp,
     extract_param_coupling,
     kernels_from_costs,
     sinkhorn_solve,
@@ -117,26 +116,8 @@ def wm_distance(mu: GaussianMixture, nu: GaussianMixture) -> Tuple[float, np.nda
     the mixtures.
     """
     cost = np.array([[w2_gaussian_squared(a, b) for b in nu.atoms] for a in mu.atoms])
-    value, plan = _discrete_ot_exact(mu.atom_weights, nu.atom_weights, cost)
+    value, plan = exact_transport_lp(mu.atom_weights, nu.atom_weights, cost)
     return float(np.sqrt(max(value, 0.0))), plan
-
-
-def _discrete_ot_exact(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Exact transport LP over abstract atom indices (supports are not points)."""
-    n, m = cost.shape
-    rows = []
-    cols = []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-    for j in range(m):
-        rows.extend([n + j] * n)
-        cols.extend(range(j, n * m, m))
-    a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun), res.x.reshape(n, m)
 
 
 def _geodesic(atoms: AtomSet, j: int, l: int, t: float) -> GaussianMeasure:

@@ -30,10 +30,6 @@ from functools import cached_property, partial
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .curves import CurveClass
 from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid
@@ -137,7 +133,16 @@ def kernels_from_costs(
     parameter_grids: Sequence[SupportGrid],
 ) -> CostKernelSet:
     """Build a kernel set from explicit per-snapshot cost arrays (N, P, |X|)."""
-    costs = np.asarray(costs, dtype=float)
+    return _kernels_in_place(np.array(costs, dtype=float), lambdas, epsilon, parameter_grids)
+
+
+def _kernels_in_place(
+    costs: np.ndarray,
+    lambdas: np.ndarray,
+    epsilon: float,
+    parameter_grids: Sequence[SupportGrid],
+) -> CostKernelSet:
+    """Kernel set whose log kernels are ``costs`` (float, (N, P, |X|)), overwritten in place."""
     lambdas = np.asarray(lambdas, dtype=float)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -147,8 +152,26 @@ def kernels_from_costs(
         raise ValueError("snapshot weights must be positive")
     mins = costs.min(axis=(1, 2))
     shifts = lambdas * mins / epsilon
-    log_k = -(lambdas / epsilon)[:, None, None] * costs + shifts[:, None, None]
-    return CostKernelSet(log_k, shifts, float(epsilon), lambdas, tuple(parameter_grids))
+    costs *= -(lambdas / epsilon)[:, None, None]
+    costs += shifts[:, None, None]
+    return CostKernelSet(costs, shifts, float(epsilon), lambdas, tuple(parameter_grids))
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x (n, d) and y (m, d), shape (n, m).
+
+    Written to ``out`` when given. Summed over the axes in order, as scipy's
+    cdist "sqeuclidean" does, with one (n, m) temporary only when d > 1.
+    """
+    out = np.subtract(x[:, :1], y[:, 0], out=out)
+    np.square(out, out=out)
+    if x.shape[1] > 1:
+        diff = np.empty_like(out)
+        for k in range(1, x.shape[1]):
+            np.subtract(x[:, k : k + 1], y[:, k], out=diff)
+            np.square(diff, out=diff)
+            out += diff
+    return out
 
 
 def build_kernels(
@@ -160,8 +183,9 @@ def build_kernels(
     """Assemble the Gibbs kernels for a curve-regression dataset.
 
     Only N arrays of shape (P, |X|) are materialized, never the full
-    (N+k)-way tensor. Each snapshot's cost is shifted by its minimum before
-    exponentiation, so kernel entries lie in (0, 1].
+    (N+k)-way tensor: the squared distances are written into one buffer that
+    then becomes the log kernels in place. Each snapshot's cost is shifted by
+    its minimum before exponentiation, so kernel entries lie in (0, 1].
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -174,9 +198,8 @@ def build_kernels(
     n = len(dataset)
     costs = np.empty((n, stack.shape[0], support.shape[0]))
     for i, t in enumerate(dataset.timestamps):
-        phi = curve.evaluate(stack, t)  # (P, d)
-        costs[i] = cdist(phi, support, "sqeuclidean")
-    return kernels_from_costs(costs, dataset.lambdas, epsilon, grids)
+        _sq_distances(curve.evaluate(stack, t), support, costs[i])  # phi: (P, d)
+    return _kernels_in_place(costs, dataset.lambdas, epsilon, grids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +258,36 @@ class FactoredCoupling:
         return np.exp(self.log_potentials)
 
 
+def _logsumexp(x: np.ndarray, axis: Optional[int] = None, work: Optional[np.ndarray] = None):
+    """log sum exp(x) along ``axis`` (over every entry when None).
+
+    Shifted by the maximum as scipy.special.logsumexp is, so a line whose
+    entries are all -inf gives -inf. The shifted exponentials are written to
+    ``work`` (x's shape; it may be x itself, which is then overwritten) or to
+    a new array.
+    """
+    top = x.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    work = np.subtract(x, top, out=work)
+    np.exp(work, out=work)
+    with np.errstate(divide="ignore"):
+        return np.log(work.sum(axis=axis)) + np.squeeze(top, axis=axis)
+
+
+def _log_kernel_sums(log_k: np.ndarray, log_s: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """logsumexp of log_k + log_s along ``axis``, worked out in ``buf`` (the shape of log_k).
+
+    Reusing one buffer saves the allocations, which dominate at a few hundred
+    points a side.
+    """
+    np.add(log_k, log_s, out=buf)
+    return _logsumexp(buf, axis, buf)
+
+
 def _log_factor_sums(log_kernels: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     """log m_i(p) = log sum_y K_i[p, y] a_i[y], for all snapshots; shape (N, P)."""
-    return logsumexp(log_kernels + log_a[:, None, :], axis=2)
+    terms = log_kernels + log_a[:, None, :]
+    return _logsumexp(terms, 2, terms)
 
 
 def _state_log_factor_sums(state: FactoredCoupling) -> np.ndarray:
@@ -261,7 +311,8 @@ def _log_weights_without(log_total: np.ndarray, log_m_j: np.ndarray) -> np.ndarr
 def _log_marginal(log_kernels: np.ndarray, log_m: np.ndarray, log_a: np.ndarray, j: int) -> np.ndarray:
     """log P_{y_j}(Gamma) from cached factor sums; shape (|X|,)."""
     log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
-    return logsumexp(log_kernels[j] + log_w[:, None], axis=0) + log_a[j]
+    terms = log_kernels[j] + log_w[:, None]
+    return _logsumexp(terms, 0, terms) + log_a[j]
 
 
 def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
@@ -283,7 +334,7 @@ def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     if not state.converged:
         warnings.warn("extracting parameter coupling from a non-converged state", RuntimeWarning)
     log_w = _state_log_factor_sums(state).sum(axis=0)
-    log_w -= logsumexp(log_w)
+    log_w -= _logsumexp(log_w)
     weights = np.exp(log_w).reshape(state.kernels.param_shape)
     total = weights.sum()
     if not np.isfinite(total) or total <= 0:
@@ -512,7 +563,8 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
     residual = 0.0
     for j in range(n):
         log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
-        log_phi = logsumexp(log_kern[j] + log_w[:, None], axis=0)
+        terms = log_kern[j] + log_w[:, None]
+        log_phi = _logsumexp(terms, 0, terms)
         current = np.exp(log_phi + log_a[j])
         residual = max(residual, float(np.abs(current - targets[j]).sum()))
         positive = targets[j] > 0
@@ -522,7 +574,7 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
                 "epsilon too small for the cost scale or kernel disconnected"
             )
         log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
-        log_m[j] = logsumexp(log_kern[j] + log_a[j][None, :], axis=1)
+        log_m[j] = _log_kernel_sums(log_kern[j], log_a[j][None, :], 1, terms)
     return residual
 
 
@@ -655,27 +707,12 @@ _LP_MAX_SUPPORT = 64
 def _pairwise_sq_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.dim != nu.dim:
         raise ValueError("measures must share one state dimension")
-    return cdist(mu.grid.points, nu.grid.points, "sqeuclidean")
+    return _sq_distances(mu.grid.points, nu.grid.points)
 
 
 def _check_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("measures must carry equal mass")
-
-
-def _log_kernel_sums(log_k: np.ndarray, log_s: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
-    """logsumexp of log_k + log_s along ``axis``, worked out in ``buf`` (the shape of log_k).
-
-    The same shift by the maximum as scipy's logsumexp (-inf where every term
-    is -inf), without its allocations, which dominate at a few hundred points a side.
-    """
-    np.add(log_k, log_s, out=buf)
-    top = buf.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    np.subtract(buf, top, out=buf)
-    np.exp(buf, out=buf)
-    with np.errstate(divide="ignore"):
-        return np.log(buf.sum(axis=axis)) + top.squeeze(axis)
 
 
 def two_marginal_w2(
@@ -768,19 +805,24 @@ def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[flo
         return float(cost), plan
     if len(mu.weights) > _LP_MAX_SUPPORT or len(nu.weights) > _LP_MAX_SUPPORT:
         raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
-    cost = _pairwise_sq_cost(mu, nu)
+    return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))
+
+
+def exact_transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Minimal <cost, plan> over plans with row sums p and column sums q, and the plan.
+
+    Solved as a linear program by scipy's HiGHS, imported here: the rest of
+    the package needs numpy only. Raises SolverError when the solver fails.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     n, m = cost.shape
-    rows = []
-    cols = []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-    for j in range(m):
-        rows.extend([n + j] * n)
-        cols.extend(range(j, n * m, m))
+    # row i of the plan sums to p_i, column j to q_j; plan entry (i, j) is variable i * m + j
+    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.repeat(np.arange(m), n)])
+    cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
     a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
     if not res.success:
         raise SolverError(f"exact transport LP failed: {res.message}")
     return float(res.fun), res.x.reshape(n, m)

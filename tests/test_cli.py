@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +38,13 @@ class TestSchemas:
         p = tmp_path / "bad.csv"
         write(p, "t,x1\n0,0.5\n1,oops\n")
         with pytest.raises(SchemaError, match=":3"):
+            dataio.read_snapshot_rows(str(p))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_number_reports_line_number(self, tmp_path, token):
+        p = tmp_path / "bad.csv"
+        write(p, f"t,x1\n0,0.5\n1,{token}\n")
+        with pytest.raises(SchemaError, match=f":3: '{token}' is not a finite number"):
             dataio.read_snapshot_rows(str(p))
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -291,6 +300,21 @@ class TestMainEntry:
         assert "[0, horizon]" in err["error"]["message"]
         assert "lower bound 0" in err["error"]["message"]
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_sample_is_schema_error(self, tmp_path, capsys, token):
+        p = tmp_path / "nonfinite.csv"
+        write(p, f"t,x1\n0,0.1\n0,0.3\n0.5,{token}\n0.5,0.6\n1,0.9\n1,0.7\n")
+        rc = cli.main(["regress", "--input", str(p)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["category"] == "schema"
+        assert f"{p}:4" in err["error"]["message"]
+
+    def test_seed_only_on_generate(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["regress", "--input", "x.csv", "--seed", "3"])
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_bad_grid_spec_rejected(self, capsys):
         rc = cli.main(["regress", "--input", "x.csv", "--grid", "q=0:1:5"])
         assert rc == 4
@@ -301,3 +325,53 @@ class TestMainEntry:
         bundle = cli.run(cli.RunConfig(command="distance", input=str(p), input_b=str(p)))
         echo = bundle.config_echo
         assert echo["epsilon"] == 0.1 and echo["tol"] == 1e-8 and echo["seed"] == 0
+
+
+def test_cli_import_loads_no_scipy():
+    """The solvers need numpy only; scipy is imported by the exact LP alone."""
+    code = "import sys, wasscurve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _moments_by_timestamp_loop(path):
+    """One rescan of the rows per timestamp: the reference for cli._moments_by_timestamp."""
+    from wasscurve.gaussian_regression import biased_covariance
+
+    schema, rows = dataio.read_snapshot_rows(path)
+    out = []
+    for t in sorted({r[0] for r in rows}):
+        pts = np.stack([r[2] for r in rows if r[0] == t])
+        wts = np.array([r[1] for r in rows if r[0] == t])
+        if schema == "atoms":
+            wts = wts / wts.sum()
+            mean = wts @ pts
+            centered = pts - mean
+            cov = (centered * wts[:, None]).T @ centered
+        else:
+            mean, cov = biased_covariance(pts)
+        out.append((t, mean, cov))
+    return out
+
+
+@pytest.mark.parametrize("schema", ["samples", "atoms"])
+def test_moments_by_timestamp_match_the_per_timestamp_scan(tmp_path, schema):
+    rng = np.random.default_rng(11)
+    n = 300
+    ts = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=n).tolist()
+    xs = rng.normal(size=(n, 2)).tolist()
+    if schema == "samples":
+        lines = ["t,x1,x2"] + [f"{t!r},{a!r},{b!r}" for t, (a, b) in zip(ts, xs)]
+    else:
+        w = (rng.random(n) + 0.1).tolist()  # normalized per timestamp by the function
+        lines = ["t,weight,x1,x2"] + [f"{t!r},{wi!r},{a!r},{b!r}" for t, wi, (a, b) in zip(ts, w, xs)]
+    p = tmp_path / "m.csv"
+    write(p, "\n".join(lines) + "\n")
+    got = cli._moments_by_timestamp(str(p))
+    ref = _moments_by_timestamp_loop(str(p))
+    assert [g[0] for g in got] == [r[0] for r in ref]
+    for (_, mean, cov), (_, mean_ref, cov_ref) in zip(got, ref):
+        np.testing.assert_array_equal(mean, mean_ref)
+        np.testing.assert_array_equal(cov, cov_ref)

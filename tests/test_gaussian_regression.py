@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.gaussian_regression import (
+    _nnls_two_columns,
     biased_covariance,
     fit_gaussian_sdp,
     gaussian_1d_parametric_oracle,
@@ -229,6 +232,45 @@ class TestParametricOracle:
     def test_only_linear_kind(self):
         with pytest.raises(ValueError, match="geodesic"):
             gaussian_1d_parametric_oracle([(0.0, 0.5, 1.0), (1.0, 0.5, 2.0)], kind="quadratic")
+
+
+class TestNnlsTwoColumns:
+    """The closed-form two-column NNLS against scipy.optimize.nnls.
+
+    Each design is built so that its optimum has a chosen active set: b is
+    A x* - r, where the gradient A^T r of |A x - b|^2 / 2 at x* vanishes on
+    the free coefficients and is positive on the ones held at 0 (the KKT
+    conditions), plus, with more than two rows, a component orthogonal to
+    both columns.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 9),
+        active=st.sampled_from([(), (0,), (1,), (0, 1)]),
+    )
+    def test_matches_scipy_nnls(self, seed, rows, active):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, 2))
+        assume(np.linalg.cond(a) < 1e3)
+        x_star = rng.uniform(0.1, 3.0, 2)
+        x_star[list(active)] = 0.0
+        grad = np.zeros(2)
+        grad[list(active)] = rng.uniform(0.1, 3.0, len(active))
+        r = a @ np.linalg.solve(a.T @ a, grad)  # A^T r = grad, the gradient of |a x - b|^2 / 2 at x*
+        if rows > 2:
+            q, _ = np.linalg.qr(a, mode="complete")
+            r += q[:, 2:] @ rng.normal(size=rows - 2)
+        b = a @ x_star - r
+        x, rnorm = _nnls_two_columns(a, b)
+        x_ref, rnorm_ref = nnls(a, b)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(rnorm, rnorm_ref, rtol=1e-10, atol=1e-14)
+        assert np.all(x >= 0)
+        np.testing.assert_array_equal(x == 0, x_star == 0)
 
 
 class TestBiasedCovariance:

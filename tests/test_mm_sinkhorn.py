@@ -13,7 +13,9 @@ from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
+    SolverError,
     build_kernels,
+    exact_transport_lp,
     extract_param_coupling,
     kernels_from_costs,
     param_tuple_stack,
@@ -76,6 +78,39 @@ class TestBuildKernels:
         # params (0, 1, 1) at t=0.5 give 0 + 0.5 + 0.25 = 0.75; cost to y=1 is 0.0625
         cost_mid = kernels.cost(1)
         assert cost_mid[0, 1] == pytest.approx(0.0625, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_squared_distances_match_cdist(self, dim):
+        from scipy.spatial.distance import cdist
+
+        from wasscurve.mm_sinkhorn import _sq_distances
+
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(7, dim))
+        y = rng.normal(size=(5, dim))
+        np.testing.assert_array_equal(_sq_distances(x, y), cdist(x, y, "sqeuclidean"))
+
+    def test_kernels_from_costs_leaves_its_input_unchanged(self):
+        costs = np.random.default_rng(4).random((2, 3, 4))
+        before = costs.copy()
+        kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 0.3, [grid_1d([0.0, 1.0, 2.0])])
+        np.testing.assert_array_equal(costs, before)
+        np.testing.assert_allclose(kernels.cost(1), before[1], rtol=1e-12)
+
+    def test_build_holds_one_kernel_tensor(self):
+        """The squared distances become the log kernels in place: the build
+        allocates about one (N, P, |X|) tensor, not the three that computing
+        the logs out of place holds at once."""
+        grid = grid_1d(np.linspace(0, 1, 60))
+        ds = dataset_from_weights(np.linspace(0, 1, 6), np.full((6, 60), 1 / 60), grid)
+        pgrid = grid_1d(np.linspace(-0.2, 1.2, 50))
+        tracemalloc.start()
+        try:
+            kernels = build_kernels(ds, LINEAR, [pgrid, pgrid], 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * kernels.log_kernels.nbytes
 
     def test_rejects_bad_epsilon_and_grids(self):
         ds, _ = random_instance(np.random.default_rng(1))
@@ -550,6 +585,48 @@ class TestTimeScaling:
         assert state_scaled.objective == pytest.approx(state_norm.objective, rel=1e-8)
 
 
+class TestLogSumExp:
+    """The numpy log-sum-exp that replaces scipy.special.logsumexp."""
+
+    @staticmethod
+    def _arrays():
+        rng = np.random.default_rng(3)
+        x = rng.normal(scale=30.0, size=(6, 9))
+        x[1, [0, 4]] = -np.inf
+        x[3] = -np.inf
+        x[:, 2] = -np.inf
+        return x
+
+    @pytest.mark.parametrize("axis", [0, 1, None])
+    def test_matches_scipy(self, axis):
+        from scipy.special import logsumexp
+
+        from wasscurve.mm_sinkhorn import _logsumexp
+
+        x = self._arrays()
+        with np.errstate(divide="ignore"):
+            expected = logsumexp(x, axis=axis)
+        got = _logsumexp(x, axis)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        if axis == 1:
+            assert got[3] == -np.inf
+        if axis == 0:
+            assert got[2] == -np.inf
+
+    def test_work_buffer_gives_the_same_result(self):
+        from wasscurve.mm_sinkhorn import _logsumexp
+
+        x = self._arrays()
+        fresh = _logsumexp(x, 1)
+        work = x.copy()
+        np.testing.assert_array_equal(_logsumexp(work, 1, work), fresh)
+
+    def test_flat_all_minus_inf(self):
+        from wasscurve.mm_sinkhorn import _logsumexp
+
+        assert _logsumexp(np.full(4, -np.inf)) == -np.inf
+
+
 class TestTwoMarginal:
     def measures_on(self, values, *weight_rows):
         g = grid_1d(values)
@@ -603,6 +680,11 @@ class TestTwoMarginal:
         cost, _ = two_marginal_w2_exact(mu, nu)
         ref, _ = oracles.transport_lp(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1), wa, wb)
         assert cost == pytest.approx(ref, rel=1e-10)
+
+    def test_exact_lp_failure_is_solver_error(self):
+        with pytest.raises(SolverError, match="exact transport LP failed") as info:
+            exact_transport_lp(np.array([0.5, 0.5]), np.array([0.3, 0.3]), np.ones((2, 2)))
+        assert isinstance(info.value, RuntimeError)  # the type wm_distance's callers catch
 
     def test_entropic_upper_bounds_exact(self):
         mu, nu = self.measures_on([0.0, 0.5, 1.0], [0.5, 0.25, 0.25], [0.2, 0.2, 0.6])
