@@ -208,16 +208,12 @@ def _run_regress(config: RunConfig) -> ResultBundle:
 
 
 def _moments_by_timestamp(path: str):
-    schema, rows = dataio.read_snapshot_rows(path)
-    ts = np.array([r[0] for r in rows])
-    order = np.argsort(ts, kind="stable")  # stable: each timestamp's points keep their file order
-    times, starts = np.unique(ts[order], return_index=True)
-    all_pts = np.concatenate([r[2] for r in rows]).reshape(len(rows), -1)[order]
-    all_wts = np.array([r[1] for r in rows])[order]
+    schema, times, weights, positions = dataio.read_snapshot_rows(path)
+    order, distinct, groups = dataio.group_by_time(times)
     out = []
-    for t, lo, hi in zip(times.tolist(), starts, [*starts[1:], len(rows)]):
-        pts = all_pts[lo:hi]
-        wts = all_wts[lo:hi]
+    for t, rows in zip(distinct, groups):
+        pts = positions[order[rows]]
+        wts = weights[order[rows]]
         if schema == "atoms":
             wts = wts / wts.sum()
             mean = wts @ pts

@@ -12,6 +12,7 @@ a "basis" list of {mean, covariance} atoms and a "snapshots" list of
 """
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -35,6 +36,8 @@ from .pfo_estimation import iterate_map_particles, logistic_map
 logger = logging.getLogger(__name__)
 
 DEFAULT_GRID_POINTS = 50
+# Rows parsed per block: bounds the CSV strings held at once to about a megabyte.
+_BLOCK_ROWS = 4096
 
 
 class SchemaError(ValueError):
@@ -51,12 +54,48 @@ def _parse_float(token: str, path: str, line_no: int) -> float:
     return value
 
 
-def read_snapshot_rows(path: str) -> Tuple[str, List[Tuple[float, float, np.ndarray]]]:
-    """Parse a snapshot CSV; returns (schema, rows of (t, weight, position)).
+def _scan_rows(path: str, rows: List[List[str]], first_line: int, n_fields: int, schema: str) -> np.ndarray:
+    """Row-by-row parse: skips blank rows and raises on the first malformed one."""
+    kept = []
+    for line_no, row in enumerate(rows, start=first_line):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != n_fields:
+            raise SchemaError(f"{path}:{line_no}: expected {n_fields} fields, got {len(row)}")
+        vals = [_parse_float(c, path, line_no) for c in row]
+        if schema == "atoms" and vals[1] < 0:
+            raise SchemaError(f"{path}:{line_no}: negative weight")
+        kept.append(vals)
+    return np.array(kept, dtype=float).reshape(-1, n_fields)
 
-    Sample-schema rows get weight 1 per particle. Malformed rows are rejected
-    with their line number.
+
+def _convert_rows(path: str, rows: List[List[str]], first_line: int, n_fields: int, schema: str) -> np.ndarray:
+    """One conversion for a block of rows: numpy parses each token as float() does.
+
+    Blank rows, ragged rows, bad tokens, non-finite values and negative weights
+    all send the block to the row-by-row scan, which names the first fault.
     """
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if (
+        values is None
+        or values.shape != (len(rows), n_fields)
+        or not np.isfinite(values).all()
+        or (schema == "atoms" and (values[:, 1] < 0).any())
+    ):
+        values = _scan_rows(path, rows, first_line, n_fields, schema)
+    return values
+
+
+def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a snapshot CSV; returns (schema, times (n,), weights (n,), positions (n, d)).
+
+    Sample-schema rows get weight 1 per particle. Blank rows are skipped;
+    a malformed file is rejected at its first fault, with that line number.
+    """
+    blocks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -78,27 +117,38 @@ def read_snapshot_rows(path: str) -> Tuple[str, List[Tuple[float, float, np.ndar
                 raise SchemaError(f"{path}: sample header must be t,x1..xd")
         else:
             raise SchemaError(f"{path}: unrecognized header {header!r}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            vals = [_parse_float(c, path, line_no) for c in row]
-            if schema == "atoms":
-                t, weight, pos = vals[0], vals[1], np.array(vals[2:])
-                if weight < 0:
-                    raise SchemaError(f"{path}:{line_no}: negative weight")
-            else:
-                t, weight, pos = vals[0], 1.0, np.array(vals[1:])
-            rows.append((t, weight, pos))
-        if not rows:
-            raise SchemaError(f"{path}: no data rows")
-    return schema, rows
+        first_line = 2
+        while True:
+            rows: List[List[str]] = []
+            try:
+                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError):
+                _scan_rows(path, rows, first_line, len(header), schema)  # a fault in an earlier row comes first
+                raise
+            if not rows:
+                break
+            blocks.append(_convert_rows(path, rows, first_line, len(header), schema))
+            first_line += len(rows)
+    if not any(len(b) for b in blocks):
+        raise SchemaError(f"{path}: no data rows")
+    values = np.concatenate(blocks)
+    if schema == "atoms":
+        return schema, values[:, 0], values[:, 1], values[:, 2:]
+    return schema, values[:, 0], np.ones(len(values)), values[:, 1:]
 
 
-def _grid_from_rows(rows: Sequence[Tuple[float, float, np.ndarray]], n_points: int) -> SupportGrid:
-    pos = np.stack([r[2] for r in rows])
+def group_by_time(times: np.ndarray) -> Tuple[np.ndarray, List[float], List[slice]]:
+    """Rows grouped by timestamp: (order, distinct times ascending, one slice of order each).
+
+    The sort is stable, so each timestamp's rows keep their file order.
+    """
+    order = np.argsort(times, kind="stable")
+    distinct, starts = np.unique(times[order], return_index=True)
+    bounds = [*starts.tolist(), len(times)]
+    return order, distinct.tolist(), [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _grid_from_positions(pos: np.ndarray, n_points: int) -> SupportGrid:
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
@@ -107,6 +157,20 @@ def _grid_from_rows(rows: Sequence[Tuple[float, float, np.ndarray]], n_points: i
         return SupportGrid(axes[0][:, None])
     mesh = np.meshgrid(*axes, indexing="ij")
     return SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
+
+
+def _atom_indices(positions: np.ndarray, grid: SupportGrid) -> np.ndarray:
+    """Grid index of each atom: its exact grid point, else the nearest one."""
+    points = np.asarray(grid.points)
+    index_of = {key: i for i, key in enumerate(map(tuple, points.tolist()))}
+    out = np.empty(len(positions), dtype=np.intp)
+    for k, key in enumerate(map(tuple, positions.tolist())):
+        idx = index_of.get(key)
+        if idx is None:
+            # off-grid atom: quantize to the nearest grid point
+            idx = int(np.argmin(((points - positions[k][None, :]) ** 2).sum(axis=1)))
+        out[k] = idx
+    return out
 
 
 def load_snapshots(
@@ -122,39 +186,24 @@ def load_snapshots(
     Diracs on the union of atom positions. Per-timestamp atom weights must
     sum to 1 within 1e-6 and are renormalized exactly.
     """
-    schema, rows = read_snapshot_rows(path)
-    times = sorted({r[0] for r in rows})
-    snapshots = []
+    schema, times, weights, positions = read_snapshot_rows(path)
+    order, distinct, groups = group_by_time(times)
     if schema == "samples":
-        the_grid = grid if grid is not None else _grid_from_rows(rows, grid_points)
-        for t in times:
-            pts = np.stack([r[2] for r in rows if r[0] == t])
-            lam = lambdas.get(t) if lambdas else None
-            snapshots.append((t, measure_from_samples(pts, the_grid), lam))
+        the_grid = grid if grid is not None else _grid_from_positions(positions, grid_points)
+        measures = [measure_from_samples(positions[order[rows]], the_grid) for rows in groups]
     else:
-        if grid is not None:
-            the_grid = grid
-        else:
-            pos = np.unique(np.stack([r[2] for r in rows]), axis=0)
-            the_grid = SupportGrid(pos)
-        key_of = {tuple(p): i for i, p in enumerate(np.asarray(the_grid.points))}
-        for t in times:
-            weights = np.zeros(len(the_grid))
-            total = 0.0
-            for rt, w, p in rows:
-                if rt != t:
-                    continue
-                idx = key_of.get(tuple(p))
-                if idx is None:
-                    # off-grid atom: quantize to the nearest grid point
-                    d2 = ((the_grid.points - p[None, :]) ** 2).sum(axis=1)
-                    idx = int(np.argmin(d2))
-                weights[idx] += w
-                total += w
+        the_grid = grid if grid is not None else SupportGrid(np.unique(positions, axis=0))
+        atom_idx = _atom_indices(positions, the_grid)
+        measures = []
+        for t, rows in zip(distinct, groups):
+            w = weights[order[rows]]
+            total = float(np.cumsum(w)[-1]) + 0.0  # a running sum in file order from +0.0, not np.sum's pairwise one
             if abs(total - 1.0) > 1e-6:
                 raise SchemaError(f"{path}: atom weights at t={t} sum to {total!r}, expected 1")
-            lam = lambdas.get(t) if lambdas else None
-            snapshots.append((t, DiscreteMeasure(the_grid, weights / total), lam))
+            acc = np.zeros(len(the_grid))
+            np.add.at(acc, atom_idx[order[rows]], w)
+            measures.append(DiscreteMeasure(the_grid, acc / total))
+    snapshots = [(t, m, lambdas.get(t) if lambdas else None) for t, m in zip(distinct, measures)]
     dataset = SnapshotDataset.from_snapshots(snapshots)
     return normalize_timestamps(dataset)
 

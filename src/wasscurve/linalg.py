@@ -50,11 +50,18 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    w, v = sym_eig(a)
-    if w[-1] >= 0:
-        return _as_symmetric(a)
-    out = (v * np.clip(w, 0.0, None)) @ v.T
+    """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero.
+
+    Subtracts the negative eigenpairs from the symmetrized input, which costs
+    one product over those pairs only.
+    """
+    m = _as_symmetric(a)
+    w, v = np.linalg.eigh(m)  # ascending: the negative eigenvalues come first
+    if w[0] >= 0:
+        return m
+    n_neg = int(np.searchsorted(w, 0.0))
+    v_neg = v[:, :n_neg]
+    out = m - (v_neg * w[:n_neg]) @ v_neg.T
     return (out + out.T) / 2
 
 

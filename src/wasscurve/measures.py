@@ -205,8 +205,10 @@ def quantize_to_grid(points: np.ndarray, masses: np.ndarray, grid: SupportGrid) 
     masses = np.asarray(masses, dtype=float).ravel()
     out = np.zeros(len(grid))
     gp = grid.points
-    # chunked pairwise distances keep memory bounded for large sample sets
-    chunk = max(1, int(2 ** 22 / max(len(grid), 1)))
+    # Chunks keep each pairwise temporary under 64 KiB, below the C allocator's
+    # mmap threshold: a larger one is mapped fresh, and zero-filled page by
+    # page, on every call.
+    chunk = max(1, 2 ** 13 // max(len(grid) * grid.dim, 1))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         d2 = ((block[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2)

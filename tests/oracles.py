@@ -5,9 +5,22 @@ dense tensors are materialized entry by entry, and linear programs are solved
 by scipy's HiGHS on the full variable set.
 """
 
+import csv
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+
+from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
+from wasscurve.measures import (
+    DiscreteMeasure,
+    SnapshotDataset,
+    SupportGrid,
+    measure_from_samples,
+    normalize_timestamps,
+)
 
 
 def dense_coupling_tensor(kernels, log_potentials):
@@ -148,3 +161,127 @@ def reference_sweep_exp(kern, a, m, targets):
         if not np.isfinite(m[j]).all():
             return -1.0
     return residual
+
+
+# ---------------------------------------------------------------------------
+# The row-by-row snapshot loader, kept as written before the array loader:
+# one float() and one ndarray per row, one rescan of the rows per timestamp.
+# ---------------------------------------------------------------------------
+
+
+def _parse_float(token: str, path: str, line_no: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise SchemaError(f"{path}:{line_no}: cannot parse {token!r} as a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{line_no}: {token!r} is not a finite number")
+    return value
+
+
+def read_snapshot_rows(path: str) -> Tuple[str, List[Tuple[float, float, np.ndarray]]]:
+    """Parse a snapshot CSV; returns (schema, rows of (t, weight, position)).
+
+    Sample-schema rows get weight 1 per particle. Malformed rows are rejected
+    with their line number.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        header = [h.strip().lower() for h in header]
+        if len(header) >= 2 and header[0] == "t" and header[1] == "weight":
+            schema = "atoms"
+            dim = len(header) - 2
+            expected = [f"x{i + 1}" for i in range(dim)]
+            if dim < 1 or header[2:] != expected:
+                raise SchemaError(f"{path}: atom header must be t,weight,x1..xd")
+        elif len(header) >= 2 and header[0] == "t":
+            schema = "samples"
+            dim = len(header) - 1
+            expected = [f"x{i + 1}" for i in range(dim)]
+            if header[1:] != expected:
+                raise SchemaError(f"{path}: sample header must be t,x1..xd")
+        else:
+            raise SchemaError(f"{path}: unrecognized header {header!r}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+            vals = [_parse_float(c, path, line_no) for c in row]
+            if schema == "atoms":
+                t, weight, pos = vals[0], vals[1], np.array(vals[2:])
+                if weight < 0:
+                    raise SchemaError(f"{path}:{line_no}: negative weight")
+            else:
+                t, weight, pos = vals[0], 1.0, np.array(vals[1:])
+            rows.append((t, weight, pos))
+        if not rows:
+            raise SchemaError(f"{path}: no data rows")
+    return schema, rows
+
+
+def _grid_from_rows(rows: Sequence[Tuple[float, float, np.ndarray]], n_points: int) -> SupportGrid:
+    pos = np.stack([r[2] for r in rows])
+    lo = pos.min(axis=0)
+    hi = pos.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    axes = [np.linspace(lo[a] - 1e-9 * span[a], hi[a] + 1e-9 * span[a], n_points) for a in range(pos.shape[1])]
+    if pos.shape[1] == 1:
+        return SupportGrid(axes[0][:, None])
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
+
+
+def load_snapshots(
+    path: str,
+    grid: Optional[SupportGrid] = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    lambdas: Optional[Dict[float, float]] = None,
+) -> SnapshotDataset:
+    """Load a snapshot dataset from either CSV schema, time-normalized.
+
+    Sample rows are quantized onto the grid (auto-built over the data range
+    with grid_points per axis when not given); atom rows become weighted
+    Diracs on the union of atom positions. Per-timestamp atom weights must
+    sum to 1 within 1e-6 and are renormalized exactly.
+    """
+    schema, rows = read_snapshot_rows(path)
+    times = sorted({r[0] for r in rows})
+    snapshots = []
+    if schema == "samples":
+        the_grid = grid if grid is not None else _grid_from_rows(rows, grid_points)
+        for t in times:
+            pts = np.stack([r[2] for r in rows if r[0] == t])
+            lam = lambdas.get(t) if lambdas else None
+            snapshots.append((t, measure_from_samples(pts, the_grid), lam))
+    else:
+        if grid is not None:
+            the_grid = grid
+        else:
+            pos = np.unique(np.stack([r[2] for r in rows]), axis=0)
+            the_grid = SupportGrid(pos)
+        key_of = {tuple(p): i for i, p in enumerate(np.asarray(the_grid.points))}
+        for t in times:
+            weights = np.zeros(len(the_grid))
+            total = 0.0
+            for rt, w, p in rows:
+                if rt != t:
+                    continue
+                idx = key_of.get(tuple(p))
+                if idx is None:
+                    # off-grid atom: quantize to the nearest grid point
+                    d2 = ((the_grid.points - p[None, :]) ** 2).sum(axis=1)
+                    idx = int(np.argmin(d2))
+                weights[idx] += w
+                total += w
+            if abs(total - 1.0) > 1e-6:
+                raise SchemaError(f"{path}: atom weights at t={t} sum to {total!r}, expected 1")
+            lam = lambdas.get(t) if lambdas else None
+            snapshots.append((t, DiscreteMeasure(the_grid, weights / total), lam))
+    dataset = SnapshotDataset.from_snapshots(snapshots)
+    return normalize_timestamps(dataset)

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasscurve import cli, dataio
 from wasscurve.dataio import SchemaError
@@ -22,17 +24,17 @@ class TestSchemas:
         p = tmp_path / "s.csv"
         rows = [(0.0, 0.1), (0.0, 0.9), (1.0, 0.4), (1.0, 0.6)]
         dataio.write_sample_csv(str(p), rows)
-        schema, parsed = dataio.read_snapshot_rows(str(p))
+        schema, times, weights, positions = dataio.read_snapshot_rows(str(p))
         assert schema == "samples"
-        assert len(parsed) == 4
-        assert parsed[0][1] == 1.0  # unit weight per particle
+        assert len(times) == 4
+        assert weights[0] == 1.0  # unit weight per particle
 
     def test_atom_schema_parses_weights(self, tmp_path):
         p = tmp_path / "a.csv"
         write(p, "t,weight,x1\n0,0.25,0.0\n0,0.75,1.0\n")
-        schema, parsed = dataio.read_snapshot_rows(str(p))
+        schema, times, weights, positions = dataio.read_snapshot_rows(str(p))
         assert schema == "atoms"
-        assert parsed[0][1] == 0.25
+        assert weights[0] == 0.25
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -327,6 +329,28 @@ class TestMainEntry:
         assert echo["epsilon"] == 0.1 and echo["tol"] == 1e-8 and echo["seed"] == 0
 
 
+class TestRowOrder:
+    """Shuffling a samples CSV's rows changes no byte of result.json (the echoed paths are the same)."""
+
+    @staticmethod
+    def _result_bytes(workdir, rows, argv):
+        src = workdir / "in.csv"
+        dataio.write_sample_csv(str(src), rows)
+        out = workdir / "out"
+        assert cli.main([*argv, "--input", str(src), "--output", str(out)]) == 0
+        return (out / "result.json").read_bytes()
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_regress_and_invariant(self, tmp_path_factory, rnd):
+        workdir = tmp_path_factory.mktemp("order")
+        rows = dataio.generate_logistic_rows(r=4.0, n_snapshots=4, n_particles=150, seed=3)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)  # timestamps interleave
+        for argv in (["regress", "--epsilon", "0.1", "--query-times", "0,0.5"], ["invariant", "--boxes", "20"]):
+            assert self._result_bytes(workdir, shuffled, argv) == self._result_bytes(workdir, rows, argv)
+
+
 def test_cli_import_loads_no_scipy():
     """The solvers need numpy only; scipy is imported by the exact LP alone."""
     code = "import sys, wasscurve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -340,11 +364,11 @@ def _moments_by_timestamp_loop(path):
     """One rescan of the rows per timestamp: the reference for cli._moments_by_timestamp."""
     from wasscurve.gaussian_regression import biased_covariance
 
-    schema, rows = dataio.read_snapshot_rows(path)
+    schema, times, weights, positions = dataio.read_snapshot_rows(path)
     out = []
-    for t in sorted({r[0] for r in rows}):
-        pts = np.stack([r[2] for r in rows if r[0] == t])
-        wts = np.array([r[1] for r in rows if r[0] == t])
+    for t in sorted(set(times.tolist())):
+        pts = positions[times == t]
+        wts = weights[times == t]
         if schema == "atoms":
             wts = wts / wts.sum()
             mean = wts @ pts

@@ -13,6 +13,7 @@ from wasscurve.measures import (
     SupportGrid,
     measure_from_samples,
     normalize_timestamps,
+    quantize_to_grid,
 )
 
 
@@ -143,6 +144,19 @@ class TestMeasureFromSamples:
         m = measure_from_samples(samples, grid)
         assert np.all(m.weights <= 0.04)
         assert m.weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_chunks_match_one_pass(self, dim):
+        # thousands of points span many chunks; ties on grid midpoints included
+        rng = np.random.default_rng(dim)
+        axis = np.linspace(0.0, 1.0, 7)
+        grid = SupportGrid(np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1))
+        pts = np.concatenate([rng.uniform(-0.2, 1.2, size=(3000, dim)), np.full((50, dim), 0.5 / 6)])
+        masses = rng.random(len(pts))
+        d2 = ((pts[:, None, :] - grid.points[None, :, :]) ** 2).sum(axis=2)
+        expected = np.zeros(len(grid))
+        np.add.at(expected, np.argmin(d2, axis=1), masses)
+        np.testing.assert_array_equal(quantize_to_grid(pts, masses, grid), expected)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
