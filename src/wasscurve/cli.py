@@ -27,7 +27,7 @@ from .dataio import SchemaError
 from .gaussian_regression import biased_covariance, fit_gaussian_sdp, gaussian_1d_parametric_oracle
 from .gmm_regression import fit_mixture_curve, mixture_marginal_at
 from .measures import DiscreteMeasure, SupportGrid
-from .mm_sinkhorn import SolverError, two_marginal_w2, two_marginal_w2_exact
+from .mm_sinkhorn import SolverError, exact_w2_supported, two_marginal_w2, two_marginal_w2_exact
 from .pfo_estimation import (
     BoxPartition,
     arcsine_box_masses,
@@ -122,15 +122,13 @@ def _sparse_entries(weights: np.ndarray) -> Tuple[List[List[float]], float]:
 
 def _grid_from_spec(spec: Tuple[float, float, int], dim: int) -> SupportGrid:
     lo, hi, n = spec
-    axis = np.linspace(lo, hi, int(n))
-    if dim == 1:
-        return SupportGrid(axis[:, None])
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
+    return SupportGrid.tensor([np.linspace(lo, hi, int(n))] * dim)
 
 
 def _lambda_dict(config: RunConfig) -> Optional[Dict[float, float]]:
     if config.lambda_policy == "uniform":
+        if config.lambda_file:
+            raise ValueError("--lambda-file PATH is read only with --lambda file")
         return None
     if config.lambda_policy == "file":
         if not config.lambda_file:
@@ -181,8 +179,8 @@ def _run_regress(config: RunConfig) -> ResultBundle:
     )
     result = fit(dataset, curve, solver)
     objectives = {"surrogate": float(result.objective)}
-    if dataset.dim == 1 or len(dataset.grid) <= 64:
-        objectives["true_w2"] = float(objective_true(result, dataset, exact=True))
+    if exact_w2_supported(dataset.grid, dataset.grid):  # every marginal lives on the data grid
+        objectives["true_w2"] = float(objective_true(result, dataset))
     entries, emitted = _sparse_entries(result.coupling.weights)
     marginals = []
     for t in config.query_times:
@@ -362,12 +360,11 @@ def _run_distance(config: RunConfig) -> ResultBundle:
     grid = _grid_from_spec(config.grids["data"], 1) if "data" in config.grids else None
     mu = _single_measure(config.input, grid)
     nu = _single_measure(config.input_b, grid)
-    exact_possible = mu.dim == 1 or (len(mu.grid) <= 64 and len(nu.grid) <= 64)
-    if exact_possible:
+    if exact_w2_supported(mu.grid, nu.grid):
         cost, _ = two_marginal_w2_exact(mu, nu)
         method = "exact"
     else:
-        cost, _ = two_marginal_w2(mu, nu, config.epsilon, tol=config.tol)
+        cost, _ = two_marginal_w2(mu, nu, config.epsilon, tol=config.tol, max_iter=config.max_iter)
         method = "entropic"
     return ResultBundle(
         command="distance",

@@ -97,12 +97,7 @@ def default_param_grids(dataset: SnapshotDataset, curve: CurveClass) -> List[Sup
     span = float((x.points.max(axis=0) - x.points.min(axis=0)).max())
     if span <= 0:
         span = max(abs(float(x.points.max())), 1.0)
-    axis = np.linspace(-2.0 * span, 2.0 * span, len(x))
-    if x.dim == 1:
-        rate_grid = SupportGrid(axis[:, None])
-    else:
-        mesh = np.meshgrid(*([axis] * x.dim), indexing="ij")
-        rate_grid = SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
+    rate_grid = SupportGrid.tensor([np.linspace(-2.0 * span, 2.0 * span, len(x))] * x.dim)
     return [x, rate_grid, rate_grid]
 
 
@@ -158,12 +153,8 @@ def _refine_grids(grids: Sequence[SupportGrid], coupling: ParamCoupling, zoom: f
         half = np.maximum(span * zoom / 2.0, 1e-12)
         lo = mode[j] - half
         hi = mode[j] + half
-        axes = [np.linspace(lo[a], hi[a], int(round(len(g) ** (1.0 / g.dim)))) for a in range(g.dim)]
-        if g.dim == 1:
-            out.append(SupportGrid(axes[0][:, None]))
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            out.append(SupportGrid(np.stack([m.ravel() for m in mesh], axis=1)))
+        n_axis = int(round(len(g) ** (1.0 / g.dim)))
+        out.append(SupportGrid.tensor([np.linspace(lo[a], hi[a], n_axis) for a in range(g.dim)]))
     return out
 
 
@@ -215,20 +206,16 @@ def euclidean_regression_oracle(
     return sol, residual
 
 
-def objective_true(result: RegressionResult, dataset: SnapshotDataset, exact: bool = True) -> float:
+def objective_true(result: RegressionResult, dataset: SnapshotDataset) -> float:
     """Recompute sum_i lambda_i W2^2(marginal_at(t_i), mu_i) on the data grid.
 
-    With exact=True the per-snapshot costs use the exact transport LP (1D
-    monotone coupling or small-support LP); otherwise the entropic solver at
-    the result's epsilon. Quantization of the pushforward marginal adds error
+    The per-snapshot costs use the exact transport cost (1D monotone coupling
+    or small-support LP). Quantization of the pushforward marginal adds error
     on the order of the squared grid spacing.
     """
     total = 0.0
     for t, lam, mu in zip(dataset.timestamps, dataset.lambdas, dataset.measures):
         nu = marginal_at(result, float(t), dataset.grid)
-        if exact:
-            cost, _ = mm_sinkhorn.two_marginal_w2_exact(nu, mu)
-        else:
-            cost, _ = mm_sinkhorn.two_marginal_w2(nu, mu, result.epsilon)
+        cost, _ = mm_sinkhorn.two_marginal_w2_exact(nu, mu)
         total += float(lam) * cost
     return total

@@ -153,10 +153,7 @@ def _grid_from_positions(pos: np.ndarray, n_points: int) -> SupportGrid:
     hi = pos.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     axes = [np.linspace(lo[a] - 1e-9 * span[a], hi[a] + 1e-9 * span[a], n_points) for a in range(pos.shape[1])]
-    if pos.shape[1] == 1:
-        return SupportGrid(axes[0][:, None])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
+    return SupportGrid.tensor(axes)
 
 
 def _atom_indices(positions: np.ndarray, grid: SupportGrid) -> np.ndarray:

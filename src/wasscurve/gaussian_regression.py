@@ -188,7 +188,6 @@ def fit_gaussian_sdp(
     means: Optional[Sequence[np.ndarray]] = None,
     tol: float = SDP_DEFAULT_TOL,
     max_iter: int = SDP_DEFAULT_MAX_ITER,
-    rho: float = 1.0,
 ) -> Tuple[GaussianCouplingBlocks, GaussianCurve]:
     """Fit a Gaussian-valued curve to Gaussian snapshots by solving the block SDP.
 
@@ -200,7 +199,6 @@ def fit_gaussian_sdp(
             least squares and attached to the returned curve.
         tol: relative stopping tolerance on primal and dual residuals.
         max_iter: ADMM iteration budget.
-        rho: initial proximal weight; rescaled adaptively.
 
     Returns:
         (blocks, curve): the optimal joint covariance with diagnostics, and
@@ -244,6 +242,7 @@ def fit_gaussian_sdp(
 
     primal = dual = np.inf
     it = 0
+    rho = 1.0  # proximal weight, rescaled adaptively; the diagnostics report its final value
     for it in range(1, max_iter + 1):
         x = z - u - weight / rho
         x[fixed_mask] = fixed_values[fixed_mask]
@@ -284,7 +283,6 @@ def fit_gaussian_sdp(
 
 def gaussian_1d_parametric_oracle(
     data: Sequence[Tuple[float, float, float]],
-    kind: str = "linear",
 ) -> Tuple[np.ndarray, float]:
     """Best-fitting Wasserstein geodesic through centered 1D Gaussians.
 
@@ -294,8 +292,6 @@ def gaussian_1d_parametric_oracle(
     The residual sum_i lambda_i (sigma_t_i - sigma_i)^2 equals the weighted
     squared-W2 objective for this family.
     """
-    if kind != "linear":
-        raise ValueError("the parametric oracle covers the geodesic (linear) baseline only")
     ts = np.array([float(r[0]) for r in data])
     lams = np.array([float(r[1]) for r in data])
     sigmas = np.array([float(r[2]) for r in data])

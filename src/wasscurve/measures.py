@@ -6,7 +6,7 @@ can be shared freely across threads.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,12 @@ class SupportGrid:
         if n < 1:
             raise ValueError("need at least one point")
         return cls(np.linspace(lo, hi, n)[:, None])
+
+    @classmethod
+    def tensor(cls, axes: Sequence[np.ndarray]) -> "SupportGrid":
+        """Tensor-product grid of 1D axes, one per dimension; the last axis varies fastest."""
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return cls(np.stack([m.ravel() for m in mesh], axis=1))
 
 
 def same_support(a: SupportGrid, b: SupportGrid) -> bool:

@@ -422,21 +422,9 @@ def _finish_exp(kernels: CostKernelSet, kern: np.ndarray, a: np.ndarray, m: np.n
     return _finish_log(kernels, log_a, targets)
 
 
-class _SwitchToLog(Exception):
-    def __init__(self, log_a: np.ndarray, history: List[float], sweeps: int):
-        self.log_a = log_a
-        self.history = history
-        self.sweeps = sweeps
-
-
 def _with_log_zeros(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(a)
-
-
-def _log_targets(targets: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(targets)
 
 
 class _ExpSweepWork:
@@ -453,7 +441,9 @@ class _ExpSweepWork:
 
     def __init__(self, kern: np.ndarray, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
         n, p, nx = kern.shape
+        self.kern = kern
         self.a = a
+        self.m = m
         self.targets = targets
         self.a_start = np.empty((n, nx))
         self.phi = np.empty((n, nx))
@@ -545,16 +535,11 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     return max(rows)
 
 
-def _make_exp_sweeper(kern: np.ndarray, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
-    """Callable running one exp-domain sweep that updates ``a`` and ``m`` in place.
-
-    It returns the sweep's residual, or -1.0 on the first sweep that leaves the
-    safe range. Buffers and per-snapshot views are built here, once, so a
-    sweep forms w_j from running products in O(NP) and checks its values once
-    at its end (see ``_sweep_exp_numpy``).
-    """
-    work = _ExpSweepWork(kern, a, m, targets)
-    return lambda: _sweep_exp_numpy(work)
+def _exp_start(kern: np.ndarray, targets: np.ndarray) -> _ExpSweepWork:
+    """Exp-domain sweep state on kernels ``kern`` at potentials 1 and factor sums m = K 1."""
+    a = np.ones((kern.shape[0], kern.shape[2]))
+    m = np.einsum("npx,nx->np", kern, a)
+    return _ExpSweepWork(kern, a, m, targets)
 
 
 def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
@@ -578,44 +563,6 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
     return residual
 
 
-def _exp_phase(kernels: CostKernelSet, targets: np.ndarray, tol: float, max_iter: int):
-    """Exponential-domain iteration; raises _SwitchToLog when unsafe.
-
-    The sweeps keep a and m = K a exact, so the finish reads them directly.
-    """
-    kern = kernels.kernels()
-    n, _, nx = kern.shape
-    a = np.ones((n, nx))
-    m = np.einsum("npx,nx->np", kern, a)
-    work = _ExpSweepWork(kern, a, m, targets)
-    history: List[float] = []
-    for sweep in range(max_iter):
-        res = _sweep_exp_numpy(work)
-        if res < 0.0:
-            raise _SwitchToLog(_with_log_zeros(work.a_start), history, sweep)
-        history.append(res)
-        if res <= tol:
-            finish = _finish_exp(kernels, kern, a, m, targets)
-            if finish.residual <= tol:
-                return finish, history, sweep + 1, True
-    return _finish_exp(kernels, kern, a, m, targets), history, max_iter, False
-
-
-def _log_phase(kernels: CostKernelSet, targets: np.ndarray, tol: float, max_iter: int, log_a: np.ndarray, history: List[float], done: int):
-    """Log-domain iteration from ``log_a``; its sweeps keep log_m exact for the finish."""
-    log_kern = kernels.log_kernels
-    log_t = _log_targets(targets)
-    log_m = _log_factor_sums(log_kern, log_a)
-    for sweep in range(done, max_iter):
-        res = _sweep_log(log_kern, log_a, log_m, targets, log_t)
-        history.append(res)
-        if res <= tol:
-            finish = _finish_log(kernels, log_a, targets, log_m)
-            if finish.residual <= tol:
-                return finish, history, sweep + 1, True
-    return _finish_log(kernels, log_a, targets, log_m), history, max_iter, False
-
-
 def sinkhorn_solve(
     kernels: CostKernelSet,
     dataset: SnapshotDataset,
@@ -635,21 +582,41 @@ def sinkhorn_solve(
     targets = dataset.target_matrix()
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
         raise ValueError("dataset does not match kernel shapes")
-    used_log = False
-    if kernels.log_kernels.min() >= _EXP_SAFE_LOG:
-        try:
-            finish, history, iters, ok = _exp_phase(kernels, targets, tol, max_iter)
-        except _SwitchToLog as sw:
-            logger.info("switching to log-domain updates after %d sweeps", sw.sweeps)
-            used_log = True
-            finish, history, iters, ok = _log_phase(
-                kernels, targets, tol, max_iter, sw.log_a, sw.history, sw.sweeps
-            )
+    log_kern = kernels.log_kernels
+    # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
+    work = log_a = log_m = None
+    if log_kern.min() >= _EXP_SAFE_LOG:
+        work = _exp_start(kernels.kernels(), targets)
     else:
-        used_log = True
-        nx = kernels.n_support
-        log_a0 = np.zeros((kernels.n_snapshots, nx))
-        finish, history, iters, ok = _log_phase(kernels, targets, tol, max_iter, log_a0, [], 0)
+        log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
+        log_m = _log_factor_sums(log_kern, log_a)
+    log_t = _with_log_zeros(targets)
+
+    def finish_now() -> _Finish:
+        # the sweeps keep a and m = K a (or their logs) exact, so the finish reads them
+        if work is not None:
+            return _finish_exp(kernels, work.kern, work.a, work.m, targets)
+        return _finish_log(kernels, log_a, targets, log_m)
+
+    history: List[float] = []
+    for sweep in range(max_iter):
+        if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
+            # the sweep left the safe range: redo it in the log domain from its start
+            logger.info("switching to log-domain updates after %d sweeps", sweep)
+            log_a = _with_log_zeros(work.a_start)
+            log_m = _log_factor_sums(log_kern, log_a)
+            work = None
+        if work is None:
+            res = _sweep_log(log_kern, log_a, log_m, targets, log_t)
+        history.append(res)
+        if res <= tol:
+            finish = finish_now()
+            if finish.residual <= tol:
+                iters, ok = sweep + 1, True
+                break
+    else:
+        finish, iters, ok = finish_now(), max_iter, False
+    work = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
     if not np.isfinite(finish.residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")
     objective = finish.objective()
@@ -663,7 +630,7 @@ def sinkhorn_solve(
         marginal_residual=finish.residual,
         residual_history=np.asarray(history),
         objective=objective,
-        used_log_domain=used_log,
+        used_log_domain=log_a is not None,
         log_factor_sums=finish.log_m,
     )
 
@@ -676,23 +643,22 @@ def benchmark_sweep_seconds(
 ) -> float:
     """Wall time of one exponential-domain sweep, min over repeated timed runs.
 
-    Used by the complexity-scaling checks; times the solver's own sweep from
-    ``_make_exp_sweeper`` (w_j from running products in O(NP), the residual
-    and the range checks once per sweep, -1.0 from the first sweep that leaves
-    the safe range) for a fixed number of sweeps after one warmup sweep. Its
-    buffers are built before the clock starts; the sweeps' results are not used.
+    Used by the complexity-scaling checks; times the solver's own sweep,
+    ``_sweep_exp_numpy`` on the state ``_exp_start`` builds for it (w_j from
+    running products in O(NP), the residual and the range checks once per
+    sweep, -1.0 from the first sweep that leaves the safe range) for a fixed
+    number of sweeps after one warmup sweep. Its buffers are built before the
+    clock starts; the sweeps' results are not used.
     """
     targets = dataset.target_matrix()
     kern = kernels.kernels()
     best = np.inf
     for _ in range(repeats):
-        a = np.ones((kernels.n_snapshots, kernels.n_support))
-        m = np.einsum("npx,nx->np", kern, a)
-        run_sweep = _make_exp_sweeper(kern, a, m, targets)
-        run_sweep()  # warmup
+        work = _exp_start(kern, targets)
+        _sweep_exp_numpy(work)  # warmup
         start = time.perf_counter()
         for _ in range(n_sweeps):
-            run_sweep()
+            _sweep_exp_numpy(work)
         best = min(best, (time.perf_counter() - start) / n_sweeps)
     return best
 
@@ -733,9 +699,8 @@ def two_marginal_w2(
     _check_mass(mu, nu)
     cost = _pairwise_sq_cost(mu, nu)
     log_k = -(cost - cost.min()) / epsilon
-    with np.errstate(divide="ignore"):
-        log_p = np.log(mu.weights)
-        log_q = np.log(nu.weights)
+    log_p = _with_log_zeros(mu.weights)
+    log_q = _with_log_zeros(nu.weights)
     log_u = np.zeros(len(mu.weights))
     log_v = np.zeros(len(nu.weights))
     buf = np.empty_like(log_k)
@@ -783,12 +748,22 @@ def _monotone_plan_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray
     return entries
 
 
+def exact_w2_supported(a: SupportGrid, b: SupportGrid) -> bool:
+    """True when ``two_marginal_w2_exact`` accepts measures on grids a and b.
+
+    One-dimensional supports always are; higher dimensions need the linear
+    program, limited to at most _LP_MAX_SUPPORT points per side.
+    """
+    return a.dim == 1 or max(len(a), len(b)) <= _LP_MAX_SUPPORT
+
+
 def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[float, np.ndarray]:
     """Exact squared-W2 transport cost of the discrete problem, and an optimal plan.
 
     One-dimensional inputs use the monotone (quantile) coupling, which is the
     exact optimizer for squared distance; higher dimensions solve the linear
-    program directly and are limited to supports of at most 64 points each.
+    program directly and are limited to the supports ``exact_w2_supported``
+    accepts (ValueError otherwise).
     """
     _check_mass(mu, nu)
     if mu.dim == 1:
@@ -803,7 +778,7 @@ def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[flo
             plan[ix[i], iy[j]] += mass
             cost += mass * (x[ix[i]] - y[iy[j]]) ** 2
         return float(cost), plan
-    if len(mu.weights) > _LP_MAX_SUPPORT or len(nu.weights) > _LP_MAX_SUPPORT:
+    if not exact_w2_supported(mu.grid, nu.grid):
         raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
     return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))
 

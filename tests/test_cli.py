@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wasscurve import cli, dataio
 from wasscurve.dataio import SchemaError
+from wasscurve.mm_sinkhorn import two_marginal_w2
 
 
 def write(path, text):
@@ -198,6 +199,28 @@ class TestRunDistance:
         with pytest.raises(ValueError, match="one timestamp"):
             cli.run(cli.RunConfig(command="distance", input=str(p), input_b=str(p)))
 
+    def test_max_iter_reaches_the_entropic_path(self, tmp_path, capsys):
+        # 2-D supports of 81 points are past the exact LP's limit, so the entropic solver runs
+        rng = np.random.default_rng(3)
+        axis = np.linspace(0.0, 1.0, 9)
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        paths = []
+        for name, shift in (("a", 0.0), ("b", 0.3)):
+            weights = rng.random(len(points))
+            weights /= weights.sum()
+            rows = "".join(f"0,{w:.17g},{x:.17g},{y:.17g}\n" for w, (x, y) in zip(weights, points + shift))
+            write(tmp_path / f"{name}.csv", "t,weight,x1,x2\n" + rows)
+            paths.append(str(tmp_path / f"{name}.csv"))
+
+        def w2_squared(*flags):
+            assert cli.main(["distance", "--input-a", paths[0], "--input-b", paths[1], *flags]) == 0
+            return json.loads(capsys.readouterr().out.splitlines()[-1])["objectives"]["w2_squared"]
+
+        mu, nu = (cli._single_measure(p, None) for p in paths)
+        expected, _ = two_marginal_w2(mu, nu, 0.1, tol=1e-8, max_iter=2)
+        assert w2_squared("--max-iter", "2") == expected
+        assert w2_squared() != expected
+
 
 class TestRunGaussianAndGmm:
     def test_gaussian_on_generated_ou(self, tmp_path):
@@ -311,6 +334,17 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["category"] == "schema"
         assert f"{p}:4" in err["error"]["message"]
+
+    def test_lambda_file_needs_lambda_file_policy(self, tmp_path, capsys):
+        p = tmp_path / "in.csv"
+        write(p, "t,x1\n0,0.1\n0,0.3\n0.5,0.4\n0.5,0.6\n1,0.9\n1,0.7\n")
+        lam = tmp_path / "lam.csv"
+        write(lam, "t,lambda\n0,0.2\n0.5,0.3\n1,0.5\n")
+        rc = cli.main(["regress", "--input", str(p), "--grid", "0:1:8", "--lambda-file", str(lam)])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["category"] == "precondition"
+        assert "--lambda-file" in err["error"]["message"] and "--lambda file" in err["error"]["message"]
 
     def test_seed_only_on_generate(self, capsys):
         with pytest.raises(SystemExit):

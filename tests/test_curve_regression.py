@@ -225,7 +225,7 @@ class TestObjectiveTrue:
         grid = grid_1d([0.0, 0.25, 0.5, 0.75, 1.0])
         ds = dirac_dataset([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], grid)
         result = fit(ds, LINEAR, SolverConfig(epsilon=1e-3, tol=1e-10))
-        assert objective_true(result, ds, exact=True) == pytest.approx(0.0, abs=1e-6)
+        assert objective_true(result, ds) == pytest.approx(0.0, abs=1e-6)
 
     def test_bounded_by_surrogate_plus_grid_error(self):
         grid = grid_1d(np.linspace(0, 1, 9))
@@ -236,7 +236,7 @@ class TestObjectiveTrue:
         ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3), 1.0, 1.0)
         result = fit(ds, LINEAR, SolverConfig(epsilon=0.05, tol=1e-10))
         spacing = 1.0 / 8.0
-        assert objective_true(result, ds, exact=True) <= result.objective + spacing**2
+        assert objective_true(result, ds) <= result.objective + spacing**2
 
     def test_single_snapshot_matches_exactly(self):
         grid = grid_1d([0.0, 0.5, 1.0])
@@ -251,4 +251,4 @@ class TestObjectiveTrue:
             extract_param_coupling(state), LINEAR, state.objective, state.iterations,
             state.marginal_residual, 1e-3, state.converged, state,
         )
-        assert objective_true(result, ds, exact=True) == pytest.approx(0.0, abs=1e-9)
+        assert objective_true(result, ds) == pytest.approx(0.0, abs=1e-9)

@@ -229,10 +229,6 @@ class TestParametricOracle:
         with pytest.raises(ValueError, match="distinct"):
             gaussian_1d_parametric_oracle([(0.5, 0.5, 1.0), (0.5, 0.5, 2.0)])
 
-    def test_only_linear_kind(self):
-        with pytest.raises(ValueError, match="geodesic"):
-            gaussian_1d_parametric_oracle([(0.0, 0.5, 1.0), (1.0, 0.5, 2.0)], kind="quadratic")
-
 
 class TestNnlsTwoColumns:
     """The closed-form two-column NNLS against scipy.optimize.nnls.

@@ -39,6 +39,12 @@ class TestSupportGrid:
         with pytest.raises(ValueError):
             g.points[0] = 7.0
 
+    def test_tensor_grid_order(self):
+        x, y = np.array([0.0, 0.5, 1.0]), np.array([-1.0, 2.0])
+        np.testing.assert_array_equal(SupportGrid.tensor([x]).points, x[:, None])
+        expected = [[a, b] for a in x for b in y]  # the last axis varies fastest
+        np.testing.assert_array_equal(SupportGrid.tensor([x, y]).points, expected)
+
 
 class TestDiscreteMeasure:
     def test_rejects_negative_weights(self):

@@ -221,17 +221,18 @@ class TestSinkhornSolve:
             assert state.objective <= previous + 1e-9
             previous = state.objective
 
-    def test_log_and_exp_domains_agree(self):
-        from wasscurve.mm_sinkhorn import _log_phase, transport_objective_from_logs
+    def test_log_and_exp_domains_agree(self, monkeypatch):
+        import wasscurve.mm_sinkhorn as engine
+        from wasscurve.mm_sinkhorn import transport_objective_from_logs
 
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
         state = sinkhorn_solve(kernels, ds, tol=1e-11)
         assert not state.used_log_domain
-        targets = ds.target_matrix()
-        log_a0 = np.zeros((kernels.n_snapshots, kernels.n_support))
-        finish, _, _, ok = _log_phase(kernels, targets, 1e-11, 10000, log_a0, [], 0)
-        assert ok and finish.residual <= 1e-11
-        log_obj = transport_objective_from_logs(kernels, finish.log_a)
+        monkeypatch.setattr(engine, "_EXP_SAFE_LOG", np.inf)  # every sweep in the log domain
+        log_state = sinkhorn_solve(kernels, ds, tol=1e-11)
+        assert log_state.used_log_domain
+        assert log_state.converged and log_state.marginal_residual <= 1e-11
+        log_obj = transport_objective_from_logs(kernels, log_state.log_potentials)
         np.testing.assert_allclose(log_obj, state.objective, rtol=1e-8)
 
     def test_mid_run_switch_to_log_domain(self):
@@ -289,9 +290,9 @@ class TestExpSweep:
         a_ref = np.ones((kern.shape[0], kern.shape[2]))
         m_ref = np.einsum("npx,nx->np", kern, a_ref) if m_start is None else np.array(m_start, dtype=float)
         a, m = a_ref.copy(), m_ref.copy()
-        sweep = engine._make_exp_sweeper(kern, a, m, targets)
+        work = engine._ExpSweepWork(kern, a, m, targets)
         for k in range(1, n_sweeps + 1):
-            res, res_ref = sweep(), oracles.reference_sweep_exp(kern, a_ref, m_ref, targets)
+            res, res_ref = engine._sweep_exp_numpy(work), oracles.reference_sweep_exp(kern, a_ref, m_ref, targets)
             if res_ref >= 0:
                 np.testing.assert_allclose(a, a_ref, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=0)
