@@ -60,8 +60,6 @@ from .mm_sinkhorn import (
     kernels_from_costs,
     project_marginal,
     sinkhorn_solve,
-    two_marginal_w2,
-    two_marginal_w2_exact,
 )
 from .pfo_estimation import (
     BoxPartition,
@@ -75,6 +73,7 @@ from .pfo_estimation import (
     snapshots_from_map,
     stationary_distribution,
 )
+from .two_marginal import two_marginal_w2, two_marginal_w2_exact
 
 __all__ = [
     "__version__",

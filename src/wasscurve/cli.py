@@ -27,7 +27,8 @@ from .dataio import SchemaError
 from .gaussian_regression import biased_covariance, fit_gaussian_sdp, gaussian_1d_parametric_oracle
 from .gmm_regression import fit_mixture_curve, mixture_marginal_at
 from .measures import DiscreteMeasure, SupportGrid
-from .mm_sinkhorn import SolverError, exact_w2_supported, two_marginal_w2, two_marginal_w2_exact
+from .mm_sinkhorn import SolverError
+from .two_marginal import exact_w2_supported, two_marginal_w2, two_marginal_w2_exact
 from .pfo_estimation import (
     BoxPartition,
     arcsine_box_masses,

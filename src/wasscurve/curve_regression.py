@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import mm_sinkhorn
 from .curves import CurveClass, LINEAR, QUADRATIC, curve_from_name
 from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid, quantize_to_grid
 from .mm_sinkhorn import (
@@ -28,6 +27,7 @@ from .mm_sinkhorn import (
     extract_param_coupling,
     sinkhorn_solve,
 )
+from .two_marginal import two_marginal_w2_exact
 
 logger = logging.getLogger(__name__)
 
@@ -216,6 +216,6 @@ def objective_true(result: RegressionResult, dataset: SnapshotDataset) -> float:
     total = 0.0
     for t, lam, mu in zip(dataset.timestamps, dataset.lambdas, dataset.measures):
         nu = marginal_at(result, float(t), dataset.grid)
-        cost, _ = mm_sinkhorn.two_marginal_w2_exact(nu, mu)
+        cost, _ = two_marginal_w2_exact(nu, mu)
         total += float(lam) * cost
     return total

@@ -16,7 +16,7 @@ import numpy as np
 
 from .curves import CurveClass, LINEAR
 from .curve_regression import euclidean_regression_oracle
-from .linalg import inv_sqrtm_pd, project_psd, sqrtm_psd
+from .linalg import inv_sqrtm_pd, inv_sqrtm_pd_stack, project_psd, project_psd_stack, sqrtm_psd, sqrtm_psd_stack
 from .measures import GaussianMeasure
 from .mm_sinkhorn import SolverError
 
@@ -77,6 +77,64 @@ def gaussian_geodesic(
     mix = (1.0 - t) * c0 + t * middle
     cov = inv_root0 @ mix @ mix @ inv_root0
     return GaussianMeasure(mean, project_psd((cov + cov.T) / 2))
+
+
+def w2_gaussian_squared_table(
+    means_a: np.ndarray, covs_a: np.ndarray, means_b: np.ndarray, covs_b: np.ndarray
+) -> np.ndarray:
+    """``w2_gaussian_squared`` from every Gaussian of stack a, means (..., d) and
+    covariances (..., d, d), to every one of stack b, (m, d) and (m, d, d); shape
+    (..., m). In 1D it is (mean difference)^2 + (std difference)^2."""
+    diff = means_a[..., None, :] - means_b
+    mean_term = np.sum(diff * diff, axis=-1)
+    if means_b.shape[-1] == 1:
+        std_a = np.sqrt(np.maximum(covs_a[..., 0, 0], 0.0))
+        std_b = np.sqrt(np.maximum(covs_b[:, 0, 0], 0.0))
+        gap = std_a[..., None] - std_b
+        return mean_term + gap * gap
+    root_a = sqrtm_psd_stack(covs_a)[..., None, :, :]
+    middle = root_a @ covs_b @ root_a
+    eigs = np.linalg.eigvalsh((middle + np.swapaxes(middle, -1, -2)) / 2)
+    root_trace = np.sum(np.sqrt(np.clip(eigs, 0.0, None)), axis=-1)
+    trace_a = np.trace(covs_a, axis1=-2, axis2=-1)[..., None]
+    bures = trace_a + np.trace(covs_b, axis1=-2, axis2=-1) - 2.0 * root_trace
+    return mean_term + np.maximum(bures, 0.0)
+
+
+def gaussian_geodesic_stack(
+    means_0: np.ndarray, covs_0: np.ndarray, means_1: np.ndarray, covs_1: np.ndarray, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``gaussian_geodesic(a_i, b_i, t, allow_commuting_fallback=True)``, with its
+    errors, for n pairs (means (n, d), covariances (n, d, d) per side) at T times:
+    means (T, n, d), covariances (T, n, d, d). In 1D the std interpolates linearly."""
+    times = np.asarray(times, dtype=float)
+    if times.min() < -1e-12 or times.max() > 1.0 + 1e-12:
+        raise ValueError("geodesic time must lie in [0, 1]")
+    t = np.minimum(np.maximum(times, 0.0), 1.0)[:, None, None]
+    means = (1.0 - t) * means_0 + t * means_1
+    t = t[..., None]
+    if means_0.shape[-1] == 1:
+        std = (1.0 - t) * np.sqrt(np.maximum(covs_0, 0.0)) + t * np.sqrt(np.maximum(covs_1, 0.0))
+        return means, std * std
+    evals = np.linalg.eigvalsh(covs_0)
+    singular = evals[:, 0] <= 1e-12 * np.maximum(evals[:, -1], 1e-300)
+    covs = np.empty(t.shape[:1] + covs_0.shape)
+    if singular.any():
+        c0, c1 = covs_0[singular], covs_1[singular]
+        comm = np.abs(c0 @ c1 - c1 @ c0).max(axis=(1, 2))
+        scale = np.maximum(np.abs(c0).max(axis=(1, 2)) * np.maximum(np.abs(c1).max(axis=(1, 2)), 1.0), 1.0)
+        if np.any(comm > 1e-10 * scale):
+            raise ValueError("singular first covariance and non-commuting pair; geodesic undefined here")
+        mix = (1.0 - t) * sqrtm_psd_stack(c0) + t * sqrtm_psd_stack(c1)
+        covs[:, singular] = mix @ mix
+    if not singular.all():
+        c0, c1 = covs_0[~singular], covs_1[~singular]
+        root0 = sqrtm_psd_stack(c0)
+        inv_root0 = inv_sqrtm_pd_stack(c0)
+        mix = (1.0 - t) * c0 + t * sqrtm_psd_stack(root0 @ c1 @ root0)
+        cov = inv_root0 @ mix @ mix @ inv_root0
+        covs[:, ~singular] = project_psd_stack(cov)
+    return means, covs
 
 
 def biased_covariance(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

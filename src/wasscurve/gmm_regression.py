@@ -12,33 +12,33 @@ geodesic-to-atom cost tables.
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared
+from .gaussian_regression import gaussian_geodesic_stack, w2_gaussian_squared_table
 from .measures import DiscreteMeasure, GaussianMeasure, GaussianMixture, SnapshotDataset, SupportGrid
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactoredCoupling,
-    exact_transport_lp,
     extract_param_coupling,
     kernels_from_costs,
     sinkhorn_solve,
-    two_marginal_w2_exact,
 )
+from .two_marginal import exact_transport_lp, two_marginal_w2_exact
 
 logger = logging.getLogger(__name__)
 
 
+def _stacked(atoms: Sequence[GaussianMeasure]) -> Tuple[np.ndarray, np.ndarray]:
+    """Means (K, d) and covariances (K, d, d) of an atom list."""
+    return np.stack([a.mean for a in atoms]), np.stack([a.covariance for a in atoms])
+
+
 def pairwise_w2_matrix(atoms_a: Sequence[GaussianMeasure], atoms_b: Sequence[GaussianMeasure]) -> np.ndarray:
     """Matrix of Gaussian W2 distances between two atom lists."""
-    out = np.empty((len(atoms_a), len(atoms_b)))
-    for i, a in enumerate(atoms_a):
-        for j, b in enumerate(atoms_b):
-            out[i, j] = w2_gaussian(a, b)
-    return out
+    return np.sqrt(w2_gaussian_squared_table(*_stacked(atoms_a), *_stacked(atoms_b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,32 +115,24 @@ def wm_distance(mu: GaussianMixture, nu: GaussianMixture) -> Tuple[float, np.nda
     Gaussian W2 ground cost; the value upper-bounds the plain W2 distance of
     the mixtures.
     """
-    cost = np.array([[w2_gaussian_squared(a, b) for b in nu.atoms] for a in mu.atoms])
+    cost = w2_gaussian_squared_table(*_stacked(mu.atoms), *_stacked(nu.atoms))
     value, plan = exact_transport_lp(mu.atom_weights, nu.atom_weights, cost)
     return float(np.sqrt(max(value, 0.0))), plan
-
-
-def _geodesic(atoms: AtomSet, j: int, l: int, t: float) -> GaussianMeasure:
-    return gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], t, allow_commuting_fallback=True)
 
 
 def geodesic_cost_table(atoms: AtomSet, timestamps: np.ndarray) -> np.ndarray:
     """W2^2 between every atom-pair geodesic point and every target atom.
 
     Returns an array of shape (N, K*K, K) indexed by (snapshot, pair (j,l) in
-    C order, target atom); precomputed once per fit because these closed-form
-    evaluations dominate the runtime otherwise.
+    C order, target atom), from one batched geodesic stack and one W2 table.
     """
     k = len(atoms)
-    n = len(timestamps)
-    table = np.empty((n, k * k, k))
-    for i, t in enumerate(timestamps):
-        for j in range(k):
-            for l in range(k):
-                g = _geodesic(atoms, j, l, float(t))
-                for m in range(k):
-                    table[i, j * k + l, m] = w2_gaussian_squared(g, atoms.atoms[m])
-    return table
+    means, covs = _stacked(atoms.atoms)
+    first, second = np.indices((k, k)).reshape(2, -1)  # pair j * k + l
+    geo_means, geo_covs = gaussian_geodesic_stack(
+        means[first], covs[first], means[second], covs[second], np.asarray(timestamps, dtype=float)
+    )
+    return w2_gaussian_squared_table(geo_means, geo_covs, means, covs)
 
 
 def fit_mixture_curve(
@@ -207,15 +199,11 @@ def mixture_marginal_at(w: MixtureCoupling, atoms: AtomSet, t: float) -> Gaussia
             tuple(a for a, kp in zip(atoms.atoms, keep) if kp),
             weights[keep] / weights.sum(),
         )
-    comps: List[GaussianMeasure] = []
-    masses: List[float] = []
-    for j in range(k):
-        for l in range(k):
-            if w.w[j, l] > 0:
-                comps.append(_geodesic(atoms, j, l, t))
-                masses.append(w.w[j, l])
-    masses_arr = np.asarray(masses)
-    return GaussianMixture(tuple(comps), masses_arr / masses_arr.sum())
+    first, second = np.nonzero(w.w > 0)  # pairs (j, l) in C order
+    means, covs = _stacked(atoms.atoms)
+    geo_means, geo_covs = gaussian_geodesic_stack(means[first], covs[first], means[second], covs[second], np.array([t]))
+    masses = w.w[first, second]
+    return GaussianMixture(tuple(map(GaussianMeasure, geo_means[0], geo_covs[0])), masses / masses.sum())
 
 
 def discretized_mixture_w2(mu: GaussianMixture, nu: GaussianMixture, n_points: int = 400, n_std: float = 5.0) -> float:

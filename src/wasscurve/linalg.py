@@ -72,3 +72,38 @@ def inv_sqrtm_pd(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is singular or nearly so; inverse square root undefined")
     out = (v / np.sqrt(w)) @ v.T
     return (out + out.T) / 2
+
+
+# The routines above over stacks (..., d, d) of symmetric matrices, symmetrized
+# rather than validated.
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    return (a + np.swapaxes(a, -1, -2)) / 2
+
+
+def _from_eig(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _symmetrized((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def sqrtm_psd_stack(a: np.ndarray) -> np.ndarray:
+    """``sqrtm_psd`` of every matrix of a stack."""
+    w, v = np.linalg.eigh(_symmetrized(a))
+    if np.any(w[..., 0] < -PSD_EIG_TOL * np.maximum(w[..., -1], 0.0) - 1e-300):
+        raise ValueError("matrix is not positive semi-definite")
+    return _from_eig(v, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def inv_sqrtm_pd_stack(a: np.ndarray) -> np.ndarray:
+    """``inv_sqrtm_pd`` of every matrix of a stack."""
+    w, v = np.linalg.eigh(_symmetrized(a))
+    if np.any(w[..., 0] <= PSD_EIG_TOL * np.maximum(w[..., -1], 1e-300)):
+        raise ValueError("matrix is singular or nearly so; inverse square root undefined")
+    return _from_eig(v, 1.0 / np.sqrt(w))
+
+
+def project_psd_stack(a: np.ndarray) -> np.ndarray:
+    """``project_psd`` of every matrix of a stack."""
+    m = _symmetrized(a)
+    w, v = np.linalg.eigh(m)
+    return _symmetrized(m - (v * np.minimum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2))

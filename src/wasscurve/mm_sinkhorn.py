@@ -20,9 +20,12 @@ this takes one (P, |X|) temporary per snapshot and no (N, P, |X|) array; the
 finish recomputes the sums in log space only when one falls below the normal
 float range or a w_j overflows. A log-domain solve hands over the log sums
 its sweeps maintain.
+
+Sweeps over-relax once their contraction rate settles (``_Overrelaxation``).
 """
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .curves import CurveClass
-from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid
+from .measures import SnapshotDataset, SupportGrid
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +48,12 @@ _NORMAL_MIN = np.finfo(float).tiny
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
+
+# over-relaxation (see _Overrelaxation)
+_SETTLE_COUNT = 5
+_SETTLE_SPREAD = 1e-3
+_DUAL_ROUNDING = 1e-13
+_RATE_WINDOW = 50
 
 
 class SolverError(RuntimeError):
@@ -240,7 +249,8 @@ class FactoredCoupling:
     Gamma[p, y_1..y_N] = prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums``
     holds log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape
     (N, P), as the solver finished with them; a state built without them
-    (None) has them recomputed where they are needed.
+    (None) has them recomputed where they are needed. The last three fields
+    say why the solve took the sweeps it did (see _Overrelaxation).
     """
 
     kernels: CostKernelSet
@@ -252,6 +262,9 @@ class FactoredCoupling:
     objective: float
     used_log_domain: bool
     log_factor_sums: Optional[np.ndarray] = None  # (N, P)
+    omega: float = 1.0  # at the end of the solve
+    overrelaxed_from: Optional[int] = None  # first sweep of the last over-relaxed run
+    overrelaxation_reverts: int = 0  # over-relaxed sweeps undone
 
     @property
     def potentials(self) -> np.ndarray:
@@ -427,6 +440,88 @@ def _with_log_zeros(a: np.ndarray) -> np.ndarray:
         return np.log(a)
 
 
+class _Overrelaxation:
+    """The over-relaxation factor omega of a scaling iteration, and when it changes.
+
+    omega is 1 until _SETTLE_COUNT successive residual ratios agree within
+    _SETTLE_SPREAD (relative) and are below 1; then it is
+    2 / (1 + sqrt(1 - theta)) for the last ratio theta (Lehmann, von Renesse,
+    Sambale, Uschmajew 2022). A run of over-relaxed sweeps ends when
+    ``accept`` gets a fall of the dual objective sum_j <p_j, log a_j> - mass
+    beyond _DUAL_ROUNDING * mass (the caller undoes that sweep; Thibault,
+    Chizat, Dossal, Papadakis 2021), or when a window of _RATE_WINDOW of its
+    sweeps, after its first, contracts no faster than theta. The next run
+    then needs twice as many settled ratios.
+    """
+
+    def __init__(self, what: str):
+        self.what = what
+        self.omega = 1.0
+        self.started: Optional[int] = None  # first sweep of the latest over-relaxed run, 1-based
+        self.reverts = 0
+        self._window = _SETTLE_COUNT
+        self._ratios: List[float] = []
+        self._last = 0.0
+        self._theta = self._base = 0.0
+        self._count = 0  # sweeps since _base; negative in a run's first window
+
+    def observe(self, done: int, residual: float) -> None:
+        """Take the residual of sweep ``done`` (1-based); may set omega for the next sweep."""
+        last, self._last = self._last, residual
+        if self.omega != 1.0:
+            self._check_rate(done, residual)
+            return
+        if not last > 0.0:
+            return
+        ratios = self._ratios
+        ratios.append(residual / last)
+        del ratios[: -self._window]
+        top = max(ratios)
+        if len(ratios) < self._window or not top < 1.0 or top - min(ratios) > _SETTLE_SPREAD * top:
+            return
+        self._theta = ratios[-1]
+        self._count = -_RATE_WINDOW
+        self.omega = 2.0 / (1.0 + math.sqrt(1.0 - self._theta))
+        self.started = done + 1
+        logger.info("over-relaxing %s from sweep %d: rate %.6f, omega %.4f", self.what, self.started, self._theta, self.omega)
+
+    def _check_rate(self, done: int, residual: float) -> None:
+        self._count += 1
+        if self._count == 0:
+            self._base = residual
+        if self._count < _RATE_WINDOW or not self._base > 0.0:
+            return
+        rate = (residual / self._base) ** (1.0 / self._count)
+        if rate < self._theta:
+            self._base, self._count = residual, 0
+            return
+        self._stop()
+        logger.info("over-relaxed %s: rate %.6f at sweep %d, plain was %.6f; omega 1", self.what, rate, done, self._theta)
+
+    def accept(self, gain: float, mass: float, done: int) -> bool:
+        """Keep over-relaxed sweep ``done``, whose dual objective changed by ``gain``; False to undo it."""
+        if gain >= -_DUAL_ROUNDING * mass:
+            return True
+        self.reverts += 1
+        self._stop()
+        logger.info("over-relaxed %s: sweep %d lowered the dual objective by %.3e; undone, omega 1", self.what, done, -gain)
+        return False
+
+    def _stop(self) -> None:
+        self.omega = 1.0
+        self._window *= 2
+        self._ratios.clear()
+        self._last = 0.0
+
+
+def _overrelaxed_log(log_x: np.ndarray, log_plain: np.ndarray, weights: np.ndarray, positive: np.ndarray, omega: float):
+    """(1 - omega) log_x + omega log_plain where ``positive`` (-inf elsewhere), and
+    <weights, log_plain - log_x> over those entries (the log ratio the plain update scales by)."""
+    with np.errstate(invalid="ignore"):
+        step = np.where(positive, log_plain - log_x, 0.0)
+    return np.where(positive, log_x + omega * step, -np.inf), float(weights @ step)
+
+
 class _ExpSweepWork:
     """Preallocated buffers and per-snapshot views reused by every numpy sweep.
 
@@ -437,6 +532,7 @@ class _ExpSweepWork:
     and a one-factor side is a view of that row of m, so a sweep makes
     3 (N - 2) products of length P: O(NP) in all. ``a`` and ``m`` must be
     C-contiguous; the sweep writes through views of their rows.
+    ``omega`` is the next sweep's over-relaxation factor.
     """
 
     def __init__(self, kern: np.ndarray, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
@@ -445,6 +541,9 @@ class _ExpSweepWork:
         self.a = a
         self.m = m
         self.targets = targets
+        self.omega = 1.0
+        self.ratio = np.empty((n, nx))
+        self.powered = np.empty(nx)
         self.a_start = np.empty((n, nx))
         self.phi = np.empty((n, nx))
         self.gap = np.empty((n, nx))
@@ -475,10 +574,24 @@ class _ExpSweepWork:
             zero = ~positive[j]
             self.steps.append((
                 w_step, w.dot, kern[j], kern[j].dot, self.phi[j], targets[j], a[j], m[j],
-                zero if zero.any() else None, pre_step,
+                zero if zero.any() else None, pre_step, self.ratio[j],
             ))
         self.positive = None if positive.all() else positive
         self.zero = None if positive.all() else ~positive
+
+    def restore_start(self) -> None:
+        """Undo the last sweep: potentials back to a_start, factor sums back to K a."""
+        np.copyto(self.a, self.a_start)
+        for j in range(self.a.shape[0]):
+            self.kern[j].dot(self.a[j], out=self.m[j])
+
+    def log_ratio_sum(self) -> float:
+        """sum_j <p_j, log r_j> over the ratios r_j of the last, over-relaxed, sweep."""
+        ratio = self.ratio
+        if self.zero is not None:
+            ratio[self.zero] = 1.0  # 0/0 there
+        np.log(ratio, out=ratio)
+        return float(np.vdot(self.targets, ratio))
 
 
 @np.errstate(all="ignore")
@@ -504,17 +617,27 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     of phi and a is written once per sweep, so these checks reject exactly
     what the same checks after each snapshot would, and -1.0 still marks the
     first sweep that leaves the safe range.
+
+    With ``work.omega`` != 1 the update is a_j <- a_j * r_j^omega, with
+    r_j = p_j / (phi_j a_j) kept in ``work.ratio``.
     """
     multiply, divide = np.multiply, np.divide
     a = work.a
+    omega = work.omega
     np.copyto(work.a_start, a)
     for left, right, out in work.suffix_steps:
         multiply(left, right, out)
-    for w_step, w_dot, kern_j, kern_dot, phi_j, t_j, a_j, m_j, zero, pre_step in work.steps:
+    for w_step, w_dot, kern_j, kern_dot, phi_j, t_j, a_j, m_j, zero, pre_step, r_j in work.steps:
         if w_step is not None:
             multiply(*w_step)
         w_dot(kern_j, out=phi_j)
-        divide(t_j, phi_j, out=a_j)
+        if omega == 1.0:
+            divide(t_j, phi_j, out=a_j)
+        else:
+            multiply(phi_j, a_j, out=r_j)
+            divide(t_j, r_j, out=r_j)
+            np.power(r_j, omega, out=work.powered)
+            multiply(a_j, work.powered, out=a_j)
         if zero is not None:
             a_j[zero] = 0.0
         kern_dot(a_j, out=m_j)
@@ -542,10 +665,21 @@ def _exp_start(kern: np.ndarray, targets: np.ndarray) -> _ExpSweepWork:
     return _ExpSweepWork(kern, a, m, targets)
 
 
-def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
-    """One full log-domain sweep; updates log_a and log_m in place."""
+def _sweep_log(
+    log_kern: np.ndarray,
+    log_a: np.ndarray,
+    log_m: np.ndarray,
+    targets: np.ndarray,
+    log_targets: np.ndarray,
+    omega: float,
+) -> Tuple[float, float]:
+    """One full log-domain sweep, over-relaxed by ``omega``; updates log_a and log_m in place.
+
+    Returns the residual and, when over-relaxed, sum_j <p_j, log r_j> as
+    ``_ExpSweepWork.log_ratio_sum`` (0.0 otherwise).
+    """
     n = log_kern.shape[0]
-    residual = 0.0
+    residual = log_ratio = 0.0
     for j in range(n):
         log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
         terms = log_kern[j] + log_w[:, None]
@@ -558,9 +692,13 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
                 "zero marginal projection where the target is positive; "
                 "epsilon too small for the cost scale or kernel disconnected"
             )
-        log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
+        if omega == 1.0:
+            log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
+        else:
+            log_a[j], step_sum = _overrelaxed_log(log_a[j], log_targets[j] - log_phi, targets[j], positive, omega)
+            log_ratio += step_sum
         log_m[j] = _log_kernel_sums(log_kern[j], log_a[j][None, :], 1, terms)
-    return residual
+    return residual, log_ratio
 
 
 def sinkhorn_solve(
@@ -572,10 +710,11 @@ def sinkhorn_solve(
     """Run multiplicative scaling sweeps until every marginal matches its target.
 
     Sweeps cycle snapshots in ascending timestamp order, updating
-    a_j <- a_j * p_j / P_{y_j}(Gamma). Convergence is declared when the max
-    L1 marginal violation of the final state is at most tol. Raises
-    SolverError when the iteration produces non-finite values or a zero
-    projection where the target carries mass (signals epsilon too small).
+    a_j <- a_j * p_j / P_{y_j}(Gamma), over-relaxed as ``_Overrelaxation``
+    decides. Convergence is declared when the max L1 marginal violation of the final
+    state is at most tol. Raises SolverError when the iteration produces
+    non-finite values or a zero projection where the target carries mass
+    (signals epsilon too small).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -598,22 +737,46 @@ def sinkhorn_solve(
             return _finish_exp(kernels, work.kern, work.a, work.m, targets)
         return _finish_log(kernels, log_a, targets, log_m)
 
+    def mass() -> float:
+        """Total mass of the coupling, sum_p prod_j m_j(p)."""
+        if work is not None:
+            return float(np.prod(work.m, axis=0).sum())
+        return float(np.exp(_logsumexp(log_m.sum(axis=0))))
+
+    relax = _Overrelaxation("sinkhorn sweeps")
     history: List[float] = []
     for sweep in range(max_iter):
-        if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
-            # the sweep left the safe range: redo it in the log domain from its start
-            logger.info("switching to log-domain updates after %d sweeps", sweep)
-            log_a = _with_log_zeros(work.a_start)
-            log_m = _log_factor_sums(log_kern, log_a)
-            work = None
+        omega = relax.omega
+        if omega != 1.0:
+            mass_start = mass()
+        if work is not None:
+            work.omega = omega
+            if (res := _sweep_exp_numpy(work)) < 0.0:
+                # the sweep left the safe range: redo it in the log domain from its start
+                logger.info("switching to log-domain updates after %d sweeps", sweep)
+                log_a = _with_log_zeros(work.a_start)
+                log_m = _log_factor_sums(log_kern, log_a)
+                work = None
+            elif omega != 1.0:
+                log_ratio = work.log_ratio_sum()
         if work is None:
-            res = _sweep_log(log_kern, log_a, log_m, targets, log_t)
+            if omega != 1.0:
+                start = log_a.copy(), log_m.copy()
+            res, log_ratio = _sweep_log(log_kern, log_a, log_m, targets, log_t, omega)
         history.append(res)
+        if omega != 1.0 and not relax.accept(omega * log_ratio - (mass() - mass_start), mass_start, sweep + 1):
+            if work is not None:
+                work.restore_start()
+            else:
+                np.copyto(log_a, start[0])
+                np.copyto(log_m, start[1])
+            continue
         if res <= tol:
             finish = finish_now()
             if finish.residual <= tol:
                 iters, ok = sweep + 1, True
                 break
+        relax.observe(sweep + 1, res)
     else:
         finish, iters, ok = finish_now(), max_iter, False
     work = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
@@ -632,6 +795,9 @@ def sinkhorn_solve(
         objective=objective,
         used_log_domain=log_a is not None,
         log_factor_sums=finish.log_m,
+        omega=relax.omega,
+        overrelaxed_from=relax.started,
+        overrelaxation_reverts=relax.reverts,
     )
 
 
@@ -661,143 +827,3 @@ def benchmark_sweep_seconds(
             _sweep_exp_numpy(work)
         best = min(best, (time.perf_counter() - start) / n_sweeps)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Two-marginal transport (the classical case), entropic and exact paths
-# ---------------------------------------------------------------------------
-
-_LP_MAX_SUPPORT = 64
-
-
-def _pairwise_sq_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    if mu.dim != nu.dim:
-        raise ValueError("measures must share one state dimension")
-    return _sq_distances(mu.grid.points, nu.grid.points)
-
-
-def _check_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
-        raise ValueError("measures must carry equal mass")
-
-
-def two_marginal_w2(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    epsilon: float,
-    tol: float = 1e-9,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Tuple[float, np.ndarray]:
-    """Entropic transport cost <c, plan> (entropy term excluded) and the plan.
-
-    Log-domain scaling throughout. The returned value is the transport term
-    of a feasible plan, so it upper-bounds the exact discrete squared
-    Wasserstein cost and approaches it from above as epsilon shrinks.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_mass(mu, nu)
-    cost = _pairwise_sq_cost(mu, nu)
-    log_k = -(cost - cost.min()) / epsilon
-    log_p = _with_log_zeros(mu.weights)
-    log_q = _with_log_zeros(nu.weights)
-    log_u = np.zeros(len(mu.weights))
-    log_v = np.zeros(len(nu.weights))
-    buf = np.empty_like(log_k)
-    log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)  # log (K v)
-    for _ in range(max_iter):
-        with np.errstate(invalid="ignore"):
-            log_u = log_p - log_rows
-            log_u[np.isnan(log_u)] = -np.inf
-            log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
-            log_v[np.isnan(log_v)] = -np.inf
-        # the column marginal is now nu up to rounding; the row sums of the
-        # plan are u * (K v), and log (K v) is what the next u update needs
-        log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)
-        err = float(np.abs(np.exp(log_u + log_rows) - mu.weights).sum())
-        if err <= tol:
-            break
-    else:
-        logger.warning("two-marginal sinkhorn stopped at max_iter with residual %.3e", err)
-    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
-    return float(np.sum(plan * cost)), plan
-
-
-def _monotone_plan_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray) -> List[Tuple[int, int, float]]:
-    """North-west-corner coupling of sorted 1D supports (optimal for convex costs)."""
-    entries = []
-    i = j = 0
-    pi, qj = p[0], q[0]
-    while True:
-        take = min(pi, qj)
-        if take > 0:
-            entries.append((i, j, take))
-        pi -= take
-        qj -= take
-        if pi <= 1e-17 and i + 1 < len(p):
-            i += 1
-            pi = p[i]
-        elif qj <= 1e-17 and j + 1 < len(q):
-            j += 1
-            qj = q[j]
-        elif pi <= 1e-17 and qj <= 1e-17:
-            break
-        elif pi <= 1e-17 or qj <= 1e-17:
-            # leftover on one side only: floating-point crumbs, stop
-            break
-    return entries
-
-
-def exact_w2_supported(a: SupportGrid, b: SupportGrid) -> bool:
-    """True when ``two_marginal_w2_exact`` accepts measures on grids a and b.
-
-    One-dimensional supports always are; higher dimensions need the linear
-    program, limited to at most _LP_MAX_SUPPORT points per side.
-    """
-    return a.dim == 1 or max(len(a), len(b)) <= _LP_MAX_SUPPORT
-
-
-def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[float, np.ndarray]:
-    """Exact squared-W2 transport cost of the discrete problem, and an optimal plan.
-
-    One-dimensional inputs use the monotone (quantile) coupling, which is the
-    exact optimizer for squared distance; higher dimensions solve the linear
-    program directly and are limited to the supports ``exact_w2_supported``
-    accepts (ValueError otherwise).
-    """
-    _check_mass(mu, nu)
-    if mu.dim == 1:
-        x = mu.grid.points[:, 0]
-        y = nu.grid.points[:, 0]
-        ix = np.argsort(x, kind="stable")
-        iy = np.argsort(y, kind="stable")
-        entries = _monotone_plan_1d(x[ix], mu.weights[ix], y[iy], nu.weights[iy])
-        plan = np.zeros((len(x), len(y)))
-        cost = 0.0
-        for i, j, mass in entries:
-            plan[ix[i], iy[j]] += mass
-            cost += mass * (x[ix[i]] - y[iy[j]]) ** 2
-        return float(cost), plan
-    if not exact_w2_supported(mu.grid, nu.grid):
-        raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
-    return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))
-
-
-def exact_transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Minimal <cost, plan> over plans with row sums p and column sums q, and the plan.
-
-    Solved as a linear program by scipy's HiGHS, imported here: the rest of
-    the package needs numpy only. Raises SolverError when the solver fails.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    n, m = cost.shape
-    # row i of the plan sums to p_i, column j to q_j; plan entry (i, j) is variable i * m + j
-    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.repeat(np.arange(m), n)])
-    cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
-    a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverError(f"exact transport LP failed: {res.message}")
-    return float(res.fun), res.x.reshape(n, m)

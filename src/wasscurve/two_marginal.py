@@ -1,0 +1,186 @@
+"""Two-marginal transport (the classical case), entropic and exact paths.
+
+The entropic path runs the log-domain scaling of ``mm_sinkhorn`` with its
+over-relaxation rule; the exact path is the 1D monotone coupling or, on small
+supports, a linear program.
+"""
+
+import logging
+from typing import List, Tuple
+
+import numpy as np
+
+from .measures import DiscreteMeasure, SupportGrid
+from .mm_sinkhorn import (
+    DEFAULT_MAX_ITER,
+    SolverError,
+    _log_kernel_sums,
+    _Overrelaxation,
+    _overrelaxed_log,
+    _sq_distances,
+    _with_log_zeros,
+)
+
+logger = logging.getLogger(__name__)
+
+_LP_MAX_SUPPORT = 64
+
+
+def _check_same_dim(a: SupportGrid, b: SupportGrid) -> None:
+    if a.dim != b.dim:
+        raise ValueError(f"measures must share one state dimension (got {a.dim} and {b.dim})")
+
+
+def _pairwise_sq_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    _check_same_dim(mu.grid, nu.grid)
+    return _sq_distances(mu.grid.points, nu.grid.points)
+
+
+def _check_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
+        raise ValueError("measures must carry equal mass")
+
+
+def two_marginal_w2(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    epsilon: float,
+    tol: float = 1e-9,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> Tuple[float, np.ndarray]:
+    """Entropic transport cost <c, plan> (entropy term excluded) and the plan.
+
+    Log-domain scaling throughout, over-relaxed as in ``sinkhorn_solve``
+    (dual objective <p, log u> + <q, log v> - sum u K v). The returned value is
+    the transport term of a feasible plan, so it upper-bounds the exact
+    discrete squared Wasserstein cost and approaches it from above as
+    epsilon shrinks.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    _check_mass(mu, nu)
+    cost = _pairwise_sq_cost(mu, nu)
+    log_k = -(cost - cost.min()) / epsilon
+    p, q = mu.weights, nu.weights
+    log_p = _with_log_zeros(p)
+    log_q = _with_log_zeros(q)
+    log_u = np.zeros(len(p))
+    log_v = np.zeros(len(q))
+    buf = np.empty_like(log_k)
+    log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)  # log (K v)
+    relax = _Overrelaxation("two-marginal iterations")
+    err = np.inf
+    for it in range(max_iter):
+        omega = relax.omega
+        if omega == 1.0:
+            with np.errstate(invalid="ignore"):
+                log_u = log_p - log_rows
+                log_u[np.isnan(log_u)] = -np.inf
+                log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
+                log_v[np.isnan(log_v)] = -np.inf
+        else:
+            start = log_u, log_v, log_rows, err
+            mass_start = float(np.exp(log_u + log_rows).sum())  # sum u K v
+            log_u, step_u = _overrelaxed_log(log_u, log_p - log_rows, p, p > 0, omega)
+            log_cols = _log_kernel_sums(log_k, log_u[:, None], 0, buf)  # log (K^T u)
+            log_v, step_v = _overrelaxed_log(log_v, log_q - log_cols, q, q > 0, omega)
+        # the row sums of the plan are u * (K v), and log (K v) is what the
+        # next u update needs; a plain iteration matches the columns exactly
+        log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)
+        rows = np.exp(log_u + log_rows)
+        err = float(np.abs(rows - p).sum())
+        if omega != 1.0:
+            err = max(err, float(np.abs(np.exp(log_v + log_cols) - q).sum()))
+            if not relax.accept(omega * (step_u + step_v) - (rows.sum() - mass_start), mass_start, it + 1):
+                log_u, log_v, log_rows, err = start
+                continue
+        if err <= tol:
+            break
+        relax.observe(it + 1, err)
+    else:
+        logger.warning("two-marginal sinkhorn stopped at max_iter with residual %.3e", err)
+    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
+    return float(np.sum(plan * cost)), plan
+
+
+def _monotone_plan_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray) -> List[Tuple[int, int, float]]:
+    """North-west-corner coupling of sorted 1D supports (optimal for convex costs)."""
+    entries = []
+    i = j = 0
+    pi, qj = p[0], q[0]
+    while True:
+        take = min(pi, qj)
+        if take > 0:
+            entries.append((i, j, take))
+        pi -= take
+        qj -= take
+        if pi <= 1e-17 and i + 1 < len(p):
+            i += 1
+            pi = p[i]
+        elif qj <= 1e-17 and j + 1 < len(q):
+            j += 1
+            qj = q[j]
+        elif pi <= 1e-17 and qj <= 1e-17:
+            break
+        elif pi <= 1e-17 or qj <= 1e-17:
+            # leftover on one side only: floating-point crumbs, stop
+            break
+    return entries
+
+
+def exact_w2_supported(a: SupportGrid, b: SupportGrid) -> bool:
+    """True when ``two_marginal_w2_exact`` accepts measures on grids a and b.
+
+    One-dimensional supports always are; higher dimensions need the linear
+    program, limited to at most _LP_MAX_SUPPORT points per side. Grids of
+    different dimensions raise ValueError.
+    """
+    _check_same_dim(a, b)
+    return a.dim == 1 or max(len(a), len(b)) <= _LP_MAX_SUPPORT
+
+
+def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[float, np.ndarray]:
+    """Exact squared-W2 transport cost of the discrete problem, and an optimal plan.
+
+    One-dimensional inputs use the monotone (quantile) coupling, which is the
+    exact optimizer for squared distance; higher dimensions solve the linear
+    program directly and are limited to the supports ``exact_w2_supported``
+    accepts (ValueError otherwise, and for measures of different dimensions).
+    """
+    _check_same_dim(mu.grid, nu.grid)
+    _check_mass(mu, nu)
+    if mu.dim == 1:
+        x = mu.grid.points[:, 0]
+        y = nu.grid.points[:, 0]
+        ix = np.argsort(x, kind="stable")
+        iy = np.argsort(y, kind="stable")
+        entries = _monotone_plan_1d(x[ix], mu.weights[ix], y[iy], nu.weights[iy])
+        plan = np.zeros((len(x), len(y)))
+        cost = 0.0
+        for i, j, mass in entries:
+            plan[ix[i], iy[j]] += mass
+            cost += mass * (x[ix[i]] - y[iy[j]]) ** 2
+        return float(cost), plan
+    if not exact_w2_supported(mu.grid, nu.grid):
+        raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
+    return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))
+
+
+def exact_transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Minimal <cost, plan> over plans with row sums p and column sums q, and the plan.
+
+    Solved as a linear program by scipy's HiGHS, imported here: the rest of
+    the package needs numpy only. Raises SolverError when the solver fails.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    n, m = cost.shape
+    # row i of the plan sums to p_i, column j to q_j; plan entry (i, j) is variable i * m + j
+    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.repeat(np.arange(m), n)])
+    cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
+    a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
+    if not res.success:
+        raise SolverError(f"exact transport LP failed: {res.message}")
+    return float(res.fun), res.x.reshape(n, m)

@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
+from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared
 from wasscurve.measures import (
     DiscreteMeasure,
     SnapshotDataset,
@@ -161,6 +162,35 @@ def reference_sweep_exp(kern, a, m, targets):
         if not np.isfinite(m[j]).all():
             return -1.0
     return residual
+
+
+# ---------------------------------------------------------------------------
+# The per-pair Gaussian-W2 cost tables, kept as written before the batched
+# closed forms: one closed-form call per atom pair, geodesic point and target.
+# ---------------------------------------------------------------------------
+
+
+def pairwise_w2_matrix(atoms_a, atoms_b):
+    """Matrix of Gaussian W2 distances between two atom lists."""
+    out = np.empty((len(atoms_a), len(atoms_b)))
+    for i, a in enumerate(atoms_a):
+        for j, b in enumerate(atoms_b):
+            out[i, j] = w2_gaussian(a, b)
+    return out
+
+
+def geodesic_cost_table(atoms, timestamps):
+    """W2^2 between every atom-pair geodesic point and every target atom, shape (N, K*K, K)."""
+    k = len(atoms)
+    n = len(timestamps)
+    table = np.empty((n, k * k, k))
+    for i, t in enumerate(timestamps):
+        for j in range(k):
+            for l in range(k):
+                g = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], float(t), allow_commuting_fallback=True)
+                for m in range(k):
+                    table[i, j * k + l, m] = w2_gaussian_squared(g, atoms.atoms[m])
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from wasscurve.mm_sinkhorn import (
     kernels_from_costs,
     param_tuple_stack,
     project_marginal,
-    two_marginal_w2_exact,
 )
+from wasscurve.two_marginal import two_marginal_w2_exact
 from wasscurve.pfo_estimation import (
     BoxPartition,
     arcsine_box_masses,

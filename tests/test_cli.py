@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wasscurve import cli, dataio
 from wasscurve.dataio import SchemaError
-from wasscurve.mm_sinkhorn import two_marginal_w2
+from wasscurve.two_marginal import two_marginal_w2
 
 
 def write(path, text):
@@ -199,6 +199,20 @@ class TestRunDistance:
         with pytest.raises(ValueError, match="one timestamp"):
             cli.run(cli.RunConfig(command="distance", input=str(p), input_b=str(p)))
 
+    def test_different_dimensions_are_a_precondition_error(self, tmp_path, capsys):
+        # the 1D exact path read only the first coordinate of the 2D measure and printed 0
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write(a, "t,weight,x1\n0,1,0.0\n")
+        write(b, "t,weight,x1,x2\n0,1,0.0,5.0\n")
+        for first, second in ((a, b), (b, a)):
+            assert cli.main(["distance", "--input-a", str(first), "--input-b", str(second)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err.strip())
+            assert err["error"]["category"] == "precondition"
+            assert "dimension" in err["error"]["message"]
+
     def test_max_iter_reaches_the_entropic_path(self, tmp_path, capsys):
         # 2-D supports of 81 points are past the exact LP's limit, so the entropic solver runs
         rng = np.random.default_rng(3)
@@ -383,6 +397,27 @@ class TestRowOrder:
         rnd.shuffle(shuffled)  # timestamps interleave
         for argv in (["regress", "--epsilon", "0.1", "--query-times", "0,0.5"], ["invariant", "--boxes", "20"]):
             assert self._result_bytes(workdir, shuffled, argv) == self._result_bytes(workdir, rows, argv)
+
+
+class TestRepeatedRuns:
+    """Running a command twice on one input gives the same result.json, byte for byte."""
+
+    @pytest.mark.parametrize("command", ["gmm", "regress"])
+    def test_result_json_byte_identical(self, tmp_path, command):
+        if command == "gmm":
+            src = tmp_path / "mixture.json"
+            assert cli.main(["generate", "mixture-toy", "--output", str(src)]) == 0
+            argv = ["gmm", "--epsilon", "0.07", "--max-iter", "30000"]
+        else:
+            src = tmp_path / "samples.csv"
+            assert cli.main(["generate", "ou", "--particles", "300", "--snapshots", "6", "--output", str(src)]) == 0
+            argv = ["regress", "--curve", "linear", "--query-times", "0,0.5,1,1.5"]
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            assert cli.main([*argv, "--input", str(src), "--output", str(out)]) == 0
+            runs.append((out / "result.json").read_bytes())
+        assert runs[0] == runs[1]
 
 
 def test_cli_import_loads_no_scipy():

@@ -16,7 +16,8 @@ from wasscurve.gaussian_regression import (
     w2_gaussian_squared,
 )
 from wasscurve.measures import DiscreteMeasure, GaussianMeasure, SupportGrid
-from wasscurve.mm_sinkhorn import SolverError, two_marginal_w2_exact
+from wasscurve.mm_sinkhorn import SolverError
+from wasscurve.two_marginal import two_marginal_w2_exact
 
 import oracles
 
@@ -62,7 +63,7 @@ class TestW2Gaussian:
             assert closed == pytest.approx(lp_cost, rel=0.02)
 
     def test_matches_entropic_transport_at_small_epsilon(self):
-        from wasscurve.mm_sinkhorn import two_marginal_w2
+        from wasscurve.two_marginal import two_marginal_w2
 
         m0, s0, m1, s1 = 0.0, 1.0, 0.5, 1.5
         grid = SupportGrid(np.linspace(m0 - 5 * s1, m1 + 5 * s1, 200)[:, None])
@@ -71,6 +72,24 @@ class TestW2Gaussian:
         closed = w2_gaussian_squared(g1d(m0, s0), g1d(m1, s1))
         ent, _ = two_marginal_w2(mu, nu, epsilon=0.01 * closed, tol=1e-9)
         assert closed == pytest.approx(ent, rel=0.02)
+
+
+    def test_entropic_transport_at_small_epsilon_reaches_its_tol(self, caplog):
+        # the instance above: plain iterations stop at max_iter with residual
+        # 1.8e-8; over-relaxed ones reach tol 1e-9 in both marginals
+        from wasscurve.two_marginal import two_marginal_w2
+
+        m0, s0, m1, s1 = 0.0, 1.0, 0.5, 1.5
+        grid = SupportGrid(np.linspace(m0 - 5 * s1, m1 + 5 * s1, 200)[:, None])
+        mu = DiscreteMeasure(grid, oracles.gaussian_pdf_measure(grid.points, m0, s0))
+        nu = DiscreteMeasure(grid, oracles.gaussian_pdf_measure(grid.points, m1, s1))
+        closed = w2_gaussian_squared(g1d(m0, s0), g1d(m1, s1))
+        with caplog.at_level("INFO"):
+            _, plan = two_marginal_w2(mu, nu, epsilon=0.01 * closed, tol=1e-9)
+        assert "max_iter" not in caplog.text
+        assert "over-relaxing" in caplog.text
+        assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-9
+        assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-9
 
 
 class TestGaussianGeodesic:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wasscurve.gaussian_regression import w2_gaussian
+from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian
 from wasscurve.gmm_regression import (
     AtomSet,
     MixtureCoupling,
@@ -11,6 +11,7 @@ from wasscurve.gmm_regression import (
     fit_mixture_curve,
     geodesic_cost_table,
     mixture_marginal_at,
+    pairwise_w2_matrix,
     wm_distance,
 )
 from wasscurve.measures import GaussianMeasure, GaussianMixture
@@ -47,6 +48,95 @@ class TestAtomSet:
         a = [GaussianMeasure.from_std_1d(0, 1), GaussianMeasure.from_std_1d(1, 1)]
         with pytest.raises(ValueError, match="symmetric"):
             AtomSet(tuple(a), np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def random_spd_atoms(rng, k, d):
+    atoms = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cov = (q * rng.uniform(0.2, 2.0, d)) @ q.T
+        atoms.append(GaussianMeasure(rng.normal(size=d), (cov + cov.T) / 2))
+    return atoms
+
+
+def assert_matches_loop(batched, loop, scale):
+    """rtol 1e-12; entries that are zero up to rounding (the loop's value is
+    itself rounding there) get atol 1e-14 times the size of the covariances."""
+    np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=1e-14 * scale)
+
+
+class TestBatchedCostTables:
+    """The batched closed forms against the per-pair loops they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_geodesic_cost_table_matches_loop(self, d, seed):
+        rng = np.random.default_rng(seed)
+        atoms = AtomSet.from_atoms(random_spd_atoms(rng, 4, d))
+        timestamps = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 4)), [1.0]])
+        scale = max(np.trace(a.covariance) for a in atoms.atoms)
+        assert_matches_loop(geodesic_cost_table(atoms, timestamps), oracles.geodesic_cost_table(atoms, timestamps), scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairwise_w2_matches_loop(self, d):
+        rng = np.random.default_rng(10 + d)
+        a, b = random_spd_atoms(rng, 5, d), random_spd_atoms(rng, 3, d)
+        scale = max(np.trace(x.covariance) for x in a + b)
+        assert_matches_loop(pairwise_w2_matrix(a, b) ** 2, oracles.pairwise_w2_matrix(a, b) ** 2, scale)
+        # on the diagonal of an atom set with itself the loop's distance is the
+        # square root of rounding; AtomSet.from_atoms zeroes it either way
+        same = pairwise_w2_matrix(a, a) ** 2
+        assert_matches_loop(same, oracles.pairwise_w2_matrix(a, a) ** 2, scale)
+        assert np.abs(np.diag(same)).max() <= 1e-14 * scale
+        np.testing.assert_array_equal(AtomSet.from_atoms(a).pairwise_w2, AtomSet.from_atoms(a).pairwise_w2.T)
+
+    def test_wm_distance_uses_the_same_table(self):
+        rng = np.random.default_rng(5)
+        mu = GaussianMixture(tuple(random_spd_atoms(rng, 3, 2)), np.array([0.2, 0.3, 0.5]))
+        nu = GaussianMixture(tuple(random_spd_atoms(rng, 4, 2)), np.array([0.1, 0.4, 0.3, 0.2]))
+        cost = oracles.pairwise_w2_matrix(mu.atoms, nu.atoms) ** 2
+        expected, _ = oracles.transport_lp(cost, mu.atom_weights, nu.atom_weights)
+        value, _ = wm_distance(mu, nu)
+        assert value**2 == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mixture_marginal_matches_per_pair_geodesics(self, d):
+        rng = np.random.default_rng(20 + d)
+        atoms = AtomSet.from_atoms(random_spd_atoms(rng, 3, d))
+        w = rng.random((3, 3))
+        w[0, 2] = w[2, 1] = 0.0
+        coupling = MixtureCoupling(w / w.sum())
+        mixture = mixture_marginal_at(coupling, atoms, 0.35)
+        pairs = [(j, l) for j in range(3) for l in range(3) if w[j, l] > 0]
+        assert len(mixture.atoms) == len(pairs)
+        for comp, (j, l) in zip(mixture.atoms, pairs):
+            expected = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], 0.35, allow_commuting_fallback=True)
+            np.testing.assert_allclose(comp.mean, expected.mean, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(comp.covariance, expected.covariance, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(mixture.atom_weights, coupling.w[coupling.w > 0] / coupling.w.sum(), rtol=1e-15)
+
+    def test_singular_commuting_pair(self):
+        # a singular first covariance takes the commuting fallback of gaussian_geodesic
+        atoms = AtomSet.from_atoms([
+            GaussianMeasure(np.array([0.0, 1.0]), np.diag([1.0, 0.0])),
+            GaussianMeasure(np.array([2.0, -1.0]), np.diag([0.5, 2.0])),
+            GaussianMeasure(np.array([1.0, 0.0]), np.diag([0.0, 0.0])),
+        ])
+        timestamps = np.array([0.0, 0.3, 0.8, 1.0])
+        assert_matches_loop(geodesic_cost_table(atoms, timestamps), oracles.geodesic_cost_table(atoms, timestamps), 2.5)
+
+    def test_singular_non_commuting_pair_raises_as_the_loop(self):
+        rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        atoms = AtomSet.from_atoms([
+            GaussianMeasure(np.zeros(2), np.diag([1.0, 0.0])),
+            GaussianMeasure(np.ones(2), rot @ np.diag([2.0, 0.5]) @ rot.T),
+        ])
+        timestamps = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="non-commuting") as loop_error:
+            oracles.geodesic_cost_table(atoms, timestamps)
+        with pytest.raises(ValueError, match="non-commuting") as batched_error:
+            geodesic_cost_table(atoms, timestamps)
+        assert str(batched_error.value) == str(loop_error.value)
 
 
 class TestWmDistance:
@@ -164,6 +254,23 @@ class TestFitMixtureCurve:
         diag_costs = costs[:, diag_idx, :]
         stationary_lp, _ = oracles.multimarginal_lp(diag_costs, lambdas, targets)
         assert result.objective < stationary_lp
+
+    def test_toy_fit_over_relaxes(self, monkeypatch):
+        # the benchmark's mixture toy at epsilon 0.07: the residual ratio
+        # settles near 0.98, and over-relaxed sweeps reach tol in a sixth of the sweeps
+        import wasscurve.mm_sinkhorn as engine
+
+        atoms = toy_atoms()
+        relaxed = fit_mixture_curve(toy_snapshots(), atoms, epsilon=0.07, tol=1e-8, max_iter=30000)
+        monkeypatch.setattr(engine, "_SETTLE_SPREAD", -1.0)  # the rate never counts as settled
+        plain = fit_mixture_curve(toy_snapshots(), atoms, epsilon=0.07, tol=1e-8, max_iter=30000)
+        assert relaxed.converged and plain.converged
+        assert plain.state.overrelaxed_from is None
+        assert relaxed.state.overrelaxed_from is not None and relaxed.state.omega > 1.5
+        assert relaxed.state.overrelaxation_reverts == 0
+        assert relaxed.iterations < plain.iterations / 3
+        assert relaxed.objective == pytest.approx(plain.objective, rel=1e-6)
+        np.testing.assert_allclose(relaxed.coupling.w, plain.coupling.w, rtol=1e-5, atol=1e-9)
 
     def test_needs_three_snapshots(self):
         atoms = toy_atoms()

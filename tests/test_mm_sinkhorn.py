@@ -3,10 +3,12 @@
 import dataclasses
 import tracemalloc
 import warnings
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
@@ -15,15 +17,13 @@ from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     SolverError,
     build_kernels,
-    exact_transport_lp,
     extract_param_coupling,
     kernels_from_costs,
     param_tuple_stack,
     project_marginal,
     sinkhorn_solve,
-    two_marginal_w2,
-    two_marginal_w2_exact,
 )
+from wasscurve.two_marginal import exact_transport_lp, two_marginal_w2, two_marginal_w2_exact
 
 import oracles
 
@@ -477,6 +477,125 @@ class TestFinish:
             log_a = np.log(a)
         np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
         assert np.isfinite(finish.log_m).all()
+
+
+class TestOverrelaxation:
+    """Over-relaxed sweeps change the path of a solve, not its fixed point."""
+
+    @staticmethod
+    def _solve(kernels, ds, plain, log_domain, **kwargs):
+        import wasscurve.mm_sinkhorn as engine
+
+        with ExitStack() as stack:
+            if plain:  # the rate never counts as settled
+                stack.enter_context(mock.patch.object(engine, "_SETTLE_SPREAD", -1.0))
+            if log_domain:
+                stack.enter_context(mock.patch.object(engine, "_EXP_SAFE_LOG", np.inf))
+            return sinkhorn_solve(kernels, ds, **kwargs)
+
+    @staticmethod
+    def _instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets):
+        rng = np.random.default_rng(seed)
+        grid = grid_1d(np.sort(rng.uniform(0, 1, n_support)))
+        rows = rng.random((n_snapshots, n_support)) + 0.05
+        if zero_targets:
+            rows[rng.random(rows.shape) < 0.4] = 0.0
+            rows[:, 0] += 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        ts = np.sort(rng.uniform(0, 1, n_snapshots))
+        ts[-1] = 1.0
+        ds = dataset_from_weights(ts, rows, grid)
+        param_grids = [grid_1d(np.sort(rng.uniform(-0.5, 1.5, k))) for k in param_sizes]
+        curve = LINEAR if len(param_sizes) == 2 else QUADRATIC
+        return ds, build_kernels(ds, curve, param_grids, epsilon)
+
+    # instances of the property below whose residual ratios settle, so that
+    # their solves over-relax: (seed, N, |X|, grid sizes, epsilon, zero targets)
+    SETTLING = [
+        (856912306, 5, 8, (2, 2), 0.0035809754799371097, False),
+        (624804088, 5, 4, (2, 2), 0.002536891017960976, True),
+        (3653403231, 4, 5, (3, 4), 0.0025077373480802754, False),
+        (4011686354, 4, 4, (2, 3, 2), 0.011826425112643613, True),
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_snapshots=st.integers(1, 6),
+        n_support=st.integers(2, 8),
+        param_sizes=st.sampled_from([(2, 2), (3, 4), (5, 3), (2, 3, 2), (3, 3, 3)]),
+        epsilon=st.floats(np.log(0.002), 0.0).map(np.exp),
+        zero_targets=st.booleans(),
+        log_domain=st.booleans(),
+    )
+    @example(*SETTLING[0], False)
+    @example(*SETTLING[1], True)
+    @example(*SETTLING[3], True)
+    def test_agrees_with_plain_sweeps(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, log_domain):
+        ds, kernels = self._instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets)
+        tol = 1e-10
+        states = [self._solve(kernels, ds, plain, log_domain, tol=tol, max_iter=50000) for plain in (True, False)]
+        for state in states:
+            assert state.converged
+            assert state.used_log_domain or not log_domain
+            for j in range(n_snapshots):
+                assert np.abs(project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
+        plain, relaxed = states
+        assert plain.omega == 1.0 and plain.overrelaxed_from is None
+        np.testing.assert_allclose(relaxed.objective, plain.objective, rtol=1e-6)
+        np.testing.assert_allclose(
+            extract_param_coupling(relaxed).weights, extract_param_coupling(plain).weights, rtol=1e-6
+        )
+
+    @pytest.mark.parametrize("instance", SETTLING)
+    def test_settled_rate_over_relaxes(self, instance):
+        # over-relaxation does not pay on every instance (the first one takes
+        # more sweeps than plain ones), but the rate check bounds what it costs
+        ds, kernels = self._instance(*instance)
+        plain = self._solve(kernels, ds, True, False, tol=1e-10, max_iter=50000)
+        relaxed = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=50000)
+        assert relaxed.overrelaxed_from is not None
+        assert relaxed.overrelaxation_reverts == 0
+        assert relaxed.iterations < 2 * plain.iterations
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_safeguard_undoes_a_sweep_that_lowers_the_dual(self, monkeypatch, caplog, log_domain):
+        import wasscurve.mm_sinkhorn as engine
+
+        init = engine._Overrelaxation.__init__
+
+        def forced(self, what):
+            init(self, what)
+            self.omega, self.started = 1.99, 1
+
+        monkeypatch.setattr(engine._Overrelaxation, "__init__", forced)
+        ds, kernels = random_instance(np.random.default_rng(12), n_snapshots=4, n_support=5, param_sizes=(4, 4), epsilon=0.05)
+        with caplog.at_level("INFO", logger="wasscurve.mm_sinkhorn"):
+            state = self._solve(kernels, ds, False, log_domain, tol=1e-10)
+        assert state.overrelaxation_reverts >= 1
+        assert "lowered the dual objective" in caplog.text
+        assert state.residual_history.size == state.iterations
+        monkeypatch.undo()
+        plain = self._solve(kernels, ds, True, log_domain, tol=1e-10)
+        assert state.converged and plain.converged
+        np.testing.assert_allclose(state.objective, plain.objective, rtol=1e-6)
+
+    def test_unsettled_solve_runs_plain(self, monkeypatch):
+        # a solve whose residual ratios never settle runs every sweep at omega = 1
+        import wasscurve.mm_sinkhorn as engine
+
+        omegas = []
+        sweep = engine._sweep_exp_numpy
+
+        def record(work):
+            omegas.append(work.omega)
+            return sweep(work)
+
+        monkeypatch.setattr(engine, "_sweep_exp_numpy", record)
+        ds, kernels = random_instance(np.random.default_rng(3), n_snapshots=4, n_support=4, param_sizes=(3, 3))
+        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        assert state.overrelaxed_from is None and state.omega == 1.0
+        assert set(omegas) == {1.0}
 
 
 class TestExtractParamCoupling:
