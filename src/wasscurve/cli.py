@@ -1,14 +1,15 @@
 """Command-line interface tying the solvers into reproducible experiment runs.
 
-Commands: regress, gaussian, gmm, invariant, distance, generate. Every run
-echoes its full effective configuration, writes results atomically, and is
+Commands: regress, gaussian, gmm, invariant, distance, generate. Each takes
+only the flags of the config fields it reads (COMMANDS). Every run echoes
+those fields, defaults included, writes results atomically, and is
 byte-deterministic for a fixed config and seed (wall-clock time is logged,
 never written to files). Exit codes map machine-readable error categories:
 io=2, schema=3, precondition=4, solver-divergence=5.
 """
 
 import argparse
-import dataclasses
+import copy
 import json
 import locale  # noqa: F401 -- argparse's gettext imports it when the first parser is built; load it with the module
 import logging
@@ -17,7 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,50 +41,42 @@ logger = logging.getLogger(__name__)
 
 COUPLING_MASS_THRESHOLD = 1e-9
 CATEGORY_EXIT = {"io": 2, "schema": 3, "precondition": 4, "solver-divergence": 5}
+REQUIRED = object()  # the default of a field that has none: RunConfig and the command line must give it
 
 
-@dataclass
 class RunConfig:
-    """Fully materialized configuration of one CLI run."""
+    """Configuration of one run: exactly the fields its command declares in COMMANDS.
 
-    command: str
-    input: Optional[str] = None
-    input_b: Optional[str] = None
-    output: Optional[str] = None
-    curve: str = "linear"
-    epsilon: float = 0.1
-    tol: float = 1e-8
-    max_iter: int = 10000
-    lambda_policy: str = "uniform"
-    lambda_file: Optional[str] = None
-    grids: Dict[str, Tuple[float, float, int]] = field(default_factory=dict)
-    query_times: Tuple[float, ...] = ()
-    seed: int = 0
-    boxes: int = 100
-    domain: Tuple[float, float] = (0.0, 1.0)
-    kind: Optional[str] = None
-    r: float = 3.0
-    snapshots: Optional[int] = None
-    particles: int = 1000
+    ``RunConfig(command, **fields)`` fills each field not given with the
+    command's default; a field the command does not read is a TypeError.
+    """
+
+    def __init__(self, command: str, **fields):
+        if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
+        declared = COMMANDS[command].defaults
+        unknown = sorted(set(fields) - set(declared))
+        if unknown:
+            raise TypeError(f"{command} reads no field {unknown[0]!r}")
+        missing = [name for name, default in declared.items() if default is REQUIRED and name not in fields]
+        if missing:
+            raise TypeError(f"{command} needs the field {missing[0]!r}")
+        self.command = command
+        for name, default in declared.items():
+            setattr(self, name, fields[name] if name in fields else copy.copy(default))
 
     def validate(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        for name, (lo, hi, n) in self.grids.items():
-            if hi <= lo:
-                raise ValueError(f"grid {name}: need hi > lo")
-            if self.command in ("regress", "gaussian", "gmm") and n < 2:
-                raise ValueError(f"grid {name}: regression commands need at least 2 points per axis")
-            if n < 1:
-                raise ValueError(f"grid {name}: need at least 1 point")
+        for name in ("epsilon", "tol"):
+            if name in COMMANDS[self.command].defaults and not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def echo(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["grids"] = {k: list(v) for k, v in sorted(self.grids.items())}
-        doc["query_times"] = list(self.query_times)
-        doc["domain"] = list(self.domain)
+        doc = {"command": self.command}
+        for name in COMMANDS[self.command].defaults:
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                value = {k: list(v) for k, v in sorted(value.items())}
+            doc[name] = list(value) if isinstance(value, tuple) else value
         return doc
 
 
@@ -94,7 +87,7 @@ class ResultBundle:
     command: str
     objectives: Dict[str, float]
     diagnostics: Dict[str, object]
-    config_echo: dict
+    config_echo: dict = field(default_factory=dict)
     coupling_entries: List[List[float]] = field(default_factory=list)
     coupling_emitted_mass: float = 0.0
     marginals: List[dict] = field(default_factory=list)
@@ -138,6 +131,17 @@ def _lambda_dict(config: RunConfig) -> Optional[Dict[float, float]]:
     raise ValueError(f"unknown lambda policy {config.lambda_policy!r}")
 
 
+def _check_grids(config: RunConfig, names: Sequence[str], min_points: int) -> None:
+    """Reject a --grid whose NAME this run does not use, or whose LO:HI:N is unusable."""
+    for name, (lo, hi, n) in config.grids.items():
+        if name not in names:
+            raise ValueError(f"--grid {name}: not a grid of this run (its grids: {', '.join(names)})")
+        if hi <= lo:
+            raise ValueError(f"grid {name}: need hi > lo")
+        if n < min_points:
+            raise ValueError(f"grid {name}: {config.command} needs at least {min_points} points per axis")
+
+
 def _param_grids(config: RunConfig, dataset, curve) -> Optional[List[SupportGrid]]:
     from .curve_regression import default_param_grids
 
@@ -170,6 +174,7 @@ def _write_marginal_csvs(outdir: str, marginals: List[dict]) -> None:
 
 def _run_regress(config: RunConfig) -> ResultBundle:
     curve = curve_from_name(config.curve)
+    _check_grids(config, ("data", "x0", "x1", "x2")[: 1 + curve.n_params], min_points=2)
     data_grid = _grid_from_spec(config.grids["data"], 1) if "data" in config.grids else None
     dataset = dataio.load_snapshots(config.input, grid=data_grid, lambdas=_lambda_dict(config))
     solver = SolverConfig(
@@ -199,7 +204,6 @@ def _run_regress(config: RunConfig) -> ResultBundle:
             "n_snapshots": len(dataset),
             "grid_points": len(dataset.grid),
         },
-        config_echo=config.echo(),
         coupling_entries=entries,
         coupling_emitted_mass=emitted,
         marginals=marginals,
@@ -230,14 +234,10 @@ def _run_gaussian(config: RunConfig) -> ResultBundle:
     horizon = max(t for t, _, _ in moments)
     if horizon <= 0:
         raise ValueError("timestamps must reach past 0")
-    lam_map = _lambda_dict(config)
+    lams = dataio.snapshot_lambdas(_lambda_dict(config), [t for t, _, _ in moments])
     n = len(moments)
-    data = []
-    means = []
-    for t, mean, cov in moments:
-        lam = lam_map.get(t, 1.0 / n) if lam_map else 1.0 / n
-        data.append((t / horizon, lam, cov))
-        means.append(mean)
+    data = [(t / horizon, lam, cov) for (t, _, cov), lam in zip(moments, lams)]
+    means = [mean for _, mean, _ in moments]
     total = sum(row[1] for row in data)
     data = [(t, lam / total, cov) for t, lam, cov in data]
     blocks, gcurve = fit_gaussian_sdp(data, curve, means=means, tol=config.tol, max_iter=config.max_iter)
@@ -262,7 +262,6 @@ def _run_gaussian(config: RunConfig) -> ResultBundle:
             "n_snapshots": n,
             "dimension": d,
         },
-        config_echo=config.echo(),
     )
     bundle.marginals = [
         {"t": t, "extrapolated": bool(t < 0 or t > 1), "mean": m, "covariance": c} for t, m, c in curve_rows
@@ -304,7 +303,6 @@ def _run_gmm(config: RunConfig) -> ResultBundle:
             "n_atoms": len(atoms),
             "n_snapshots": len(rows),
         },
-        config_echo=config.echo(),
         coupling_entries=entries,
         coupling_emitted_mass=emitted,
         marginals=marginals,
@@ -333,7 +331,6 @@ def _run_invariant(config: RunConfig) -> ResultBundle:
             "coupling_kind": "transition_matrix",
             "n_snapshots": len(dataset),
         },
-        config_echo=config.echo(),
         coupling_entries=entries,
         coupling_emitted_mass=emitted,
     )
@@ -358,6 +355,7 @@ def _single_measure(path: str, grid: Optional[SupportGrid]) -> DiscreteMeasure:
 
 
 def _run_distance(config: RunConfig) -> ResultBundle:
+    _check_grids(config, ("data",), min_points=1)
     grid = _grid_from_spec(config.grids["data"], 1) if "data" in config.grids else None
     mu = _single_measure(config.input, grid)
     nu = _single_measure(config.input_b, grid)
@@ -371,13 +369,10 @@ def _run_distance(config: RunConfig) -> ResultBundle:
         command="distance",
         objectives={"w2_squared": float(cost), "w2": float(np.sqrt(max(cost, 0.0)))},
         diagnostics={"method": method},
-        config_echo=config.echo(),
     )
 
 
 def _run_generate(config: RunConfig) -> ResultBundle:
-    if not config.output:
-        raise ValueError("generate needs --output FILE")
     if config.kind == "ou":
         n_times = config.snapshots if config.snapshots is not None else 20
         rows = dataio.generate_ou_rows(n_times=n_times, n_samples=config.particles, seed=config.seed)
@@ -396,25 +391,95 @@ def _run_generate(config: RunConfig) -> ResultBundle:
         command="generate",
         objectives={},
         diagnostics={"kind": config.kind, "path": config.output},
-        config_echo=config.echo(),
     )
+
+
+def _parse_grids(values: Sequence[str]) -> Dict[str, Tuple[float, float, int]]:
+    grids: Dict[str, Tuple[float, float, int]] = {}
+    for raw in values:
+        name, _, spec = raw.rpartition("=")
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"spec must be LO:HI:N (got {spec!r})")
+        grids[name or "data"] = (float(parts[0]), float(parts[1]), int(parts[2]))
+    return grids
+
+
+def _parse_times(text: str) -> Tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_domain(text: str) -> Tuple[float, float]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected LO:HI (got {text!r})")
+    return float(lo), float(hi)
+
+
+# Config field -> (option string, add_argument keywords, parser of the flag's
+# text). Text with a parser is converted after argparse, so that a malformed
+# value is a precondition error (exit 4) whose message names the flag.
+_FLAGS = {
+    "input": ("--input", {}, None),
+    "input_b": ("--input-b", {}, None),
+    "kind": ("kind", {"choices": ["ou", "logistic", "mixture-toy"]}, None),
+    "curve": ("--curve", {"choices": ["linear", "quadratic"]}, None),
+    "boxes": ("--boxes", {"type": int}, None),
+    "domain": ("--domain", {"help": "LO:HI interval to partition"}, _parse_domain),
+    "epsilon": ("--epsilon", {"type": float}, None),
+    "tol": ("--tol", {"type": float}, None),
+    "max_iter": ("--max-iter", {"type": int}, None),
+    "grids": ("--grid", {"action": "append", "metavar": "[NAME=]LO:HI:N", "help": "repeatable"}, _parse_grids),
+    "lambda_policy": ("--lambda", {"choices": ["uniform", "file"]}, None),
+    "lambda_file": ("--lambda-file", {}, None),
+    "query_times": ("--query-times", {"help": "comma-separated times for marginal output"}, _parse_times),
+    "output": ("--output", {}, None),
+    "r": ("--r", {"type": float}, None),
+    "snapshots": ("--snapshots", {"type": int, "help": "default: 20 for ou, 6 for logistic"}, None),
+    "particles": ("--particles", {"type": int}, None),
+    "seed": ("--seed", {"type": int}, None),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its run function and each config field it reads, with that field's default."""
+
+    help: str
+    run: Callable[[RunConfig], ResultBundle]
+    defaults: Dict[str, object]
+    options: Dict[str, str] = field(default_factory=dict)  # option strings that differ from _FLAGS
+
+    def option(self, name: str) -> str:
+        return self.options.get(name, _FLAGS[name][0])
+
+
+COMMANDS = {
+    "regress": Command("fit a measure-valued curve to snapshot data", _run_regress, dict(
+        input=REQUIRED, curve="linear", epsilon=0.1, tol=1e-8, max_iter=10000, grids={},
+        lambda_policy="uniform", lambda_file=None, query_times=(), output=None)),
+    "gaussian": Command("Gaussian-case regression via the covariance SDP", _run_gaussian, dict(
+        input=REQUIRED, curve="linear", tol=1e-8, max_iter=50000,
+        lambda_policy="uniform", lambda_file=None, query_times=(), output=None)),
+    "gmm": Command("mixture regression over a Gaussian basis", _run_gmm, dict(
+        input=REQUIRED, epsilon=0.1, tol=1e-8, max_iter=10000, query_times=(), output=None)),
+    "invariant": Command("transition matrix and invariant measure from snapshots", _run_invariant, dict(
+        input=REQUIRED, boxes=100, domain=(0.0, 1.0), epsilon=0.05, tol=1e-8, max_iter=10000,
+        lambda_policy="uniform", lambda_file=None, output=None)),
+    "distance": Command("transport distance between two snapshot files", _run_distance, dict(
+        input=REQUIRED, input_b=REQUIRED, epsilon=0.1, tol=1e-8, max_iter=10000, grids={}, output=None),
+        options={"input": "--input-a"}),
+    "generate": Command("write a bundled experiment dataset", _run_generate, dict(
+        kind=REQUIRED, output=REQUIRED, r=3.0, snapshots=None, particles=1000, seed=0)),
+}
 
 
 def run(config: RunConfig) -> ResultBundle:
     """Execute one configured run and write its output files."""
     config.validate()
     start = time.perf_counter()
-    dispatch = {
-        "regress": _run_regress,
-        "gaussian": _run_gaussian,
-        "gmm": _run_gmm,
-        "invariant": _run_invariant,
-        "distance": _run_distance,
-        "generate": _run_generate,
-    }
-    if config.command not in dispatch:
-        raise ValueError(f"unknown command {config.command!r}")
-    bundle = dispatch[config.command](config)
+    bundle = COMMANDS[config.command].run(config)
+    bundle.config_echo = config.echo()
     elapsed = time.perf_counter() - start
     logger.info("%s finished in %.3f s", config.command, elapsed)  # wall time is logged, never written
     if config.output and config.command != "generate":
@@ -441,99 +506,31 @@ def run(config: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _parse_grid_option(values: Optional[Sequence[str]]) -> Dict[str, Tuple[float, float, int]]:
-    grids: Dict[str, Tuple[float, float, int]] = {}
-    for raw in values or []:
-        name, _, spec = raw.rpartition("=")
-        name = name or "data"
-        if name not in ("data", "x0", "x1", "x2"):
-            raise ValueError(f"--grid name must be data, x0, x1 or x2 (got {name!r})")
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"--grid spec must be lo:hi:n (got {spec!r})")
-        grids[name] = (float(parts[0]), float(parts[1]), int(parts[2]))
-    return grids
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_curve=True):
-        if with_curve:
-            p.add_argument("--curve", choices=["linear", "quadratic"], default="linear")
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=10000)
-        p.add_argument("--grid", action="append", metavar="[NAME=]LO:HI:N", help="repeatable; NAME in data,x0,x1,x2")
-        p.add_argument("--lambda", dest="lambda_policy", choices=["uniform", "file"], default="uniform")
-        p.add_argument("--lambda-file")
-        p.add_argument("--query-times", default="", help="comma-separated times for marginal output")
-        p.add_argument("--output", help="output directory")
-
-    p = sub.add_parser("regress", help="fit a measure-valued curve to snapshot data")
-    p.add_argument("--input", required=True)
-    add_common(p)
-
-    p = sub.add_parser("gaussian", help="Gaussian-case regression via the covariance SDP")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(max_iter=50000)  # ADMM needs a larger budget than Sinkhorn
-
-    p = sub.add_parser("gmm", help="mixture regression over a Gaussian basis")
-    p.add_argument("--input", required=True)
-    add_common(p, with_curve=False)
-
-    p = sub.add_parser("invariant", help="transition matrix and invariant measure from snapshots")
-    p.add_argument("--input", required=True)
-    p.add_argument("--boxes", type=int, default=100)
-    p.add_argument("--domain", default="0:1", help="LO:HI interval to partition")
-    add_common(p, with_curve=False)
-    p.set_defaults(epsilon=0.05)
-
-    p = sub.add_parser("distance", help="transport distance between two snapshot files")
-    p.add_argument("--input-a", required=True, dest="input")
-    p.add_argument("--input-b", required=True)
-    add_common(p, with_curve=False)
-
-    p = sub.add_parser("generate", help="write a bundled experiment dataset")
-    p.add_argument("kind", choices=["ou", "logistic", "mixture-toy"])
-    p.add_argument("--output", required=True)
-    p.add_argument("--r", type=float, default=3.0)
-    p.add_argument("--snapshots", type=int, help="default: 20 for ou, 6 for logistic")
-    p.add_argument("--particles", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    for command, spec in COMMANDS.items():
+        # a flag left out is absent from the parsed namespace, and RunConfig fills in its default
+        p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS)
+        for name, default in spec.defaults.items():
+            option, kwargs = spec.option(name), _FLAGS[name][1]
+            if option.startswith("--"):
+                kwargs = dict(kwargs, dest=name, required=default is REQUIRED)
+            p.add_argument(option, **kwargs)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    query = tuple(float(tok) for tok in getattr(args, "query_times", "").split(",") if tok.strip())
-    domain = (0.0, 1.0)
-    if getattr(args, "domain", None):
-        lo, _, hi = args.domain.partition(":")
-        domain = (float(lo), float(hi))
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        input_b=getattr(args, "input_b", None),
-        output=getattr(args, "output", None),
-        curve=getattr(args, "curve", "linear"),
-        epsilon=getattr(args, "epsilon", 0.1),
-        tol=getattr(args, "tol", 1e-8),
-        max_iter=getattr(args, "max_iter", 10000),
-        lambda_policy=getattr(args, "lambda_policy", "uniform"),
-        lambda_file=getattr(args, "lambda_file", None),
-        grids=_parse_grid_option(getattr(args, "grid", None)),
-        query_times=query,
-        seed=getattr(args, "seed", 0),
-        boxes=getattr(args, "boxes", 100),
-        domain=domain,
-        kind=getattr(args, "kind", None),
-        r=getattr(args, "r", 3.0),
-        snapshots=getattr(args, "snapshots", None),
-        particles=getattr(args, "particles", 1000),
-    )
-    return cfg
+    fields = dict(vars(args))
+    command = fields.pop("command")
+    for name, text in list(fields.items()):
+        parse = _FLAGS[name][2]
+        if parse is not None:
+            try:
+                fields[name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{COMMANDS[command].option(name)}: {exc}") from None
+    return RunConfig(command, **fields)
 
 
 def _configure_logging() -> None:

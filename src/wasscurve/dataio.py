@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .measures import (
+    WEIGHT_TOL,
     DiscreteMeasure,
     GaussianMeasure,
     SnapshotDataset,
@@ -200,9 +201,26 @@ def load_snapshots(
             acc = np.zeros(len(the_grid))
             np.add.at(acc, atom_idx[order[rows]], w)
             measures.append(DiscreteMeasure(the_grid, acc / total))
-    snapshots = [(t, m, lambdas.get(t) if lambdas else None) for t, m in zip(distinct, measures)]
+    snapshots = zip(distinct, measures, snapshot_lambdas(lambdas, distinct))
     dataset = SnapshotDataset.from_snapshots(snapshots)
     return normalize_timestamps(dataset)
+
+
+def snapshot_lambdas(lambdas: Optional[Dict[float, float]], timestamps: Sequence[float]) -> List[float]:
+    """Regression weight of each timestamp: 1/n each without a lambda file, else the file's.
+
+    The file must give every timestamp a positive weight, and those weights
+    must sum to 1 within WEIGHT_TOL; otherwise this raises ValueError.
+    """
+    if lambdas is None:
+        return [1.0 / len(timestamps)] * len(timestamps)
+    missing = [float(t) for t in timestamps if t not in lambdas]
+    if missing:
+        raise ValueError(f"lambda file has no weight for t={missing[0]!r}")
+    out = [lambdas[t] for t in timestamps]
+    if min(out) <= 0 or abs(np.sum(out) - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"lambda file weights must be positive and sum to 1 (they sum to {float(np.sum(out))!r})")
+    return out
 
 
 def load_lambda_file(path: str) -> Dict[float, float]:

@@ -1,7 +1,9 @@
 """File schemas, generators, CLI commands, determinism, error categories."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -374,7 +376,7 @@ class TestMainEntry:
         write(p, "t,weight,x1\n0,1,0.0\n")
         bundle = cli.run(cli.RunConfig(command="distance", input=str(p), input_b=str(p)))
         echo = bundle.config_echo
-        assert echo["epsilon"] == 0.1 and echo["tol"] == 1e-8 and echo["seed"] == 0
+        assert echo["epsilon"] == 0.1 and echo["tol"] == 1e-8 and "seed" not in echo
 
 
 class TestRowOrder:
@@ -402,22 +404,201 @@ class TestRowOrder:
 class TestRepeatedRuns:
     """Running a command twice on one input gives the same result.json, byte for byte."""
 
-    @pytest.mark.parametrize("command", ["gmm", "regress"])
+    # command -> (arguments of `generate` writing --input, or None for two hand-written files; the command's argv)
+    RUNS = {
+        "gmm": (["mixture-toy"], ["gmm", "--epsilon", "0.07", "--max-iter", "30000"]),
+        "regress": (
+            ["ou", "--particles", "300", "--snapshots", "6"],
+            ["regress", "--curve", "linear", "--query-times", "0,0.5,1,1.5"],
+        ),
+        "invariant": (["logistic", "--particles", "300", "--snapshots", "4"], ["invariant", "--boxes", "30"]),
+        "gaussian": (["ou", "--particles", "300", "--snapshots", "6"], ["gaussian", "--tol", "1e-6"]),
+        "distance": (None, ["distance", "--grid", "0:1:20"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
     def test_result_json_byte_identical(self, tmp_path, command):
-        if command == "gmm":
-            src = tmp_path / "mixture.json"
-            assert cli.main(["generate", "mixture-toy", "--output", str(src)]) == 0
-            argv = ["gmm", "--epsilon", "0.07", "--max-iter", "30000"]
+        generate, argv = self.RUNS[command]
+        if generate is None:
+            rng = np.random.default_rng(4)
+            inputs = []
+            for name in ("a", "b"):
+                dataio.write_sample_csv(str(tmp_path / f"{name}.csv"), [(0.0, x) for x in rng.uniform(0, 1, 200)])
+                inputs.append(str(tmp_path / f"{name}.csv"))
+            argv = [*argv, "--input-a", inputs[0], "--input-b", inputs[1]]
         else:
-            src = tmp_path / "samples.csv"
-            assert cli.main(["generate", "ou", "--particles", "300", "--snapshots", "6", "--output", str(src)]) == 0
-            argv = ["regress", "--curve", "linear", "--query-times", "0,0.5,1,1.5"]
+            src = tmp_path / ("mixture.json" if command == "gmm" else "samples.csv")
+            assert cli.main(["generate", *generate, "--output", str(src)]) == 0
+            argv = [*argv, "--input", str(src)]
         out = tmp_path / "out"
         runs = []
         for _ in range(2):
-            assert cli.main([*argv, "--input", str(src), "--output", str(out)]) == 0
+            assert cli.main([*argv, "--output", str(out)]) == 0
             runs.append((out / "result.json").read_bytes())
         assert runs[0] == runs[1]
+
+
+def _exit_code(argv):
+    """cli.main's exit code, also where argparse rejects the command line (SystemExit)."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _samples_at(path, times):
+    rng = np.random.default_rng(0)
+    dataio.write_sample_csv(str(path), [(t, float(x)) for t in times for x in rng.uniform(0.2, 0.8, 12)])
+
+
+# (command, flag, value) for each flag a command does not read, so argparse rejects it
+DROPPED_FLAGS = [
+    ("gaussian", "--epsilon", "7"),
+    ("gaussian", "--grid", "x2=0:1:3"),
+    ("gmm", "--grid", "0:1:5"),
+    ("gmm", "--lambda", "file"),
+    ("gmm", "--lambda-file", "missing.csv"),
+    ("invariant", "--grid", "0:1:5"),
+    ("invariant", "--query-times", "0,1"),
+    ("distance", "--lambda", "file"),
+    ("distance", "--lambda-file", "missing.csv"),
+    ("distance", "--query-times", "0,1"),
+]
+
+# argv ({input}: the file holding `content`; {samples}: a well-formed samples CSV), content, exit code, and
+# a text that stderr must hold
+MALFORMED_INPUTS = [
+    (["gmm", "--input", "{input}"], "{not json", 3, "invalid JSON"),
+    (["gmm", "--input", "{input}"], '{"snapshots": []}', 3, "basis"),
+    (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
+     "header"),
+    (["regress", "--input", "{input}"], "t,weight,x1\n0,0.5,0.0\n0,0.4,1.0\n", 3, "sum to"),
+    (["invariant", "--input", "{samples}", "--domain", "1:0"], None, 4, "hi > lo"),
+    (["invariant", "--input", "{samples}", "--domain", "0"], None, 4, "--domain"),
+    (["regress", "--input", "{samples}", "--query-times", "0,a"], None, 4, "--query-times"),
+    (["regress", "--input", "{samples}", "--epsilon", "nan"], None, 4, "epsilon must be positive"),
+    (["gaussian", "--input", "{samples}", "--tol", "inf"], None, 4, "tol must be positive"),
+    (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),
+    (["distance", "--input-a", "{samples}", "--input-b", "{samples}", "--grid", "x0=0:1:3"], None, 4, "--grid x0"),
+] + [
+    ([command, *(["--input-a", "{samples}", "--input-b"] if command == "distance" else ["--input"]), "{samples}",
+      flag, value], None, 2, f"unrecognized arguments: {flag}")
+    for command, flag, value in DROPPED_FLAGS
+]
+
+
+class TestMalformedInput:
+    """One cli.main case per class of malformed input, each mapped to its exit category."""
+
+    @pytest.mark.parametrize(
+        "argv, content, code, message", MALFORMED_INPUTS, ids=[f"{c[0][0]}: {c[3]}" for c in MALFORMED_INPUTS]
+    )
+    def test_exit_category(self, tmp_path, capsys, argv, content, code, message):
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
+        if content is not None:
+            write(tmp_path / "input", content)
+        paths = {"input": str(tmp_path / "input"), "samples": str(tmp_path / "samples.csv")}
+        assert _exit_code([arg.format(**paths) for arg in argv]) == code
+        assert message in capsys.readouterr().err
+
+
+class TestLambdaFile:
+    """regress, invariant and gaussian share one rule for lambda files."""
+
+    COMMANDS = {
+        "regress": ["regress"],
+        "invariant": ["invariant", "--boxes", "20"],
+        "gaussian": ["gaussian", "--tol", "1e-4"],
+    }
+    FILES = [  # the input's timestamps are 0, 0.5, 1 and 1.5
+        pytest.param("t,lambda\n0,0.25\n0.5,0.25\n1,0.5\n", 4, "no weight for t=1.5", id="lacks-t1.5"),
+        pytest.param("t,lambda\n0,0.5\n0.5,0.5\n1,0.5\n1.5,0.5\n", 4, "sum to 1", id="sums-to-2"),
+        pytest.param("t,lambda\n0,0.125\n0.5,0.125\n1,0.25\n1.5,0.5\n", 0, "", id="valid"),
+    ]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("lambdas, code, message", FILES)
+    def test_same_rule_for_every_command(self, tmp_path, capsys, command, lambdas, code, message):
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0, 1.5))
+        write(tmp_path / "lam.csv", lambdas)
+        argv = [*self.COMMANDS[command], "--input", str(tmp_path / "samples.csv")]
+        assert cli.main([*argv, "--lambda", "file", "--lambda-file", str(tmp_path / "lam.csv")]) == code
+        assert message in capsys.readouterr().err
+
+
+class TestCommandDeclarations:
+    """Each command's parser, RunConfig and config echo come from one declaration."""
+
+    # command -> (its required flags, the same fields given to RunConfig)
+    REQUIRED = {
+        "regress": (["--input", "in.csv"], {"input": "in.csv"}),
+        "gaussian": (["--input", "in.csv"], {"input": "in.csv"}),
+        "gmm": (["--input", "in.json"], {"input": "in.json"}),
+        "invariant": (["--input", "in.csv"], {"input": "in.csv"}),
+        "distance": (["--input-a", "a.csv", "--input-b", "b.csv"], {"input": "a.csv", "input_b": "b.csv"}),
+        "generate": (["ou", "--output", "out.csv"], {"kind": "ou", "output": "out.csv"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_parser_and_run_config_agree(self, command):
+        flags, fields = self.REQUIRED[command]
+        parsed = cli.config_from_args(cli._build_parser().parse_args([command, *flags]))
+        assert parsed.echo() == cli.RunConfig(command=command, **fields).echo()
+
+    def test_defaults_of_the_command(self):
+        assert cli.RunConfig(command="gaussian", input="in.csv").max_iter == 50000
+        assert cli.RunConfig(command="invariant", input="in.csv").epsilon == 0.05
+        assert cli.RunConfig(command="regress", input="in.csv").max_iter == 10000
+
+    def test_fields_a_command_does_not_read_are_rejected(self):
+        with pytest.raises(TypeError, match="epsilon"):
+            cli.RunConfig(command="gaussian", input="in.csv", epsilon=0.1)
+        with pytest.raises(TypeError, match="input"):
+            cli.RunConfig(command="regress")
+
+
+def _readme_cli_section():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Command-line interface"):]
+    return section[: section.index("\n## ")]
+
+
+def _readme_flag_table():
+    """The README's flag table: its command columns and {flag: {command: cell}}."""
+    lines = [line.strip() for line in _readme_cli_section().splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.startswith("| flag |"))
+    commands = [c.strip() for c in lines[start].strip("|").split("|")][1:-1]
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = dict(zip(commands, cells[1:]))
+    return commands, rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    commands, rows = _readme_flag_table()
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert commands == list(subparsers)
+    for command in commands:
+        actions = {a.option_strings[0]: a for a in subparsers[command]._actions if a.option_strings}
+        del actions["-h"]
+        assert sorted(flag for flag, cells in rows.items() if cells[command] != "—") == sorted(actions), command
+        for flag, action in actions.items():
+            cell, default = rows[flag][command], cli.COMMANDS[command].defaults[action.dest]
+            if default is cli.REQUIRED or cell == "required":
+                assert cell == "required" and default is cli.REQUIRED, (command, flag)
+            elif cell.startswith("`"):  # the default as the flag's text
+                _, kwargs, parse = cli._FLAGS[action.dest]
+                assert (parse or kwargs.get("type", str))(cell.strip("`")) == default, (command, flag)
+            else:  # words for a default that no flag text gives
+                assert default in (None, {}, ()), (command, flag)
+    options = {s for p in subparsers.values() for a in p._actions for s in a.option_strings}
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+    assert mentioned <= options, sorted(mentioned - options)  # no prose about a flag that no command takes
 
 
 def test_cli_import_loads_no_scipy():
