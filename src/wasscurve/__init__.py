@@ -40,6 +40,7 @@ from .gmm_regression import (
     mixture_marginal_at,
     wm_distance,
 )
+from .kernels import CostKernelSet, FactoredKernelSet, build_kernels, kernels_from_costs
 from .linalg import project_psd, sqrtm_psd, sym_eig
 from .measures import (
     DiscreteMeasure,
@@ -51,13 +52,10 @@ from .measures import (
     normalize_timestamps,
 )
 from .mm_sinkhorn import (
-    CostKernelSet,
     FactoredCoupling,
     ParamCoupling,
     SolverError,
-    build_kernels,
     extract_param_coupling,
-    kernels_from_costs,
     project_marginal,
     sinkhorn_solve,
 )
@@ -84,6 +82,7 @@ __all__ = [
     "DiscreteMeasure",
     "ExtrapolationWarning",
     "FactoredCoupling",
+    "FactoredKernelSet",
     "GaussianCouplingBlocks",
     "GaussianCurve",
     "GaussianMeasure",

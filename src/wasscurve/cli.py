@@ -13,6 +13,7 @@ import copy
 import json
 import locale  # noqa: F401 -- argparse's gettext imports it when the first parser is built; load it with the module
 import logging
+import math
 import os
 import sys
 import time
@@ -401,12 +402,18 @@ def _parse_grids(values: Sequence[str]) -> Dict[str, Tuple[float, float, int]]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"spec must be LO:HI:N (got {spec!r})")
-        grids[name or "data"] = (float(parts[0]), float(parts[1]), int(parts[2]))
+        lo, hi = float(parts[0]), float(parts[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"LO and HI must be finite (got {spec!r})")
+        grids[name or "data"] = (lo, hi, int(parts[2]))
     return grids
 
 
 def _parse_times(text: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    times = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"times must be finite (got {text!r})")
+    return times
 
 
 def _parse_domain(text: str) -> Tuple[float, float]:

@@ -17,13 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .curves import CurveClass, LINEAR, QUADRATIC, curve_from_name
+from .kernels import build_kernels
 from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid, quantize_to_grid
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactoredCoupling,
     ParamCoupling,
-    build_kernels,
     extract_param_coupling,
     sinkhorn_solve,
 )

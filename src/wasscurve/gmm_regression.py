@@ -17,13 +17,13 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .gaussian_regression import gaussian_geodesic_stack, w2_gaussian_squared_table
+from .kernels import kernels_from_costs
 from .measures import DiscreteMeasure, GaussianMeasure, GaussianMixture, SnapshotDataset, SupportGrid
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactoredCoupling,
     extract_param_coupling,
-    kernels_from_costs,
     sinkhorn_solve,
 )
 from .two_marginal import exact_transport_lp, two_marginal_w2_exact

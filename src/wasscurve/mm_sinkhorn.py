@@ -6,20 +6,22 @@ materialized: one Gibbs kernel of shape (num parameter tuples, |X|) per
 snapshot is enough, and each Sinkhorn marginal projection costs
 O(N * |params| * |X|) instead of O(|X|^(N+k)).
 
-Kernels are stored in log space with a per-snapshot cost shift so that entries
-stay in (0, 1]. Scaling updates run in the exponential domain while safe and
-switch to log-domain updates automatically when potentials leave the
-representable range or a projection underflows.
+The kernels come from ``kernels.py``: dense, or, for lines in one
+dimension on large enough grids, three (n, n) factors per snapshot. Scaling
+updates run in the exponential domain on the two products the kernel set's
+``exp_operator()`` supplies while safe, and switch to log-domain updates, on
+the dense log kernels (built on first use for a factored set), when
+potentials leave the representable range or a projection underflows.
 
 A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
 the final marginal residual (marginal_j = a_j * (w_j K_j), with
 w_j = prod_{i != j} m_i formed from log m), the transport objective
 sum_i w_i . ((K_i o lambda_i c_i) a_i) and, through the log sums stored on the
 returned state, the parameter coupling prod_i m_i. After an exp-domain solve
-this takes one (P, |X|) temporary per snapshot and no (N, P, |X|) array; the
-finish recomputes the sums in log space only when one falls below the normal
-float range or a w_j overflows. A log-domain solve hands over the log sums
-its sweeps maintain.
+this takes one (P, |X|) temporary per snapshot on dense kernels, none on
+factored ones, and no (N, P, |X|) array; the finish recomputes the sums in
+log space only when one falls below the normal float range or a w_j
+overflows. A log-domain solve hands over the log sums its sweeps maintain.
 
 Sweeps over-relax once their contraction rate settles (``_Overrelaxation``).
 """
@@ -30,11 +32,11 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .curves import CurveClass
+from .kernels import KernelSet, _ExpOperator, param_tuple_stack
 from .measures import SnapshotDataset, SupportGrid
 
 logger = logging.getLogger(__name__)
@@ -58,157 +60,6 @@ _RATE_WINDOW = 50
 
 class SolverError(RuntimeError):
     """Sinkhorn iteration failed (epsilon too small for the cost scale, or kernel disconnected)."""
-
-
-def param_tuple_stack(grids: Sequence[SupportGrid]) -> np.ndarray:
-    """Enumerate the product of parameter grids in C order.
-
-    Returns an array of shape (P, k, d) where P is the product of grid sizes;
-    the first grid's index varies slowest.
-    """
-    shape = tuple(len(g) for g in grids)
-    dims = {g.dim for g in grids}
-    if len(dims) != 1:
-        raise ValueError("parameter grids must share one dimension")
-    idx = np.indices(shape).reshape(len(grids), -1)
-    return np.stack([np.asarray(g.points)[idx[j]] for j, g in enumerate(grids)], axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class CostKernelSet:
-    """Per-snapshot Gibbs kernels of the decoupled multi-marginal cost.
-
-    log_kernels[i, p, y] = -lambda_i * c_i(param tuple p, y) / epsilon + shift_i,
-    with shift_i = lambda_i * min(c_i) / epsilon so that the largest entry of
-    every kernel is exactly 1. The raw costs are recoverable from the logs.
-    """
-
-    log_kernels: np.ndarray  # (N, P, |X|)
-    shifts: np.ndarray  # (N,)
-    epsilon: float
-    lambdas: np.ndarray  # (N,)
-    parameter_grids: Tuple[SupportGrid, ...]
-
-    def __post_init__(self):
-        lk = np.asarray(self.log_kernels, dtype=float)
-        if lk.ndim != 3:
-            raise ValueError("log_kernels must have shape (N, P, |X|)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if lk.shape[1] != int(np.prod(self.param_shape)):
-            raise ValueError("kernel rows do not match the parameter grid product")
-        object.__setattr__(self, "log_kernels", lk)
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float))
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
-        object.__setattr__(self, "parameter_grids", tuple(self.parameter_grids))
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.log_kernels.shape[0]
-
-    @property
-    def n_param_tuples(self) -> int:
-        return self.log_kernels.shape[1]
-
-    @property
-    def n_support(self) -> int:
-        return self.log_kernels.shape[2]
-
-    @property
-    def param_shape(self) -> Tuple[int, ...]:
-        return tuple(len(g) for g in self.parameter_grids)
-
-    @cached_property
-    def param_stack(self) -> np.ndarray:
-        return param_tuple_stack(self.parameter_grids)
-
-    def kernels(self) -> np.ndarray:
-        """Exponential-domain kernels; entries may underflow to 0 for extreme costs."""
-        return np.exp(self.log_kernels)
-
-    def cost(self, i: int) -> np.ndarray:
-        """Raw squared-distance cost array c_i of shape (P, |X|) for snapshot i."""
-        return (self.shifts[i] - self.log_kernels[i]) * (self.epsilon / self.lambdas[i])
-
-    def weighted_cost(self, i: int) -> np.ndarray:
-        """lambda_i * c_i, the term snapshot i contributes to the transport objective."""
-        return (self.shifts[i] - self.log_kernels[i]) * self.epsilon
-
-
-def kernels_from_costs(
-    costs: np.ndarray,
-    lambdas: np.ndarray,
-    epsilon: float,
-    parameter_grids: Sequence[SupportGrid],
-) -> CostKernelSet:
-    """Build a kernel set from explicit per-snapshot cost arrays (N, P, |X|)."""
-    return _kernels_in_place(np.array(costs, dtype=float), lambdas, epsilon, parameter_grids)
-
-
-def _kernels_in_place(
-    costs: np.ndarray,
-    lambdas: np.ndarray,
-    epsilon: float,
-    parameter_grids: Sequence[SupportGrid],
-) -> CostKernelSet:
-    """Kernel set whose log kernels are ``costs`` (float, (N, P, |X|)), overwritten in place."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if costs.ndim != 3 or costs.shape[0] != lambdas.shape[0]:
-        raise ValueError("costs must have shape (N, P, |X|) matching lambdas")
-    if np.any(lambdas <= 0):
-        raise ValueError("snapshot weights must be positive")
-    mins = costs.min(axis=(1, 2))
-    shifts = lambdas * mins / epsilon
-    costs *= -(lambdas / epsilon)[:, None, None]
-    costs += shifts[:, None, None]
-    return CostKernelSet(costs, shifts, float(epsilon), lambdas, tuple(parameter_grids))
-
-
-def _sq_distances(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x (n, d) and y (m, d), shape (n, m).
-
-    Written to ``out`` when given. Summed over the axes in order, as scipy's
-    cdist "sqeuclidean" does, with one (n, m) temporary only when d > 1.
-    """
-    out = np.subtract(x[:, :1], y[:, 0], out=out)
-    np.square(out, out=out)
-    if x.shape[1] > 1:
-        diff = np.empty_like(out)
-        for k in range(1, x.shape[1]):
-            np.subtract(x[:, k : k + 1], y[:, k], out=diff)
-            np.square(diff, out=diff)
-            out += diff
-    return out
-
-
-def build_kernels(
-    dataset: SnapshotDataset,
-    curve: CurveClass,
-    grids: Sequence[SupportGrid],
-    epsilon: float,
-) -> CostKernelSet:
-    """Assemble the Gibbs kernels for a curve-regression dataset.
-
-    Only N arrays of shape (P, |X|) are materialized, never the full
-    (N+k)-way tensor: the squared distances are written into one buffer that
-    then becomes the log kernels in place. Each snapshot's cost is shifted by
-    its minimum before exponentiation, so kernel entries lie in (0, 1].
-    """
-    grids = tuple(grids)
-    if len(grids) != curve.n_params:
-        raise ValueError("number of parameter grids must match the curve class")
-    for g in grids:
-        if g.dim != dataset.dim:
-            raise ValueError("parameter grids must match the data dimension")
-    stack = param_tuple_stack(grids)  # (P, k, d)
-    support = dataset.grid.points  # (|X|, d)
-    n = len(dataset)
-    costs = np.empty((n, stack.shape[0], support.shape[0]))
-    for i, t in enumerate(dataset.timestamps):
-        _sq_distances(curve.evaluate(stack, t), support, costs[i])  # phi: (P, d)
-    return _kernels_in_place(costs, dataset.lambdas, epsilon, grids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +104,7 @@ class FactoredCoupling:
     say why the solve took the sweeps it did (see _Overrelaxation).
     """
 
-    kernels: CostKernelSet
+    kernels: KernelSet
     log_potentials: np.ndarray  # (N, |X|)
     converged: bool
     iterations: int
@@ -355,7 +206,7 @@ def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     return ParamCoupling(state.kernels.parameter_grids, weights / total)
 
 
-def transport_objective_from_logs(kernels: CostKernelSet, log_a: np.ndarray, log_m: Optional[np.ndarray] = None) -> float:
+def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: Optional[np.ndarray] = None) -> float:
     """<c, Gamma> computed kernel-wise, without materializing the coupling.
 
     ``log_m`` are the log factor sums of ``log_a``; they are computed when not given.
@@ -371,15 +222,12 @@ def transport_objective_from_logs(kernels: CostKernelSet, log_a: np.ndarray, log
     return obj
 
 
-def _transport_objective_exp(kernels: CostKernelSet, kern: np.ndarray, a: np.ndarray, log_m: np.ndarray) -> float:
+def _transport_objective_exp(op: _ExpOperator, a: np.ndarray, log_m: np.ndarray) -> float:
     """<c, Gamma> = sum_i w_i . ((K_i o lambda_i c_i) a_i) from exp-domain kernels and potentials."""
     log_total = log_m.sum(axis=0)
     obj = 0.0
-    for i in range(kernels.n_snapshots):
-        w = np.exp(_log_weights_without(log_total, log_m[i]))
-        pair = kernels.weighted_cost(i)
-        pair *= kern[i]
-        obj += float(w @ (pair @ a[i]))
+    for i in range(a.shape[0]):
+        obj += op.transport_term(i, np.exp(_log_weights_without(log_total, log_m[i])), a[i])
     return obj
 
 
@@ -405,14 +253,14 @@ def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray
     return float(np.max(violations))  # np.max keeps a NaN, where max() could drop it
 
 
-def _finish_log(kernels: CostKernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: Optional[np.ndarray] = None) -> _Finish:
+def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: Optional[np.ndarray] = None) -> _Finish:
     if log_m is None:
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
     residual = _final_residual(kernels.log_kernels, log_a, targets, log_m)
     return _Finish(log_a, log_m, residual, partial(transport_objective_from_logs, kernels, log_a, log_m))
 
 
-def _finish_exp(kernels: CostKernelSet, kern: np.ndarray, a: np.ndarray, m: np.ndarray, targets: np.ndarray) -> _Finish:
+def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, m: np.ndarray, targets: np.ndarray) -> _Finish:
     """Finish from the exp sweep's own state: potentials a and exact factor sums m = K a.
 
     marginal_j = a_j * (w_j K_j) with w_j = exp(sum_i log m_i - log m_j), so
@@ -421,17 +269,19 @@ def _finish_exp(kernels: CostKernelSet, kern: np.ndarray, a: np.ndarray, m: np.n
     the finish to the log-space recomputation instead.
     """
     log_a = _with_log_zeros(a)
+    log_a -= op.offsets[:, None]  # potentials of K_i, not of op's exp(-offsets_i) K_i
     if m.min() >= _NORMAL_MIN:
         log_m = np.log(m)
         log_total = log_m.sum(axis=0)
+        phi = np.empty(a.shape[1])
+        violations = []
         with np.errstate(over="ignore", invalid="ignore"):
-            violations = [
-                np.abs(a[j] * (np.exp(_log_weights_without(log_total, log_m[j])) @ kern[j]) - targets[j]).sum()
-                for j in range(kern.shape[0])
-            ]
+            for j in range(a.shape[0]):
+                op.phi(j, np.exp(_log_weights_without(log_total, log_m[j])), phi)()
+                violations.append(np.abs(a[j] * phi - targets[j]).sum())
         residual = float(np.max(violations))
         if np.isfinite(residual):
-            return _Finish(log_a, log_m, residual, partial(_transport_objective_exp, kernels, kern, a, log_m))
+            return _Finish(log_a, log_m, residual, partial(_transport_objective_exp, op, a, log_m))
     return _finish_log(kernels, log_a, targets)
 
 
@@ -531,13 +381,14 @@ class _ExpSweepWork:
     (i > j), formed from the start-of-sweep values. An empty side is skipped
     and a one-factor side is a view of that row of m, so a sweep makes
     3 (N - 2) products of length P: O(NP) in all. ``a`` and ``m`` must be
-    C-contiguous; the sweep writes through views of their rows.
+    C-contiguous; the sweep writes through views of their rows. The kernel
+    products are the calls ``op`` binds to those views.
     ``omega`` is the next sweep's over-relaxation factor.
     """
 
-    def __init__(self, kern: np.ndarray, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
-        n, p, nx = kern.shape
-        self.kern = kern
+    def __init__(self, op: _ExpOperator, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
+        n, p, nx = op.shape
+        self.op = op
         self.a = a
         self.m = m
         self.targets = targets
@@ -561,6 +412,7 @@ class _ExpSweepWork:
             self.suffix_steps.append((m[j + 1], suf[j + 1], suffix[j]))
             suf[j] = suffix[j]
         positive = targets > 0
+        self.m_calls = [op.m(j, a[j], m[j]) for j in range(n)]
         self.steps = []
         for j in range(n):
             pre = None if j == 0 else (m[0] if j == 1 else prefix)
@@ -573,17 +425,21 @@ class _ExpSweepWork:
             pre_step = (pre, m[j], prefix) if 1 <= j <= n - 2 else None
             zero = ~positive[j]
             self.steps.append((
-                w_step, w.dot, kern[j], kern[j].dot, self.phi[j], targets[j], a[j], m[j],
+                w_step, op.phi(j, w, self.phi[j]), self.phi[j], targets[j], a[j], self.m_calls[j],
                 zero if zero.any() else None, pre_step, self.ratio[j],
             ))
         self.positive = None if positive.all() else positive
         self.zero = None if positive.all() else ~positive
 
+    def update_sums(self) -> None:
+        """Factor sums m = K a from the current potentials."""
+        for m_j in self.m_calls:
+            m_j()
+
     def restore_start(self) -> None:
         """Undo the last sweep: potentials back to a_start, factor sums back to K a."""
         np.copyto(self.a, self.a_start)
-        for j in range(self.a.shape[0]):
-            self.kern[j].dot(self.a[j], out=self.m[j])
+        self.update_sums()
 
     def log_ratio_sum(self) -> float:
         """sum_j <p_j, log r_j> over the ratios r_j of the last, over-relaxed, sweep."""
@@ -612,7 +468,8 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     non-finite phi at a positive target puts its potential out of range (a
     NaN fails both comparisons), so phi needs a check of its own only at zero
     targets; phi is never negative, so a maximum below inf means finite. m
-    needs none: kernel entries are at most 1 (the CostKernelSet shift) and
+    needs none: kernel entries are at most 1 (the kernel set's shift; a
+    product of factors, each at most 1, for a FactoredKernelSet) and
     potentials at most _POTENTIAL_HI, so m_j = K_j a_j stays finite. Each row
     of phi and a is written once per sweep, so these checks reject exactly
     what the same checks after each snapshot would, and -1.0 still marks the
@@ -627,10 +484,10 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     np.copyto(work.a_start, a)
     for left, right, out in work.suffix_steps:
         multiply(left, right, out)
-    for w_step, w_dot, kern_j, kern_dot, phi_j, t_j, a_j, m_j, zero, pre_step, r_j in work.steps:
+    for w_step, phi_call, phi_j, t_j, a_j, m_call, zero, pre_step, r_j in work.steps:
         if w_step is not None:
             multiply(*w_step)
-        w_dot(kern_j, out=phi_j)
+        phi_call()
         if omega == 1.0:
             divide(t_j, phi_j, out=a_j)
         else:
@@ -640,7 +497,7 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
             multiply(a_j, work.powered, out=a_j)
         if zero is not None:
             a_j[zero] = 0.0
-        kern_dot(a_j, out=m_j)
+        m_call()
         if pre_step is not None:
             multiply(*pre_step)
     gap = multiply(work.a_start, work.phi, work.gap)
@@ -658,11 +515,14 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     return max(rows)
 
 
-def _exp_start(kern: np.ndarray, targets: np.ndarray) -> _ExpSweepWork:
-    """Exp-domain sweep state on kernels ``kern`` at potentials 1 and factor sums m = K 1."""
-    a = np.ones((kern.shape[0], kern.shape[2]))
-    m = np.einsum("npx,nx->np", kern, a)
-    return _ExpSweepWork(kern, a, m, targets)
+def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
+    """Exp-domain sweep state on the products ``op`` at potentials 1 (for the
+    kernels of the kernel set) and factor sums m = K a."""
+    n, p, nx = op.shape
+    a = np.repeat(np.exp(op.offsets)[:, None], nx, axis=1)
+    work = _ExpSweepWork(op, a, np.empty((n, p)), targets)
+    work.update_sums()
+    return work
 
 
 def _sweep_log(
@@ -702,7 +562,7 @@ def _sweep_log(
 
 
 def sinkhorn_solve(
-    kernels: CostKernelSet,
+    kernels: KernelSet,
     dataset: SnapshotDataset,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -721,20 +581,19 @@ def sinkhorn_solve(
     targets = dataset.target_matrix()
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
         raise ValueError("dataset does not match kernel shapes")
-    log_kern = kernels.log_kernels
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
     work = log_a = log_m = None
-    if log_kern.min() >= _EXP_SAFE_LOG:
-        work = _exp_start(kernels.kernels(), targets)
+    if kernels.min_log_kernel >= _EXP_SAFE_LOG:
+        work = _exp_start(kernels.exp_operator(), targets)
     else:
         log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
-        log_m = _log_factor_sums(log_kern, log_a)
+        log_m = _log_factor_sums(kernels.log_kernels, log_a)
     log_t = _with_log_zeros(targets)
 
     def finish_now() -> _Finish:
         # the sweeps keep a and m = K a (or their logs) exact, so the finish reads them
         if work is not None:
-            return _finish_exp(kernels, work.kern, work.a, work.m, targets)
+            return _finish_exp(kernels, work.op, work.a, work.m, targets)
         return _finish_log(kernels, log_a, targets, log_m)
 
     def mass() -> float:
@@ -745,9 +604,12 @@ def sinkhorn_solve(
 
     relax = _Overrelaxation("sinkhorn sweeps")
     history: List[float] = []
+    mass_start = None  # coupling mass at the current state, carried from one over-relaxed sweep to the next
     for sweep in range(max_iter):
         omega = relax.omega
-        if omega != 1.0:
+        if omega == 1.0:
+            mass_start = None
+        elif mass_start is None:
             mass_start = mass()
         if work is not None:
             work.omega = omega
@@ -755,22 +617,26 @@ def sinkhorn_solve(
                 # the sweep left the safe range: redo it in the log domain from its start
                 logger.info("switching to log-domain updates after %d sweeps", sweep)
                 log_a = _with_log_zeros(work.a_start)
-                log_m = _log_factor_sums(log_kern, log_a)
+                log_a -= work.op.offsets[:, None]
+                log_m = _log_factor_sums(kernels.log_kernels, log_a)
                 work = None
             elif omega != 1.0:
                 log_ratio = work.log_ratio_sum()
         if work is None:
             if omega != 1.0:
                 start = log_a.copy(), log_m.copy()
-            res, log_ratio = _sweep_log(log_kern, log_a, log_m, targets, log_t, omega)
+            res, log_ratio = _sweep_log(kernels.log_kernels, log_a, log_m, targets, log_t, omega)
         history.append(res)
-        if omega != 1.0 and not relax.accept(omega * log_ratio - (mass() - mass_start), mass_start, sweep + 1):
-            if work is not None:
-                work.restore_start()
-            else:
-                np.copyto(log_a, start[0])
-                np.copyto(log_m, start[1])
-            continue
+        if omega != 1.0:
+            mass_end = mass()
+            if not relax.accept(omega * log_ratio - (mass_end - mass_start), mass_start, sweep + 1):
+                if work is not None:
+                    work.restore_start()
+                else:
+                    np.copyto(log_a, start[0])
+                    np.copyto(log_m, start[1])
+                continue
+            mass_start = mass_end
         if res <= tol:
             finish = finish_now()
             if finish.residual <= tol:
@@ -802,7 +668,7 @@ def sinkhorn_solve(
 
 
 def benchmark_sweep_seconds(
-    kernels: CostKernelSet,
+    kernels: KernelSet,
     dataset: SnapshotDataset,
     n_sweeps: int = 20,
     repeats: int = 3,
@@ -810,17 +676,18 @@ def benchmark_sweep_seconds(
     """Wall time of one exponential-domain sweep, min over repeated timed runs.
 
     Used by the complexity-scaling checks; times the solver's own sweep,
-    ``_sweep_exp_numpy`` on the state ``_exp_start`` builds for it (w_j from
-    running products in O(NP), the residual and the range checks once per
-    sweep, -1.0 from the first sweep that leaves the safe range) for a fixed
-    number of sweeps after one warmup sweep. Its buffers are built before the
-    clock starts; the sweeps' results are not used.
+    ``_sweep_exp_numpy`` on the state ``_exp_start`` builds for it (the
+    kernel set's own products, w_j from running products in O(NP), the
+    residual and the range checks once per sweep, -1.0 from the first sweep
+    that leaves the safe range) for a fixed number of sweeps after one warmup
+    sweep. Its buffers are built before the clock starts; the sweeps' results
+    are not used.
     """
     targets = dataset.target_matrix()
-    kern = kernels.kernels()
+    op = kernels.exp_operator()
     best = np.inf
     for _ in range(repeats):
-        work = _exp_start(kern, targets)
+        work = _exp_start(op, targets)
         _sweep_exp_numpy(work)  # warmup
         start = time.perf_counter()
         for _ in range(n_sweeps):

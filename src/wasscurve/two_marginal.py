@@ -10,6 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .kernels import _sq_distances
 from .measures import DiscreteMeasure, SupportGrid
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
@@ -17,7 +18,6 @@ from .mm_sinkhorn import (
     _log_kernel_sums,
     _Overrelaxation,
     _overrelaxed_log,
-    _sq_distances,
     _with_log_zeros,
 )
 

@@ -22,11 +22,12 @@ from wasscurve.measures import (
     measure_from_samples,
     normalize_timestamps,
 )
+from wasscurve.kernels import kernels_from_costs, param_tuple_stack
 
 
 def dense_coupling_tensor(kernels, log_potentials):
     """Full coupling array Gamma of shape (P, |X|, ..., |X|) from kernels and potentials."""
-    k = kernels.kernels()  # (N, P, X)
+    k = np.exp(kernels.log_kernels)  # (N, P, X)
     a = np.exp(log_potentials)  # (N, X)
     n, p, x = k.shape
     gamma = np.ones((p,) + (1,) * n)
@@ -34,6 +35,18 @@ def dense_coupling_tensor(kernels, log_potentials):
         shape = (p,) + (1,) * i + (x,) + (1,) * (n - i - 1)
         gamma = gamma * (k[i] * a[i][None, :]).reshape(shape)
     return gamma
+
+
+def dense_curve_kernels(dataset, curve, grids, epsilon):
+    """The dense kernel set of a curve-regression cost, each snapshot's (P, |X|)
+    costs taken from the curve points by broadcasting, never factored."""
+    stack = param_tuple_stack(grids)  # (P, k, d)
+    support = np.asarray(dataset.grid.points)
+    costs = np.stack([
+        ((np.einsum("pkd,k->pd", stack, curve.coefficients(t))[:, None, :] - support[None]) ** 2).sum(axis=2)
+        for t in dataset.timestamps
+    ])
+    return kernels_from_costs(costs, dataset.lambdas, epsilon, grids)
 
 
 def dense_marginal(gamma, j):

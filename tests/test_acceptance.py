@@ -40,14 +40,12 @@ from wasscurve.gmm_regression import (
     geodesic_cost_table,
     wm_distance,
 )
+from wasscurve.kernels import build_kernels, kernels_from_costs, param_tuple_stack
 from wasscurve.measures import DiscreteMeasure, GaussianMeasure, SnapshotDataset, SupportGrid
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     benchmark_sweep_seconds,
-    build_kernels,
     extract_param_coupling,
-    kernels_from_costs,
-    param_tuple_stack,
     project_marginal,
 )
 from wasscurve.two_marginal import two_marginal_w2_exact

@@ -476,6 +476,9 @@ MALFORMED_INPUTS = [
     (["invariant", "--input", "{samples}", "--domain", "1:0"], None, 4, "hi > lo"),
     (["invariant", "--input", "{samples}", "--domain", "0"], None, 4, "--domain"),
     (["regress", "--input", "{samples}", "--query-times", "0,a"], None, 4, "--query-times"),
+    (["regress", "--input", "{samples}", "--query-times", "0,nan"], None, 4, "times must be finite (got '0,nan')"),
+    (["regress", "--input", "{samples}", "--grid", "0:nan:5"], None, 4, "must be finite (got '0:nan:5')"),
+    (["regress", "--input", "{samples}", "--grid", "x0=-inf:1:5"], None, 4, "must be finite (got '-inf:1:5')"),
     (["regress", "--input", "{samples}", "--epsilon", "nan"], None, 4, "epsilon must be positive"),
     (["gaussian", "--input", "{samples}", "--tol", "inf"], None, 4, "tol must be positive"),
     (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),

@@ -109,7 +109,7 @@ class TestFit:
         diffs = np.unique(np.round(grid.points[:, 0][None, :] - grid.points[:, 0][:, None], 12))
         quad_grids = (grid, grid_1d(diffs), grid_1d([0.0]))
 
-        from wasscurve.mm_sinkhorn import build_kernels
+        from wasscurve.kernels import build_kernels
         import oracles
 
         def lp_value(curve, grids, eps):
@@ -242,7 +242,8 @@ class TestObjectiveTrue:
         grid = grid_1d([0.0, 0.5, 1.0])
         m = DiscreteMeasure(grid, np.array([0.2, 0.3, 0.5]))
         ds = SnapshotDataset(np.array([1.0]), (m,), np.array([1.0]), 1.0, 1.0)
-        from wasscurve.mm_sinkhorn import build_kernels, extract_param_coupling, sinkhorn_solve
+        from wasscurve.kernels import build_kernels
+        from wasscurve.mm_sinkhorn import extract_param_coupling, sinkhorn_solve
         from wasscurve.curve_regression import RegressionResult
 
         kernels = build_kernels(ds, LINEAR, (grid, grid), 1e-3)

@@ -12,14 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
+from wasscurve.kernels import (
+    _FACTORED_MIN_ENTRIES,
+    CostKernelSet,
+    FactoredKernelSet,
+    _DenseExp,
+    build_kernels,
+    kernels_from_costs,
+    param_tuple_stack,
+)
 from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     SolverError,
-    build_kernels,
     extract_param_coupling,
-    kernels_from_costs,
-    param_tuple_stack,
     project_marginal,
     sinkhorn_solve,
 )
@@ -83,7 +89,7 @@ class TestBuildKernels:
     def test_squared_distances_match_cdist(self, dim):
         from scipy.spatial.distance import cdist
 
-        from wasscurve.mm_sinkhorn import _sq_distances
+        from wasscurve.kernels import _sq_distances
 
         rng = np.random.default_rng(dim)
         x = rng.normal(size=(7, dim))
@@ -98,18 +104,19 @@ class TestBuildKernels:
         np.testing.assert_allclose(kernels.cost(1), before[1], rtol=1e-12)
 
     def test_build_holds_one_kernel_tensor(self):
-        """The squared distances become the log kernels in place: the build
-        allocates about one (N, P, |X|) tensor, not the three that computing
-        the logs out of place holds at once."""
+        """The squared distances become the log kernels in place: the dense
+        build allocates about one (N, P, |X|) tensor, not the three that
+        computing the logs out of place holds at once."""
         grid = grid_1d(np.linspace(0, 1, 60))
         ds = dataset_from_weights(np.linspace(0, 1, 6), np.full((6, 60), 1 / 60), grid)
-        pgrid = grid_1d(np.linspace(-0.2, 1.2, 50))
+        pgrid = grid_1d(np.linspace(-0.2, 1.2, 14))
         tracemalloc.start()
         try:
-            kernels = build_kernels(ds, LINEAR, [pgrid, pgrid], 0.1)
+            kernels = build_kernels(ds, QUADRATIC, [pgrid] * 3, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert isinstance(kernels, CostKernelSet)
         assert peak < 1.5 * kernels.log_kernels.nbytes
 
     def test_rejects_bad_epsilon_and_grids(self):
@@ -138,7 +145,7 @@ class TestProjections:
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, param_grids)
         log_a = np.log(np.array([[0.7], [0.9]]))
         state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False)
-        k = kernels.kernels()
+        k = np.exp(kernels.log_kernels)
         expected = k[0, 0, 0] * 0.7 * k[1, 0, 0] * 0.9
         assert project_marginal(state, 0)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -290,7 +297,7 @@ class TestExpSweep:
         a_ref = np.ones((kern.shape[0], kern.shape[2]))
         m_ref = np.einsum("npx,nx->np", kern, a_ref) if m_start is None else np.array(m_start, dtype=float)
         a, m = a_ref.copy(), m_ref.copy()
-        work = engine._ExpSweepWork(kern, a, m, targets)
+        work = engine._ExpSweepWork(_DenseExp(kern), a, m, targets)
         for k in range(1, n_sweeps + 1):
             res, res_ref = engine._sweep_exp_numpy(work), oracles.reference_sweep_exp(kern, a_ref, m_ref, targets)
             if res_ref >= 0:
@@ -310,7 +317,7 @@ class TestExpSweep:
         ts = np.linspace(0.0, 1.0, n_snapshots) if n_snapshots > 1 else np.array([1.0])
         ds = dataset_from_weights(ts, rows, grid)
         param_grids = [grid_1d(np.sort(rng.uniform(0, 1, k))) for k in (4, 5)]
-        kern = build_kernels(ds, LINEAR, param_grids, 0.005).kernels()
+        kern = np.exp(build_kernels(ds, LINEAR, param_grids, 0.005).log_kernels)
         residuals = {}
         for k, res, res_ref in self._sweep_both(kern, ds.target_matrix(), 50):
             assert res_ref >= 0
@@ -334,7 +341,7 @@ class TestExpSweep:
         if instance == "mid_run_switch":  # from TestSinkhornSolve.test_mid_run_switch_to_log_domain
             pg = (grid_1d([0.0]), grid_1d([0.0]))
             costs = np.array([[[0.0, 800.0]], [[800.0, 0.0]]])
-            kern = kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, pg).kernels()
+            kern = np.exp(kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, pg).log_kernels)
             targets = np.full((2, 2), 0.5)
         elif instance == "infeasible_2":  # unmatchable marginals: potentials grow geometrically
             kern = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
@@ -467,16 +474,98 @@ class TestFinish:
         costs = np.array([[[0.0, 590.0], [590.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 0.5, pg)
         assert kernels.log_kernels.min() >= -600.0
-        kern = kernels.kernels()
+        kern = np.exp(kernels.log_kernels)
         a = np.array([[1e-150, 0.0], [2e149, 3e149]])
         m = np.einsum("npx,nx->np", kern, a)
         assert m.min() == 0.0
         targets = np.array([[1.0, 0.0], [0.5, 0.5]])
-        finish = _finish_exp(kernels, kern, a, m, targets)
+        finish = _finish_exp(kernels, kernels.exp_operator(), a, m, targets)
         with np.errstate(divide="ignore"):
             log_a = np.log(a)
         np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
         assert np.isfinite(finish.log_m).all()
+
+
+class TestFactoredKernels:
+    """Linear 1-D kernel sets from _FACTORED_MIN_ENTRIES entries per snapshot on
+    are held as three factors per snapshot. Their solves must match the dense
+    kernel set of oracles.dense_curve_kernels, solved the same way, at rtol
+    1e-10; the residual, a cancellation near convergence, also gets atol 1e-14.
+    """
+
+    @staticmethod
+    def _instance(seed, n_snapshots, n_support, param_sizes, origin):
+        rng = np.random.default_rng(seed)
+        grid = grid_1d(origin + np.sort(rng.uniform(0, 1, n_support)))
+        rows = rng.random((n_snapshots, n_support)) + 0.05
+        rows /= rows.sum(axis=1, keepdims=True)
+        ts = np.sort(rng.uniform(0, 1, n_snapshots))
+        ts[0], ts[-1] = 0.0, 1.0
+        lambdas = rng.uniform(0.2, 1.0, n_snapshots)
+        ds = dataset_from_weights(ts, rows, grid, lambdas / lambdas.sum())
+        grids = tuple(grid_1d(origin + np.sort(rng.uniform(-0.3, 1.3, k))) for k in param_sizes)
+        return ds, grids
+
+    @staticmethod
+    def _assert_matches_dense(ds, grids, epsilon):
+        kernels = build_kernels(ds, LINEAR, grids, epsilon)
+        factored = len(grids[0]) * len(grids[1]) * len(ds.grid) >= _FACTORED_MIN_ENTRIES
+        assert isinstance(kernels, FactoredKernelSet) == factored
+        dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
+        state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
+        assert state.converged and ref.converged
+        assert (state.iterations, state.used_log_domain) == (ref.iterations, ref.used_log_domain)
+        rtol = 1e-10
+        np.testing.assert_allclose(extract_param_coupling(state).weights, extract_param_coupling(ref).weights, rtol=rtol)
+        np.testing.assert_allclose(state.objective, ref.objective, rtol=rtol)
+        np.testing.assert_allclose(state.marginal_residual, ref.marginal_residual, rtol=rtol, atol=1e-14)
+        for j in range(len(ds)):
+            np.testing.assert_allclose(project_marginal(state, j), project_marginal(ref, j), rtol=rtol)
+        return state
+
+    # sizes about evenly on both sides of _FACTORED_MIN_ENTRIES = 30^3
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_snapshots=st.integers(3, 7),
+        n_support=st.integers(15, 45),
+        param_sizes=st.tuples(st.integers(15, 45), st.integers(15, 45)),
+        epsilon=st.floats(np.log(0.03), np.log(1.0)).map(np.exp),
+        origin=st.sampled_from([0.0, -40.0, 1000.0]),
+    )
+    def test_matches_dense_solve(self, seed, n_snapshots, n_support, param_sizes, epsilon, origin):
+        ds, grids = self._instance(seed, n_snapshots, n_support, param_sizes, origin)
+        self._assert_matches_dense(ds, grids, epsilon)
+
+    def test_log_domain_fallback(self):
+        # exp-representable kernels (smallest log entry -556), but the target
+        # mass at y = 1, far from every curve point, needs potentials past the
+        # overflow guard: the solve switches to the dense log kernels
+        grid = grid_1d(np.linspace(0, 1, 30))
+        pgrid = grid_1d(np.linspace(0, 0.2, 30))
+        ds = dataset_from_weights([0.0, 0.4, 1.0], np.full((3, 30), 1 / 30), grid, [0.2, 0.3, 0.5])
+        kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 9e-4)
+        assert isinstance(kernels, FactoredKernelSet) and kernels.min_log_kernel >= -600.0
+        assert self._assert_matches_dense(ds, (pgrid, pgrid), 9e-4).used_log_domain
+
+    def test_holds_no_dense_tensor(self):
+        # N=6, |X|=80 as in the logistic benchmark: 24.6 MB of dense log kernels
+        grid = grid_1d(np.linspace(0, 1, 80))
+        rows = np.random.default_rng(5).random((6, 80)) + 0.05
+        ds = dataset_from_weights(np.linspace(0, 1, 6), rows / rows.sum(axis=1, keepdims=True), grid)
+        tensor_bytes = 6 * 80**3 * 8
+        tracemalloc.start()
+        try:
+            kernels = build_kernels(ds, LINEAR, (grid, grid), 0.05)
+            state = sinkhorn_solve(kernels, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(kernels, FactoredKernelSet) and state.converged and not state.used_log_domain
+        assert peak < tensor_bytes / 4
+        # a mixture cost table has no such structure and stays dense
+        costs = np.random.default_rng(6).random((5, 16, 4))
+        assert isinstance(kernels_from_costs(costs, np.full(5, 0.2), 0.07, (grid_1d(np.arange(4.0)),) * 2), CostKernelSet)
 
 
 class TestOverrelaxation:
