@@ -21,10 +21,6 @@ import numpy as np
 from .curves import CurveClass
 from .measures import SnapshotDataset, SupportGrid
 
-# Linear 1-D kernel sets are factored from this many entries per dense
-# snapshot kernel (P |X|) on; below it the dense products are faster.
-_FACTORED_MIN_ENTRIES = 30**3
-
 
 def param_tuple_stack(grids: Sequence[SupportGrid]) -> np.ndarray:
     """Enumerate the product of parameter grids in C order.
@@ -115,7 +111,7 @@ class CostKernelSet(_KernelSet):
 class FactoredKernelSet(_KernelSet):
     """The kernels of a linear curve cost in one dimension, three (n, n) factors per snapshot.
 
-    With curve coefficients c0 + c1 = 1 the cost is a sum of pairwise terms,
+    With curve coefficients c0, c1 >= 0, c0 + c1 = 1 the cost is a sum of pairwise terms,
     (c0 x0 + c1 x1 - y)^2 = c0 (x0 - y)^2 + c1 (x1 - y)^2 - c0 c1 (x0 - x1)^2,
     so the kernel of CostKernelSet (same shifts, largest entry 1) is
     K_i[(x0, x1), y] = exp(offsets_i) * a_i[x0, x1] * b_i[x0, y] * c_i[x1, y].
@@ -238,13 +234,12 @@ def build_kernels(
 ) -> KernelSet:
     """Assemble the Gibbs kernels for a curve-regression dataset.
 
-    Never the full (N+k)-way tensor: a curve whose point is c0 x0 + c1 x1
-    with c0 + c1 = 1 in one dimension gets a FactoredKernelSet once a dense
-    snapshot kernel would hold _FACTORED_MIN_ENTRIES entries; otherwise the
-    N arrays of shape (P, |X|) are written into one buffer of squared
-    distances that then becomes the log kernels in place. Each snapshot's
-    cost is shifted by its minimum before exponentiation, so kernel entries
-    lie in (0, 1].
+    Never the full (N+k)-way tensor: a line in one dimension, with
+    coefficients c0 = 1 - t and c1 = t in [0, 1] at every timestamp, gets a
+    FactoredKernelSet; otherwise the N arrays of shape (P, |X|) are written
+    into one buffer of squared distances that then becomes the log kernels
+    in place. Each snapshot's cost is shifted by its minimum before
+    exponentiation, so kernel entries lie in (0, 1].
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -255,12 +250,8 @@ def build_kernels(
     stack = param_tuple_stack(grids)  # (P, k, d)
     support = dataset.grid.points  # (|X|, d)
     coefficients = np.array([curve.coefficients(t) for t in dataset.timestamps])
-    if (
-        dataset.dim == 1
-        and curve.n_params == 2
-        and np.allclose(coefficients.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-        and stack.shape[0] * support.shape[0] >= _FACTORED_MIN_ENTRIES
-    ):
+    # a negative coefficient (t > 1) would give factors above 1
+    if dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0:
         return _factored_kernels(dataset, curve, grids, stack, coefficients, epsilon)
     return _kernels_in_place(_curve_costs(curve, dataset.timestamps, stack, support), dataset.lambdas, epsilon, grids)
 

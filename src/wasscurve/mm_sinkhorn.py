@@ -7,11 +7,12 @@ snapshot is enough, and each Sinkhorn marginal projection costs
 O(N * |params| * |X|) instead of O(|X|^(N+k)).
 
 The kernels come from ``kernels.py``: dense, or, for lines in one
-dimension on large enough grids, three (n, n) factors per snapshot. Scaling
-updates run in the exponential domain on the two products the kernel set's
-``exp_operator()`` supplies while safe, and switch to log-domain updates, on
-the dense log kernels (built on first use for a factored set), when
-potentials leave the representable range or a projection underflows.
+dimension, three (n, n) factors per snapshot. Scaling updates run in the
+exponential domain on the two products the kernel set's ``exp_operator()``
+supplies while safe (dense ones for a factored set whose offsets exceed
+_MAX_EXP_OFFSET), and switch to log-domain updates, on the dense log kernels
+(built on first use for a factored set), when potentials leave the
+representable range or a projection underflows.
 
 A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
 the final marginal residual (marginal_j = a_j * (w_j K_j), with
@@ -36,7 +37,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .kernels import KernelSet, _ExpOperator, param_tuple_stack
+from .kernels import FactoredKernelSet, KernelSet, _DenseExp, _ExpOperator, param_tuple_stack
 from .measures import SnapshotDataset, SupportGrid
 
 logger = logging.getLogger(__name__)
@@ -45,6 +46,10 @@ logger = logging.getLogger(__name__)
 _EXP_SAFE_LOG = -600.0
 _POTENTIAL_LO = 1e-150
 _POTENTIAL_HI = 1e150
+# A factored operator's potentials are exp(offsets_j) times those of K_j. Up to
+# this offset they stay below 1e300 while those of K_j are in range, and its
+# phi_j = p_j / a_j above p_j * 1e-300; past it the dense products are used.
+_MAX_EXP_OFFSET = math.log(_POTENTIAL_HI)
 # below this a factor sum is subnormal and its log loses precision
 _NORMAL_MIN = np.finfo(float).tiny
 
@@ -400,6 +405,8 @@ class _ExpSweepWork:
         self.gap = np.empty((n, nx))
         self.row_l1 = np.empty(n)
         self.ones_x = np.ones(nx)
+        # the range check reads the potentials of K_j: op's are exp(offsets_j) times those
+        self.unscale = np.exp(-op.offsets)[:, None] if op.offsets.any() else None
         suffix = np.empty((max(n - 2, 0), p))
         prefix = np.empty(p)
         w_buf = np.empty(p)
@@ -464,7 +471,8 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
 
     The whole sweep runs under one errstate, and its checks run once, at its
     end: the potentials of positive targets within [_POTENTIAL_LO,
-    _POTENTIAL_HI], and phi finite where the target is zero. A zero or
+    _POTENTIAL_HI] (as potentials of K_j, so exp(-offsets_j) times ``a`` for
+    a factored operator), and phi finite where the target is zero. A zero or
     non-finite phi at a positive target puts its potential out of range (a
     NaN fails both comparisons), so phi needs a check of its own only at zero
     targets; phi is never negative, so a maximum below inf means finite. m
@@ -504,6 +512,8 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     np.subtract(gap, work.targets, gap)
     np.abs(gap, gap)
     rows = gap.dot(work.ones_x, out=work.row_l1).tolist()
+    if work.unscale is not None:
+        a = np.multiply(a, work.unscale, out=work.gap)
     if work.positive is None:
         live = a
     else:
@@ -513,6 +523,14 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     if not (live.min() >= _POTENTIAL_LO and live.max() <= _POTENTIAL_HI):
         return -1.0
     return max(rows)
+
+
+def _exp_operator(kernels: KernelSet) -> _ExpOperator:
+    """The exp-domain products of ``kernels``: dense ones, from its log kernels,
+    for a factored set with an offset above _MAX_EXP_OFFSET."""
+    if isinstance(kernels, FactoredKernelSet) and kernels.offsets.max() > _MAX_EXP_OFFSET:
+        return _DenseExp(np.exp(kernels.log_kernels), kernels.weighted_cost)
+    return kernels.exp_operator()
 
 
 def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
@@ -584,7 +602,7 @@ def sinkhorn_solve(
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
     work = log_a = log_m = None
     if kernels.min_log_kernel >= _EXP_SAFE_LOG:
-        work = _exp_start(kernels.exp_operator(), targets)
+        work = _exp_start(_exp_operator(kernels), targets)
     else:
         log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
@@ -684,7 +702,7 @@ def benchmark_sweep_seconds(
     are not used.
     """
     targets = dataset.target_matrix()
-    op = kernels.exp_operator()
+    op = _exp_operator(kernels)
     best = np.inf
     for _ in range(repeats):
         work = _exp_start(op, targets)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.kernels import (
-    _FACTORED_MIN_ENTRIES,
     CostKernelSet,
     FactoredKernelSet,
     _DenseExp,
@@ -487,10 +486,10 @@ class TestFinish:
 
 
 class TestFactoredKernels:
-    """Linear 1-D kernel sets from _FACTORED_MIN_ENTRIES entries per snapshot on
-    are held as three factors per snapshot. Their solves must match the dense
-    kernel set of oracles.dense_curve_kernels, solved the same way, at rtol
-    1e-10; the residual, a cancellation near convergence, also gets atol 1e-14.
+    """Linear 1-D kernel sets are held as three factors per snapshot. Their
+    solves must match the dense kernel set of oracles.dense_curve_kernels,
+    solved the same way, at rtol 1e-10; the residual, a cancellation near
+    convergence, also gets atol 1e-14.
     """
 
     @staticmethod
@@ -509,8 +508,7 @@ class TestFactoredKernels:
     @staticmethod
     def _assert_matches_dense(ds, grids, epsilon):
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
-        factored = len(grids[0]) * len(grids[1]) * len(ds.grid) >= _FACTORED_MIN_ENTRIES
-        assert isinstance(kernels, FactoredKernelSet) == factored
+        assert isinstance(kernels, FactoredKernelSet)
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
@@ -523,13 +521,12 @@ class TestFactoredKernels:
             np.testing.assert_allclose(project_marginal(state, j), project_marginal(ref, j), rtol=rtol)
         return state
 
-    # sizes about evenly on both sides of _FACTORED_MIN_ENTRIES = 30^3
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_snapshots=st.integers(3, 7),
-        n_support=st.integers(15, 45),
-        param_sizes=st.tuples(st.integers(15, 45), st.integers(15, 45)),
+        n_support=st.integers(3, 45),
+        param_sizes=st.tuples(st.integers(2, 45), st.integers(2, 45)),
         epsilon=st.floats(np.log(0.03), np.log(1.0)).map(np.exp),
         origin=st.sampled_from([0.0, -40.0, 1000.0]),
     )
@@ -547,6 +544,59 @@ class TestFactoredKernels:
         kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 9e-4)
         assert isinstance(kernels, FactoredKernelSet) and kernels.min_log_kernel >= -600.0
         assert self._assert_matches_dense(ds, (pgrid, pgrid), 9e-4).used_log_domain
+
+    @pytest.mark.parametrize("spread", [1.0, 3.0])
+    def test_wide_parameter_grids_near_exp_limit(self, spread):
+        # parameter grids reaching ``spread`` past each end of the support and
+        # a smallest log kernel entry of -590 give offsets near 320 (1.0; the
+        # factored products) and 430 (3.0; past _MAX_EXP_OFFSET, dense products)
+        import wasscurve.mm_sinkhorn as engine
+
+        grid = grid_1d(np.linspace(0, 1, 20))
+        rows = np.random.default_rng(0).random((4, 20)) + 0.05
+        ds = dataset_from_weights([0.0, 0.3, 0.6, 1.0], rows / rows.sum(axis=1, keepdims=True), grid)
+        pgrid = grid_1d(np.linspace(-spread, 1 + spread, 20))
+        epsilon = (1 + spread) ** 2 * 0.25 / 590
+        kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), epsilon)
+        assert kernels.min_log_kernel == pytest.approx(-590.0)
+        factored_products = kernels.offsets.max() <= engine._MAX_EXP_OFFSET
+        assert factored_products == (spread == 1.0)
+        assert isinstance(engine._exp_operator(kernels), _DenseExp) != factored_products
+        assert not self._assert_matches_dense(ds, (pgrid, pgrid), epsilon).used_log_domain
+
+    def test_range_check_reads_kernel_potentials(self):
+        # the factored sweep's potentials are exp(offsets) times those of the
+        # kernels; with the upper bound set between the two, the sweep must
+        # stay in range as the dense one does
+        import wasscurve.mm_sinkhorn as engine
+
+        ds, grids = self._instance(3, 4, 12, (10, 11), 0.0)
+        kernels = build_kernels(ds, LINEAR, grids, 0.02)
+        assert kernels.offsets.max() > 1.0
+        targets = ds.target_matrix()
+        ops = (kernels.exp_operator(), _DenseExp(np.exp(kernels.log_kernels)))
+        works = [engine._exp_start(op, targets) for op in ops]
+        for work in works:
+            engine._sweep_exp_numpy(work)
+        factored_max, dense_max = (work.a.max() for work in works)
+        assert factored_max > 2.0 * dense_max
+        with mock.patch.object(engine, "_POTENTIAL_HI", np.sqrt(factored_max * dense_max)):
+            res, ref = (engine._sweep_exp_numpy(engine._exp_start(op, targets)) for op in ops)
+        assert ref >= 0.0
+        np.testing.assert_allclose(res, ref, rtol=1e-12)
+
+    def test_negative_coefficients_stay_dense(self):
+        # t > 1 on an unnormalized horizon gives c0 = 1 - t < 0, for which the
+        # factors would exceed 1
+        grid = grid_1d(np.linspace(0, 1, 6))
+        measures = tuple(DiscreteMeasure(grid, np.full(6, 1 / 6)) for _ in range(3))
+        ds = SnapshotDataset(np.array([0.0, 1.0, 2.0]), measures, np.full(3, 1 / 3), 2.0, 2.0)
+        pgrid = grid_1d(np.linspace(-0.5, 1.5, 7))
+        kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 0.1)
+        assert isinstance(kernels, CostKernelSet)
+        dense = oracles.dense_curve_kernels(ds, LINEAR, (pgrid, pgrid), 0.1)
+        np.testing.assert_allclose(kernels.log_kernels, dense.log_kernels, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kernels.shifts, dense.shifts, rtol=1e-12)
 
     def test_holds_no_dense_tensor(self):
         # N=6, |X|=80 as in the logistic benchmark: 24.6 MB of dense log kernels
