@@ -109,10 +109,10 @@ class ResultBundle:
 
 
 def _sparse_entries(weights: np.ndarray) -> Tuple[List[List[float]], float]:
-    idx = np.argwhere(weights > COUPLING_MASS_THRESHOLD)
-    entries = [[int(i) for i in row] + [float(weights[tuple(row)])] for row in idx]
-    emitted = float(sum(e[-1] for e in entries))
-    return entries, emitted
+    idx = np.nonzero(weights > COUPLING_MASS_THRESHOLD)
+    values = weights[idx].tolist()
+    entries = [list(entry) for entry in zip(*(i.tolist() for i in idx), values)]
+    return entries, float(sum(values))
 
 
 def _grid_from_spec(spec: Tuple[float, float, int], dim: int) -> SupportGrid:

@@ -12,13 +12,13 @@ a "basis" list of {mean, covariance} atoms and a "snapshots" list of
 """
 
 import csv
-import itertools
 import json
 import logging
 import math
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+import warnings
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .pfo_estimation import iterate_map_particles, logistic_map
 logger = logging.getLogger(__name__)
 
 DEFAULT_GRID_POINTS = 50
-# Rows parsed per block: bounds the CSV strings held at once to about a megabyte.
-_BLOCK_ROWS = 4096
 
 
 class SchemaError(ValueError):
@@ -55,10 +53,10 @@ def _parse_float(token: str, path: str, line_no: int) -> float:
     return value
 
 
-def _scan_rows(path: str, rows: List[List[str]], first_line: int, n_fields: int, schema: str) -> np.ndarray:
-    """Row-by-row parse: skips blank rows and raises on the first malformed one."""
+def _scan_rows(path: str, rows: Iterable[List[str]], n_fields: int, schema: str) -> np.ndarray:
+    """Row-by-row parse of the body: skips blank rows and raises on the first malformed one."""
     kept = []
-    for line_no, row in enumerate(rows, start=first_line):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != n_fields:
@@ -70,33 +68,12 @@ def _scan_rows(path: str, rows: List[List[str]], first_line: int, n_fields: int,
     return np.array(kept, dtype=float).reshape(-1, n_fields)
 
 
-def _convert_rows(path: str, rows: List[List[str]], first_line: int, n_fields: int, schema: str) -> np.ndarray:
-    """One conversion for a block of rows: numpy parses each token as float() does.
-
-    Blank rows, ragged rows, bad tokens, non-finite values and negative weights
-    all send the block to the row-by-row scan, which names the first fault.
-    """
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if (
-        values is None
-        or values.shape != (len(rows), n_fields)
-        or not np.isfinite(values).all()
-        or (schema == "atoms" and (values[:, 1] < 0).any())
-    ):
-        values = _scan_rows(path, rows, first_line, n_fields, schema)
-    return values
-
-
 def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """Parse a snapshot CSV; returns (schema, times (n,), weights (n,), positions (n, d)).
 
     Sample-schema rows get weight 1 per particle. Blank rows are skipped;
     a malformed file is rejected at its first fault, with that line number.
     """
-    blocks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -118,21 +95,25 @@ def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarr
                 raise SchemaError(f"{path}: sample header must be t,x1..xd")
         else:
             raise SchemaError(f"{path}: unrecognized header {header!r}")
-        first_line = 2
-        while True:
-            rows: List[List[str]] = []
-            try:
-                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except (csv.Error, UnicodeDecodeError):
-                _scan_rows(path, rows, first_line, len(header), schema)  # a fault in an earlier row comes first
-                raise
-            if not rows:
-                break
-            blocks.append(_convert_rows(path, rows, first_line, len(header), schema))
-            first_line += len(rows)
-    if not any(len(b) for b in blocks):
+        # numpy parses each token as float() does or fails; what it fails on, the scan names
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # also a UnicodeDecodeError
+            values = None
+        if (
+            values is None
+            or not len(values)
+            or values.shape[1] != len(header)
+            or not np.isfinite(values).all()
+            or (schema == "atoms" and (values[:, 1] < 0).any())
+        ):
+            fh.seek(0)
+            next(reader)  # past the header again
+            values = _scan_rows(path, reader, len(header), schema)
+    if not len(values):
         raise SchemaError(f"{path}: no data rows")
-    values = np.concatenate(blocks)
     if schema == "atoms":
         return schema, values[:, 0], values[:, 1], values[:, 2:]
     return schema, values[:, 0], np.ones(len(values)), values[:, 1:]
@@ -242,24 +223,31 @@ def load_lambda_file(path: str) -> Dict[float, float]:
     return out
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_mixture_dataset(path: str):
-    """Gaussian-mixture dataset from JSON: (AtomSet, [(t, lambda, weights)])."""
+    """Gaussian-mixture dataset from JSON: (AtomSet, [(t, lambda, weights)]), all finite."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:  # also NaN/Infinity literals and undecodable bytes
             raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     try:
-        basis = [GaussianMeasure(np.asarray(b["mean"], dtype=float), np.asarray(b["covariance"], dtype=float)) for b in doc["basis"]]
+        arrays = [(np.asarray(b["mean"], dtype=float), np.asarray(b["covariance"], dtype=float)) for b in doc["basis"]]
         snaps = doc["snapshots"]
-        rows = []
-        n = len(snaps)
-        for s in snaps:
-            lam = float(s.get("lambda", 1.0 / n))
-            rows.append((float(s["t"]), lam, np.asarray(s["weights"], dtype=float)))
+        rows = [(float(s["t"]), float(s.get("lambda", 1.0 / len(snaps))), np.asarray(s["weights"], dtype=float)) for s in snaps]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: mixture schema needs 'basis' and 'snapshots' ({exc})") from None
-    return AtomSet.from_atoms(basis), rows
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: mixture values must be numbers ({exc})") from None
+    if not rows:
+        raise SchemaError(f"{path}: no snapshots")
+    flat = [x.ravel() for pair in arrays for x in pair] + [w.ravel() for _, _, w in rows] + [row[:2] for row in rows]
+    if not np.isfinite(np.concatenate(flat)).all():
+        raise SchemaError(f"{path}: mixture values must be finite numbers")
+    return AtomSet.from_atoms([GaussianMeasure(mean, cov) for mean, cov in arrays]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +326,8 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write JSON deterministically (sorted keys, repr floats) via temp+rename."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write compact one-line JSON deterministically (sorted keys, repr floats) via temp+rename."""
+    _atomic_write(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

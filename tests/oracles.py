@@ -328,3 +328,11 @@ def load_snapshots(
             snapshots.append((t, DiscreteMeasure(the_grid, weights / total), lam))
     dataset = SnapshotDataset.from_snapshots(snapshots)
     return normalize_timestamps(dataset)
+
+
+def sparse_entries(weights: np.ndarray, threshold: float) -> Tuple[List[list], float]:
+    """The coupling entries above threshold, one lookup per entry, and their mass summed in row-major order."""
+    idx = np.argwhere(weights > threshold)
+    entries = [[int(i) for i in row] + [float(weights[tuple(row)])] for row in idx]
+    emitted = float(sum(e[-1] for e in entries))
+    return entries, emitted

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wasscurve import cli, dataio
 from wasscurve.dataio import SchemaError
+from wasscurve.gmm_regression import fit_mixture_curve
 from wasscurve.two_marginal import two_marginal_w2
 
 
@@ -465,11 +467,26 @@ DROPPED_FLAGS = [
     ("distance", "--query-times", "0,1"),
 ]
 
+# the mixture toy as `generate mixture-toy` writes it, for the malformed mixture cases below
+MIXTURE_TOY = json.dumps(dataio.generate_mixture_toy(), sort_keys=True, separators=(",", ":"))
+
 # argv ({input}: the file holding `content`; {samples}: a well-formed samples CSV), content, exit code, and
 # a text that stderr must hold
 MALFORMED_INPUTS = [
     (["gmm", "--input", "{input}"], "{not json", 3, "invalid JSON"),
     (["gmm", "--input", "{input}"], '{"snapshots": []}', 3, "basis"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace('"t":0.1', '"t":NaN'), 3,
+     "input: invalid JSON (NaN is not a finite number)"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,", "[NaN,"), 3, "NaN is not a finite number"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace('"t":0.1', '"lambda":NaN,"t":0.1'), 3, "invalid JSON (NaN"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[-3.0]", "[-Infinity]"), 3, "-Infinity is not a finite"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[-3.0]", "[-1e400]"), 3, "must be finite numbers"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[-3.0]", "[1" + "0" * 400 + "]"), 3, "int too large"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace('"t":0.1', '"t":"abc"'), 3,
+     "input: mixture values must be numbers"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,", '["x",'), 3,
+     "could not convert string to float: 'x'"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.split(',"snapshots"')[0] + ',"snapshots":[]}', 3, "input: no snapshots"),
     (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
      "header"),
     (["regress", "--input", "{input}"], "t,weight,x1\n0,0.5,0.0\n0,0.4,1.0\n", 3, "sum to"),
@@ -488,6 +505,38 @@ MALFORMED_INPUTS = [
       flag, value], None, 2, f"unrecognized arguments: {flag}")
     for command, flag, value in DROPPED_FLAGS
 ]
+
+
+def _coupling_weights():
+    """Random 2-D couplings with entries at, just below and just above the emission threshold."""
+    near = st.sampled_from([cli.COUPLING_MASS_THRESHOLD, np.nextafter(cli.COUPLING_MASS_THRESHOLD, 0),
+                            np.nextafter(cli.COUPLING_MASS_THRESHOLD, 1), 0.0, -0.0])
+    entry = st.one_of(near, st.floats(0.0, 1.0, width=64))
+    return st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+            lambda values: np.array(values).reshape(shape)))
+
+
+def _assert_same_entries(weights):
+    got, emitted = cli._sparse_entries(weights)
+    ref, ref_emitted = oracles.sparse_entries(weights, cli.COUPLING_MASS_THRESHOLD)
+    assert got == ref
+    assert [type(v) for e in got for v in e] == [type(v) for e in ref for v in e]
+    assert np.float64(emitted).tobytes() == np.float64(ref_emitted).tobytes()
+
+
+class TestSparseEntries:
+    """The array-built coupling entries against the per-entry loop of tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coupling_weights())
+    def test_matches_the_entry_loop(self, weights):
+        _assert_same_entries(weights)
+
+    def test_gmm_coupling(self, tmp_path):
+        write(tmp_path / "toy.json", MIXTURE_TOY)
+        atoms, rows = dataio.load_mixture_dataset(str(tmp_path / "toy.json"))
+        _assert_same_entries(fit_mixture_curve(rows, atoms, epsilon=0.07, tol=1e-8, max_iter=30000).coupling.w)
 
 
 class TestMalformedInput:

@@ -1,6 +1,6 @@
 """The array snapshot loader against the row-by-row loader it replaced (tests/oracles.py)."""
 
-from unittest import mock
+import json
 
 import numpy as np
 import pytest
@@ -140,33 +140,31 @@ def _assert_same_load(path, **kwargs):
 
 
 class TestAgainstRowLoader:
-    # small blocks put blank rows and faults on block boundaries
     @settings(max_examples=150, deadline=None)
-    @given(snapshot_files(), st.sampled_from([1, 3, dataio._BLOCK_ROWS]))
-    def test_well_formed_files_load_bit_equal(self, tmp_path_factory, case, block_rows):
+    @given(snapshot_files())
+    def test_well_formed_files_load_bit_equal(self, tmp_path_factory, case):
         path = _write(tmp_path_factory.mktemp("ok"), case[1])
-        with mock.patch.object(dataio, "_BLOCK_ROWS", block_rows):
-            assert _call(dataio.read_snapshot_rows, path)[1] is None
-            _assert_same_arrays(path)
-            _assert_same_load(path, grid_points=4)
+        assert _call(dataio.read_snapshot_rows, path)[1] is None
+        _assert_same_arrays(path)
+        _assert_same_load(path, grid_points=4)
 
     @settings(max_examples=150, deadline=None)
-    @given(faulty_files(), st.sampled_from([1, 3, dataio._BLOCK_ROWS]))
-    def test_faulty_files_raise_the_same_error(self, tmp_path_factory, case, block_rows):
+    @given(faulty_files())
+    def test_faulty_files_raise_the_same_error(self, tmp_path_factory, case):
         path = _write(tmp_path_factory.mktemp("bad"), case[1])
-        with mock.patch.object(dataio, "_BLOCK_ROWS", block_rows):
-            _assert_same_arrays(path)  # the same SchemaError, or the same arrays when no fault was fatal
-            _assert_same_load(path, grid_points=4)
+        _assert_same_arrays(path)  # the same SchemaError, or the same arrays when no fault was fatal
+        _assert_same_load(path, grid_points=4)
 
     def test_fault_in_a_later_block_names_its_line(self, tmp_path):
-        lines = ["t,x1"] + [f"{i % 7},{i / 10!r}" for i in range(3 * dataio._BLOCK_ROWS)]
-        lines[2 * dataio._BLOCK_ROWS + 5] = ""
+        rows = 4096  # far past the first read chunk
+        lines = ["t,x1"] + [f"{i % 7},{i / 10!r}" for i in range(3 * rows)]
+        lines[2 * rows + 5] = ""
         path = _write(tmp_path, "\n".join(lines) + "\n")
         _assert_same_arrays(path)
-        lines[2 * dataio._BLOCK_ROWS + 9] = "3,inf"
+        lines[2 * rows + 9] = "3,inf"
         path = _write(tmp_path, "\n".join(lines) + "\n")
         _assert_same_arrays(path)
-        with pytest.raises(SchemaError, match=f":{2 * dataio._BLOCK_ROWS + 10}: 'inf' is not a finite number$"):
+        with pytest.raises(SchemaError, match=f":{2 * rows + 10}: 'inf' is not a finite number$"):
             dataio.read_snapshot_rows(path)
 
     @pytest.mark.parametrize("schema", ["samples", "atoms"])
@@ -225,6 +223,7 @@ class TestAgainstRowLoader:
         ("t,weight,x1\n0,1,0\n0,-1,0\n0,oops,0\n", ":3: negative weight"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # numpy's "input contained no data" must not escape the loader
 def test_schema_errors_name_the_first_fault(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(SchemaError) as got:
@@ -233,3 +232,16 @@ def test_schema_errors_name_the_first_fault(tmp_path, text, message):
         oracles.read_snapshot_rows(path)
     assert str(got.value) == str(ref.value)
     assert str(got.value).endswith(message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+))
+def test_write_json_is_the_compact_sorted_dump(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "result.json"
+    dataio.write_json(str(path), doc)
+    raw = path.read_bytes()
+    assert raw == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    assert json.loads(raw) == doc
