@@ -27,7 +27,7 @@ from . import dataio
 from .curve_regression import SolverConfig, curve_from_name, fit, marginal_at, objective_true
 from .dataio import SchemaError
 from .gaussian_regression import biased_covariance, fit_gaussian_sdp, gaussian_1d_parametric_oracle
-from .gmm_regression import fit_mixture_curve, mixture_marginal_at
+from .gmm_regression import AtomSet, fit_mixture_curve, mixture_marginal_at
 from .measures import DiscreteMeasure, SupportGrid
 from .mm_sinkhorn import SolverError
 from .two_marginal import exact_w2_supported, two_marginal_w2, two_marginal_w2_exact
@@ -35,6 +35,7 @@ from .pfo_estimation import (
     BoxPartition,
     arcsine_box_masses,
     estimate_transition,
+    generate_logistic_rows,
     stationary_distribution,
 )
 
@@ -83,7 +84,11 @@ class RunConfig:
 
 @dataclass
 class ResultBundle:
-    """Everything one run produced: objectives, coupling, marginals, diagnostics."""
+    """Everything one run produced: objectives, coupling, marginals, diagnostics, and its CSV tables.
+
+    ``tables`` maps a file name to the header and rows written under that name
+    beside result.json; it is not part of result.json.
+    """
 
     command: str
     objectives: Dict[str, float]
@@ -92,6 +97,7 @@ class ResultBundle:
     coupling_entries: List[List[float]] = field(default_factory=list)
     coupling_emitted_mass: float = 0.0
     marginals: List[dict] = field(default_factory=list)
+    tables: Dict[str, Tuple[List[str], List[tuple]]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,14 +171,6 @@ def _marginal_payload(t: float, measure: DiscreteMeasure) -> dict:
     }
 
 
-def _write_marginal_csvs(outdir: str, marginals: List[dict]) -> None:
-    for m in marginals:
-        dim = len(m["points"][0])
-        header = [f"x{i + 1}" for i in range(dim)] + ["weight"]
-        rows = [tuple(p) + (w,) for p, w in zip(m["points"], m["weights"])]
-        dataio.write_csv(os.path.join(outdir, f"marginal_t{m['t']:g}.csv"), header, rows)
-
-
 def _run_regress(config: RunConfig) -> ResultBundle:
     curve = curve_from_name(config.curve)
     _check_grids(config, ("data", "x0", "x1", "x2")[: 1 + curve.n_params], min_points=2)
@@ -190,10 +188,15 @@ def _run_regress(config: RunConfig) -> ResultBundle:
         objectives["true_w2"] = float(objective_true(result, dataset))
     entries, emitted = _sparse_entries(result.coupling.weights)
     marginals = []
+    tables = {}
+    header = [f"x{i + 1}" for i in range(dataset.dim)] + ["weight"]
     for t in config.query_times:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # extrapolation is flagged in the payload
-            marginals.append(_marginal_payload(float(t), marginal_at(result, float(t), dataset.grid)))
+            measure = marginal_at(result, float(t), dataset.grid)
+        marginals.append(_marginal_payload(float(t), measure))
+        points, weights = measure.grid.points.tolist(), measure.weights.tolist()
+        tables[f"marginal_t{float(t):g}.csv"] = (header, [(*p, w) for p, w in zip(points, weights)])
     return ResultBundle(
         command="regress",
         objectives=objectives,
@@ -208,6 +211,7 @@ def _run_regress(config: RunConfig) -> ResultBundle:
         coupling_entries=entries,
         coupling_emitted_mass=emitted,
         marginals=marginals,
+        tables=tables,
     )
 
 
@@ -271,7 +275,8 @@ def _run_gaussian(config: RunConfig) -> ResultBundle:
 
 
 def _run_gmm(config: RunConfig) -> ResultBundle:
-    atoms, rows = dataio.load_mixture_dataset(config.input)
+    basis, rows = dataio.load_mixture_dataset(config.input)
+    atoms = AtomSet.from_atoms(basis)
     horizon = max(r[0] for r in rows)
     if horizon > 1.0:
         rows = [(t / horizon, lam, w) for t, lam, w in rows]
@@ -343,8 +348,13 @@ def _run_invariant(config: RunConfig) -> ResultBundle:
             "weights": [float(w) for w in stationary.vector],
         }
     ]
+    columns, header = [centers, stationary.vector], ["center", "mass"]
     if 0.0 <= lo and hi <= 1.0:
-        bundle.diagnostics["arcsine_reference"] = [float(v) for v in arcsine_box_masses(partition)]
+        arcsine = arcsine_box_masses(partition)
+        bundle.diagnostics["arcsine_reference"] = [float(v) for v in arcsine]
+        columns.append(arcsine)
+        header.append("arcsine_mass")
+    bundle.tables["stationary.csv"] = (header, list(zip(*columns)))
     return bundle
 
 
@@ -380,9 +390,7 @@ def _run_generate(config: RunConfig) -> ResultBundle:
         dataio.write_sample_csv(config.output, rows)
     elif config.kind == "logistic":
         n_snap = config.snapshots if config.snapshots is not None else 6
-        rows = dataio.generate_logistic_rows(
-            r=config.r, n_snapshots=n_snap, n_particles=config.particles, seed=config.seed
-        )
+        rows = generate_logistic_rows(r=config.r, n_snapshots=n_snap, n_particles=config.particles, seed=config.seed)
         dataio.write_sample_csv(config.output, rows)
     elif config.kind == "mixture-toy":
         dataio.write_json(config.output, dataio.generate_mixture_toy())
@@ -492,18 +500,8 @@ def run(config: RunConfig) -> ResultBundle:
     if config.output and config.command != "generate":
         os.makedirs(config.output, exist_ok=True)
         dataio.write_json(os.path.join(config.output, "result.json"), bundle.to_json_dict())
-        if bundle.marginals and bundle.command in ("regress", "invariant"):
-            named = [m for m in bundle.marginals if m.get("t") is not None and "points" in m]
-            _write_marginal_csvs(config.output, named)
-        if bundle.command == "invariant":
-            centers = [p[0] for p in bundle.marginals[0]["points"]]
-            weights = bundle.marginals[0]["weights"]
-            rows = list(zip(centers, weights))
-            header = ["center", "mass"]
-            if "arcsine_reference" in bundle.diagnostics:
-                header.append("arcsine_mass")
-                rows = [r + (a,) for r, a in zip(rows, bundle.diagnostics["arcsine_reference"])]
-            dataio.write_csv(os.path.join(config.output, "stationary.csv"), header, rows)
+        for name, (header, rows) in bundle.tables.items():
+            dataio.write_csv(os.path.join(config.output, name), header, rows)
         if bundle.objectives:
             dataio.write_csv(
                 os.path.join(config.output, "objectives.csv"),

@@ -59,8 +59,6 @@ class SolverConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     param_grids: Optional[Sequence[SupportGrid]] = None
-    refine: bool = False  # second pass with grids re-centered on the first mode
-    refine_zoom: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -113,21 +111,10 @@ def fit(dataset: SnapshotDataset, curve: CurveClass, config: Optional[SolverConf
     if len(dataset) < 3:
         raise ValueError("curve regression needs at least 3 snapshots")
     grids = list(config.param_grids) if config.param_grids is not None else default_param_grids(dataset, curve)
-    result = _fit_on_grids(dataset, curve, grids, config)
-    if config.refine:
-        refined = _refine_grids(grids, result.coupling, config.refine_zoom)
-        second = _fit_on_grids(dataset, curve, refined, config)
-        if second.objective <= result.objective:
-            result = second
-    return result
-
-
-def _fit_on_grids(dataset, curve, grids, config) -> RegressionResult:
     kernels = build_kernels(dataset, curve, grids, config.epsilon)
     state = sinkhorn_solve(kernels, dataset, tol=config.tol, max_iter=config.max_iter)
-    coupling = extract_param_coupling(state)
     return RegressionResult(
-        coupling=coupling,
+        coupling=extract_param_coupling(state),
         curve=curve,
         objective=state.objective,
         iterations=state.iterations,
@@ -136,26 +123,6 @@ def _fit_on_grids(dataset, curve, grids, config) -> RegressionResult:
         converged=state.converged,
         state=state,
     )
-
-
-def _refine_grids(grids: Sequence[SupportGrid], coupling: ParamCoupling, zoom: float) -> List[SupportGrid]:
-    """Re-center each parameter grid on the coupling mode, shrinking the span.
-
-    Keeps the point count per grid; helps when the optimal parameters fall
-    between coarse grid points (the grid-richness caveat of the discrete
-    formulation).
-    """
-    mode = coupling.mode()  # (k, d)
-    out = []
-    for j, g in enumerate(grids):
-        pts = g.points
-        span = pts.max(axis=0) - pts.min(axis=0)
-        half = np.maximum(span * zoom / 2.0, 1e-12)
-        lo = mode[j] - half
-        hi = mode[j] + half
-        n_axis = int(round(len(g) ** (1.0 / g.dim)))
-        out.append(SupportGrid.tensor([np.linspace(lo[a], hi[a], n_axis) for a in range(g.dim)]))
-    return out
 
 
 def marginal_at(result: RegressionResult, t: float, output_grid: SupportGrid) -> DiscreteMeasure:

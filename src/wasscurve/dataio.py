@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .measures import (
     measure_from_samples,
     normalize_timestamps,
 )
-from .gmm_regression import AtomSet
-from .pfo_estimation import iterate_map_particles, logistic_map
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +66,17 @@ def _scan_rows(path: str, rows: Iterable[List[str]], n_fields: int, schema: str)
     return np.array(kept, dtype=float).reshape(-1, n_fields)
 
 
+def _csv_rows(path: str, fh) -> Iterator[List[str]]:
+    """The csv rows of an open file; undecodable bytes and over-long fields raise SchemaError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:  # met a decoding chunk ahead of the rows, past the last line read
+        raise SchemaError(f"{path}: bytes after line {reader.line_num} are not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """Parse a snapshot CSV; returns (schema, times (n,), weights (n,), positions (n, d)).
 
@@ -75,9 +84,9 @@ def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarr
     a malformed file is rejected at its first fault, with that line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip().lower() for h in header]
@@ -110,8 +119,9 @@ def read_snapshot_rows(path: str) -> Tuple[str, np.ndarray, np.ndarray, np.ndarr
             or (schema == "atoms" and (values[:, 1] < 0).any())
         ):
             fh.seek(0)
-            next(reader)  # past the header again
-            values = _scan_rows(path, reader, len(header), schema)
+            rows = _csv_rows(path, fh)  # a new reader: its line count restarts
+            next(rows)  # past the header again
+            values = _scan_rows(path, rows, len(header), schema)
     if not len(values):
         raise SchemaError(f"{path}: no data rows")
     if schema == "atoms":
@@ -172,6 +182,8 @@ def load_snapshots(
         measures = [measure_from_samples(positions[order[rows]], the_grid) for rows in groups]
     else:
         the_grid = grid if grid is not None else SupportGrid(np.unique(positions, axis=0))
+        if positions.shape[1] != the_grid.dim:
+            raise ValueError("point dimension does not match grid")
         atom_idx = _atom_indices(positions, the_grid)
         measures = []
         for t, rows in zip(distinct, groups):
@@ -208,7 +220,7 @@ def load_lambda_file(path: str) -> Dict[float, float]:
     """Per-timestamp regression weights from a 't,lambda' CSV."""
     out: Dict[float, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = [h.strip().lower() for h in next(reader, [])]
         if header != ["t", "lambda"]:
             raise SchemaError(f"{path}: lambda file header must be t,lambda")
@@ -227,8 +239,8 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def load_mixture_dataset(path: str):
-    """Gaussian-mixture dataset from JSON: (AtomSet, [(t, lambda, weights)]), all finite."""
+def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[Tuple[float, float, np.ndarray]]]:
+    """Gaussian-mixture dataset from JSON: (basis, [(t, lambda, weights)]), all finite, one weight >= 0 per atom."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -247,7 +259,12 @@ def load_mixture_dataset(path: str):
     flat = [x.ravel() for pair in arrays for x in pair] + [w.ravel() for _, _, w in rows] + [row[:2] for row in rows]
     if not np.isfinite(np.concatenate(flat)).all():
         raise SchemaError(f"{path}: mixture values must be finite numbers")
-    return AtomSet.from_atoms([GaussianMeasure(mean, cov) for mean, cov in arrays]), rows
+    for i, (_, _, w) in enumerate(rows):
+        if w.shape != (len(arrays),):
+            raise SchemaError(f"{path}: snapshot {i} needs one weight per basis atom ({len(arrays)}), got shape {w.shape}")
+        if (w < 0).any():
+            raise SchemaError(f"{path}: snapshot {i} has a negative weight")
+    return tuple(GaussianMeasure(mean, cov) for mean, cov in arrays), rows
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +287,6 @@ def generate_ou_rows(
     for t in np.linspace(0.1, 1.0, n_times):
         sigma = np.sqrt(2.0 * (1.0 - np.exp(-2.0 * t)))
         for x in rng.normal(0.0, sigma, size=n_samples):
-            rows.append((float(t), float(x)))
-    return rows
-
-
-def generate_logistic_rows(
-    r: float = 3.0,
-    n_snapshots: int = 6,
-    n_particles: int = 1000,
-    seed: int = 0,
-) -> List[Tuple[float, float]]:
-    """Particle snapshots of the logistic map from a uniform start on [0, 1]."""
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.0, 1.0, size=n_particles)
-    paths = iterate_map_particles(lambda x: logistic_map(x, r), x0, n_snapshots)
-    timestamps = np.arange(n_snapshots) / (n_snapshots - 1)
-    rows = []
-    for t, xs in zip(timestamps, paths):
-        for x in xs:
             rows.append((float(t), float(x)))
     return rows
 
@@ -338,12 +337,5 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_sample_csv(path: str, rows: Sequence[Tuple[float, float]], dim: int = 1) -> None:
-    header = ["t"] + [f"x{i + 1}" for i in range(dim)]
-    write_csv(path, header, [(t,) + tuple(np.atleast_1d(x)) for t, x in rows])
-
-
-def write_atom_csv(path: str, rows: Sequence[Tuple[float, float, np.ndarray]]) -> None:
-    dim = len(np.atleast_1d(rows[0][2]))
-    header = ["t", "weight"] + [f"x{i + 1}" for i in range(dim)]
-    write_csv(path, header, [(t, w) + tuple(np.atleast_1d(x)) for t, w, x in rows])
+def write_sample_csv(path: str, rows: Sequence[Tuple[float, float]]) -> None:
+    write_csv(path, ["t", "x1"], [(t,) + tuple(np.atleast_1d(x)) for t, x in rows])

@@ -173,25 +173,12 @@ class GaussianCouplingBlocks:
     fixed_mask: np.ndarray  # boolean, marks the data diagonal blocks
     diagnostics: SdpDiagnostics
 
-    def _block(self, a: int, b: int) -> np.ndarray:
-        d = self.d
-        return self.matrix[a * d : (a + 1) * d, b * d : (b + 1) * d]
-
-    def param_block(self, i: int, j: int) -> np.ndarray:
-        """Covariance block between curve parameters i and j (i, j < k)."""
-        if not (0 <= i < self.k and 0 <= j < self.k):
-            raise IndexError("parameter block index out of range")
-        return self._block(i, j)
-
     def data_block(self, i: int) -> np.ndarray:
         """Fixed covariance block of snapshot i."""
         if not 0 <= i < self.n_snapshots:
             raise IndexError("snapshot index out of range")
-        return self._block(self.k + i, self.k + i)
-
-    def cross_block(self, param: int, snapshot: int) -> np.ndarray:
-        """Cross-covariance between curve parameter and snapshot marginal."""
-        return self._block(param, self.k + snapshot)
+        lo = (self.k + i) * self.d
+        return self.matrix[lo : lo + self.d, lo : lo + self.d]
 
     def parameter_covariance(self) -> np.ndarray:
         """Top-left (k d) x (k d) block: the law of the curve parameters."""

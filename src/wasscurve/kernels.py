@@ -12,6 +12,8 @@ sweep needs, phi_j = K_j^T w and m_j = K_j a_j: bound ndarray.dot calls on
 the dense kernels, or two matrix products per snapshot on the factors.
 """
 
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -239,7 +241,9 @@ def build_kernels(
     FactoredKernelSet; otherwise the N arrays of shape (P, |X|) are written
     into one buffer of squared distances that then becomes the log kernels
     in place. Each snapshot's cost is shifted by its minimum before
-    exponentiation, so kernel entries lie in (0, 1].
+    exponentiation, so kernel entries lie in (0, 1]. A dense buffer larger
+    than the machine's physical memory is a ValueError, raised before any
+    allocation.
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -247,11 +251,18 @@ def build_kernels(
     for g in grids:
         if g.dim != dataset.dim:
             raise ValueError("parameter grids must match the data dimension")
-    stack = param_tuple_stack(grids)  # (P, k, d)
     support = dataset.grid.points  # (|X|, d)
     coefficients = np.array([curve.coefficients(t) for t in dataset.timestamps])
     # a negative coefficient (t > 1) would give factors above 1
-    if dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0:
+    factored = dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0
+    if not factored:
+        need = len(dataset) * math.prod(len(g) for g in grids) * len(support) * 8  # the (N, P, |X|) buffer
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(f"the dense kernels need {need / 2**30:.1f} GiB, more than this machine's "
+                             f"{have / 2**30:.1f} GiB of memory; use coarser grids")
+    stack = param_tuple_stack(grids)  # (P, k, d)
+    if factored:
         return _factored_kernels(dataset, curve, grids, stack, coefficients, epsilon)
     return _kernels_in_place(_curve_costs(curve, dataset.timestamps, stack, support), dataset.lambdas, epsilon, grids)
 

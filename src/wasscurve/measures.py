@@ -47,15 +47,6 @@ class SupportGrid:
         return self.points.shape[0]
 
     @classmethod
-    def uniform_1d(cls, lo: float, hi: float, n: int) -> "SupportGrid":
-        """Evenly spaced 1D grid of n points on [lo, hi]."""
-        if not hi > lo:
-            raise ValueError("need hi > lo")
-        if n < 1:
-            raise ValueError("need at least one point")
-        return cls(np.linspace(lo, hi, n)[:, None])
-
-    @classmethod
     def tensor(cls, axes: Sequence[np.ndarray]) -> "SupportGrid":
         """Tensor-product grid of 1D axes, one per dimension; the last axis varies fastest."""
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -7,9 +7,9 @@ stationary vector. The logistic map supplies the reference experiments.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,6 +122,24 @@ def snapshots_from_map(
     return SnapshotDataset(timestamps, tuple(measures), lambdas, 1.0, 1.0)
 
 
+def generate_logistic_rows(
+    r: float = 3.0,
+    n_snapshots: int = 6,
+    n_particles: int = 1000,
+    seed: int = 0,
+) -> List[Tuple[float, float]]:
+    """Particle snapshots of the logistic map from a uniform start on [0, 1]."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0.0, 1.0, size=n_particles)
+    paths = iterate_map_particles(lambda x: logistic_map(x, r), x0, n_snapshots)
+    timestamps = np.arange(n_snapshots) / (n_snapshots - 1)
+    rows = []
+    for t, xs in zip(timestamps, paths):
+        for x in xs:
+            rows.append((float(t), float(x)))
+    return rows
+
+
 def estimate_transition(dataset: SnapshotDataset, config: Optional[SolverConfig] = None) -> TransitionMatrix:
     """Estimate the transition matrix from snapshots via linear-curve regression.
 
@@ -135,14 +153,7 @@ def estimate_transition(dataset: SnapshotDataset, config: Optional[SolverConfig]
         raise ValueError("transition estimation needs at least 3 snapshots; with 2 any coupling is optimal")
     config = config or SolverConfig(epsilon=0.05)
     if config.param_grids is None:
-        grid = dataset.grid
-        config = SolverConfig(
-            epsilon=config.epsilon,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            param_grids=(grid, grid),
-            refine=False,
-        )
+        config = replace(config, param_grids=(dataset.grid, dataset.grid))
     result: RegressionResult = fit(dataset, LINEAR, config)
     pi = result.coupling.weights  # (n, n): mass from t=0 box to t=1 box
     source = pi.sum(axis=1)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import oracles
 from wasscurve import cli, dataio
 from wasscurve.dataio import SchemaError
-from wasscurve.gmm_regression import fit_mixture_curve
+from wasscurve.gmm_regression import AtomSet, fit_mixture_curve
+from wasscurve.pfo_estimation import generate_logistic_rows
 from wasscurve.two_marginal import two_marginal_w2
 
 
@@ -99,8 +100,8 @@ class TestGenerators:
             assert np.var(xs) == pytest.approx(target, rel=0.15)
 
     def test_logistic_rows_deterministic(self):
-        a = dataio.generate_logistic_rows(r=4.0, n_snapshots=3, n_particles=50, seed=5)
-        b = dataio.generate_logistic_rows(r=4.0, n_snapshots=3, n_particles=50, seed=5)
+        a = generate_logistic_rows(r=4.0, n_snapshots=3, n_particles=50, seed=5)
+        b = generate_logistic_rows(r=4.0, n_snapshots=3, n_particles=50, seed=5)
         assert a == b
 
     def test_mixture_toy_schema(self):
@@ -122,7 +123,7 @@ class TestGenerators:
 class TestRunRegress:
     def make_input(self, tmp_path):
         p = tmp_path / "in.csv"
-        rows = dataio.generate_logistic_rows(r=3.0, n_snapshots=4, n_particles=400, seed=0)
+        rows = generate_logistic_rows(r=3.0, n_snapshots=4, n_particles=400, seed=0)
         dataio.write_sample_csv(str(p), rows)
         return p
 
@@ -272,7 +273,7 @@ class TestRunGaussianAndGmm:
 class TestRunInvariant:
     def test_r3_defaults_peak_near_fixed_point(self, tmp_path):
         src = tmp_path / "log.csv"
-        dataio.write_sample_csv(str(src), dataio.generate_logistic_rows(r=3.0, n_snapshots=6, n_particles=1000, seed=0))
+        dataio.write_sample_csv(str(src), generate_logistic_rows(r=3.0, n_snapshots=6, n_particles=1000, seed=0))
         out = tmp_path / "out"
         bundle = cli.run(cli.RunConfig(command="invariant", input=str(src), output=str(out), epsilon=0.05))
         weights = np.asarray(bundle.marginals[0]["weights"])
@@ -281,7 +282,7 @@ class TestRunInvariant:
 
     def test_invariant_writes_stationary_csv(self, tmp_path):
         src = tmp_path / "log.csv"
-        dataio.write_sample_csv(str(src), dataio.generate_logistic_rows(r=3.0, n_snapshots=4, n_particles=300, seed=0))
+        dataio.write_sample_csv(str(src), generate_logistic_rows(r=3.0, n_snapshots=4, n_particles=300, seed=0))
         out = tmp_path / "out"
         bundle = cli.run(cli.RunConfig(
             command="invariant", input=str(src), output=str(out),
@@ -396,7 +397,7 @@ class TestRowOrder:
     @given(st.randoms(use_true_random=False))
     def test_regress_and_invariant(self, tmp_path_factory, rnd):
         workdir = tmp_path_factory.mktemp("order")
-        rows = dataio.generate_logistic_rows(r=4.0, n_snapshots=4, n_particles=150, seed=3)
+        rows = generate_logistic_rows(r=4.0, n_snapshots=4, n_particles=150, seed=3)
         shuffled = list(rows)
         rnd.shuffle(shuffled)  # timestamps interleave
         for argv in (["regress", "--epsilon", "0.1", "--query-times", "0,0.5"], ["invariant", "--boxes", "20"]):
@@ -469,6 +470,8 @@ DROPPED_FLAGS = [
 
 # the mixture toy as `generate mixture-toy` writes it, for the malformed mixture cases below
 MIXTURE_TOY = json.dumps(dataio.generate_mixture_toy(), sort_keys=True, separators=(",", ":"))
+# five snapshots of 200 points in the plane: the default 50-per-axis grid would need 582 GiB of dense kernels
+PLANE_SAMPLES = "t,x1,x2\n" + "".join(f"{t},{i * 37 % 200 / 200},{i * 91 % 200 / 200}\n" for t in range(5) for i in range(200))
 
 # argv ({input}: the file holding `content`; {samples}: a well-formed samples CSV), content, exit code, and
 # a text that stderr must hold
@@ -487,9 +490,21 @@ MALFORMED_INPUTS = [
     (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,", '["x",'), 3,
      "could not convert string to float: 'x'"),
     (["gmm", "--input", "{input}"], MIXTURE_TOY.split(',"snapshots"')[0] + ',"snapshots":[]}', 3, "input: no snapshots"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,0.2,0.07,0.03]", "[0.5,0.5,0.0]"), 3,
+     "input: snapshot 0 needs one weight per basis atom (4), got shape (3,)"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,0.2,0.07,0.03]", "[0.9,0.2,-0.1,0.0]"), 3,
+     "input: snapshot 0 has a negative weight"),
     (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
      "header"),
     (["regress", "--input", "{input}"], "t,weight,x1\n0,0.5,0.0\n0,0.4,1.0\n", 3, "sum to"),
+    (["regress", "--input", "{input}"], b"t,x1\n0,0.5\n1,\xff\n", 3, "input: bytes after line 0 are not UTF-8"),
+    (["regress", "--input", "{input}"], "t,x1\n0,0.5\n1,x" + "0" * 140000 + "\n", 3,
+     "input:3: field larger than field limit"),
+    (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], b"t,lambda\n0,\xff\n", 3,
+     "input: bytes after line 0 are not UTF-8 (invalid start byte)"),
+    (["regress", "--input", "{input}"], PLANE_SAMPLES, 4, "the dense kernels need 582.1 GiB"),
+    (["distance", "--input-a", "{input}", "--input-b", "{input}", "--grid", "0:1:5"], "t,weight,x1,x2\n0,1,0.2,0.3\n", 4,
+     "point dimension does not match grid"),
     (["invariant", "--input", "{samples}", "--domain", "1:0"], None, 4, "hi > lo"),
     (["invariant", "--input", "{samples}", "--domain", "0"], None, 4, "--domain"),
     (["regress", "--input", "{samples}", "--query-times", "0,a"], None, 4, "--query-times"),
@@ -535,8 +550,8 @@ class TestSparseEntries:
 
     def test_gmm_coupling(self, tmp_path):
         write(tmp_path / "toy.json", MIXTURE_TOY)
-        atoms, rows = dataio.load_mixture_dataset(str(tmp_path / "toy.json"))
-        _assert_same_entries(fit_mixture_curve(rows, atoms, epsilon=0.07, tol=1e-8, max_iter=30000).coupling.w)
+        basis, rows = dataio.load_mixture_dataset(str(tmp_path / "toy.json"))
+        _assert_same_entries(fit_mixture_curve(rows, AtomSet.from_atoms(basis), epsilon=0.07, tol=1e-8, max_iter=30000).coupling.w)
 
 
 class TestMalformedInput:
@@ -548,7 +563,7 @@ class TestMalformedInput:
     def test_exit_category(self, tmp_path, capsys, argv, content, code, message):
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
         if content is not None:
-            write(tmp_path / "input", content)
+            (tmp_path / "input").write_bytes(content if isinstance(content, bytes) else content.encode())
         paths = {"input": str(tmp_path / "input"), "samples": str(tmp_path / "samples.csv")}
         assert _exit_code([arg.format(**paths) for arg in argv]) == code
         assert message in capsys.readouterr().err

@@ -148,22 +148,6 @@ class TestFit:
         with pytest.raises(ValueError, match="normalize"):
             fit(raw, LINEAR)
 
-    def test_refinement_does_not_hurt(self):
-        grid = grid_1d(np.linspace(0, 1, 6))
-        ds = dirac_dataset([0.0, 0.5, 1.0], [0.1, 0.5, 0.7], grid)
-        base = fit(ds, LINEAR, SolverConfig(epsilon=0.01, tol=1e-9))
-        refined = fit(ds, LINEAR, SolverConfig(epsilon=0.01, tol=1e-9, refine=True))
-        assert refined.objective <= base.objective + 1e-12
-
-    def test_refinement_improves_off_grid_optimum(self):
-        # the least-squares line of this V pattern runs 0.125 -> 0.375, with
-        # both endpoints between the coarse grid points
-        grid = grid_1d(np.linspace(0, 1, 5))  # spacing 0.25
-        ds = dirac_dataset([0.0, 0.5, 1.0], [0.0, 0.5, 0.25], grid)
-        base = fit(ds, LINEAR, SolverConfig(epsilon=1e-3, tol=1e-9))
-        refined = fit(ds, LINEAR, SolverConfig(epsilon=1e-3, tol=1e-9, refine=True))
-        assert refined.objective < base.objective
-
 
 class TestDefaultParamGrids:
     def test_linear_reuses_data_grid(self):

@@ -1,5 +1,6 @@
 """The array snapshot loader against the row-by-row loader it replaced (tests/oracles.py)."""
 
+import ast
 import json
 
 import numpy as np
@@ -205,7 +206,8 @@ class TestAgainstRowLoader:
         assert _call(dataio.read_snapshot_rows, str(p))[1] == ("SchemaError", f"{p}:3: cannot parse 'oops' as a number")
         clean = tmp_path / "enc_only.csv"
         clean.write_bytes(body.replace("oops", "0.75").encode() + b"1,\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        # the loader names the file and the last line it decoded; the row loader lets the codec error escape
+        with pytest.raises(SchemaError, match=r"enc_only.csv: bytes after line \d+ are not UTF-8 \(invalid start byte\)$"):
             dataio.read_snapshot_rows(str(clean))
         with pytest.raises(UnicodeDecodeError):
             oracles.read_snapshot_rows(str(clean))
@@ -245,3 +247,22 @@ def test_write_json_is_the_compact_sorted_dump(tmp_path_factory, doc):
     raw = path.read_bytes()
     assert raw == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     assert json.loads(raw) == doc
+
+
+def test_dataio_imports_only_measures():
+    """The file layer sits below the solvers: of its own package it imports the measures module alone."""
+    with open(dataio.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    from_package = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("wasscurve"))
+    ]
+    from_package += [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("wasscurve")
+    ]
+    assert from_package == [".measures"]
