@@ -428,7 +428,10 @@ def _parse_domain(text: str) -> Tuple[float, float]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"expected LO:HI (got {text!r})")
-    return float(lo), float(hi)
+    bounds = float(lo), float(hi)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"LO and HI must be finite (got {text!r})")
+    return bounds
 
 
 # Config field -> (option string, add_argument keywords, parser of the flag's
@@ -511,12 +514,17 @@ def run(config: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The CLI parser. Given the command line, it adds flags only to the command it names (when
+    argv[0] is one); every command's subparser is still there, so help and errors read the same."""
     parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    invoked = argv[0] if argv and argv[0] in COMMANDS else None
     for command, spec in COMMANDS.items():
         # a flag left out is absent from the parsed namespace, and RunConfig fills in its default
         p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS)
+        if invoked not in (None, command):
+            continue
         for name, default in spec.defaults.items():
             option, kwargs = spec.option(name), _FLAGS[name][1]
             if option.startswith("--"):
@@ -546,8 +554,8 @@ def _configure_logging() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         config = config_from_args(args)
         bundle = run(config)

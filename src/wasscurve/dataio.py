@@ -240,7 +240,12 @@ def _reject_constant(name: str):
 
 
 def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[Tuple[float, float, np.ndarray]]]:
-    """Gaussian-mixture dataset from JSON: (basis, [(t, lambda, weights)]), all finite, one weight >= 0 per atom."""
+    """Gaussian-mixture dataset from JSON: (basis, [(t, lambda, weights)]).
+
+    Every value is finite, every basis atom a valid Gaussian, each snapshot's
+    weights (one >= 0 per atom) sum to 1 and the lambdas are positive and sum
+    to 1, within WEIGHT_TOL; anything else raises SchemaError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -259,12 +264,25 @@ def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[T
     flat = [x.ravel() for pair in arrays for x in pair] + [w.ravel() for _, _, w in rows] + [row[:2] for row in rows]
     if not np.isfinite(np.concatenate(flat)).all():
         raise SchemaError(f"{path}: mixture values must be finite numbers")
-    for i, (_, _, w) in enumerate(rows):
+    for i, (_, lam, w) in enumerate(rows):
         if w.shape != (len(arrays),):
             raise SchemaError(f"{path}: snapshot {i} needs one weight per basis atom ({len(arrays)}), got shape {w.shape}")
         if (w < 0).any():
             raise SchemaError(f"{path}: snapshot {i} has a negative weight")
-    return tuple(GaussianMeasure(mean, cov) for mean, cov in arrays), rows
+        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+            raise SchemaError(f"{path}: snapshot {i} weights must sum to 1 (got {float(w.sum())!r})")
+        if lam <= 0:
+            raise SchemaError(f"{path}: snapshot {i} needs a positive lambda (got {lam!r})")
+    total = sum(lam for _, lam, _ in rows)
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise SchemaError(f"{path}: snapshot lambdas must sum to 1 (got {total!r})")
+    basis = []
+    for j, (mean, cov) in enumerate(arrays):
+        try:
+            basis.append(GaussianMeasure(mean, cov))
+        except ValueError as exc:  # a covariance of the wrong shape, asymmetric or not PSD
+            raise SchemaError(f"{path}: basis atom {j}: {exc}") from None
+    return tuple(basis), rows
 
 
 # ---------------------------------------------------------------------------

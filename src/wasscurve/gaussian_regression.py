@@ -9,6 +9,7 @@ a PSD projection, re-imposition of the data blocks, and a dual update.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -285,19 +286,29 @@ def fit_gaussian_sdp(
     z = project_psd(x)
     u = np.zeros_like(x)
 
+    # x + u, the projection's input, stays bitwise symmetric: x is symmetrized, z comes
+    # out of project_psd symmetrized, and u is their sums and differences, halved or doubled
+    fixed_idx = np.flatnonzero(fixed_mask)
+    fixed_flat = fixed_values.ravel()[fixed_idx]
     primal = dual = np.inf
     it = 0
     rho = 1.0  # proximal weight, rescaled adaptively; the diagnostics report its final value
+    step = weight / rho
     for it in range(1, max_iter + 1):
-        x = z - u - weight / rho
-        x[fixed_mask] = fixed_values[fixed_mask]
+        x = z - u - step
+        x.flat[fixed_idx] = fixed_flat
         x = (x + x.T) / 2
         z_prev = z
-        z = project_psd(x + u)
-        u = u + x - z
-        primal = float(np.linalg.norm(x - z))
-        dual = float(rho * np.linalg.norm(z - z_prev))
-        scale = tol * (1.0 + float(np.linalg.norm(z)))
+        xu = x + u  # bitwise u + x: float addition commutes exactly
+        z = project_psd(xu)
+        u = xu - z
+        # Frobenius norms the way np.linalg.norm takes them (ravel "K", dot, sqrt), without its wrapper
+        r = (x - z).ravel("K")
+        primal = math.sqrt(r.dot(r))
+        r = (z - z_prev).ravel("K")
+        dual = rho * math.sqrt(r.dot(r))
+        r = z.ravel("K")
+        scale = tol * (1.0 + math.sqrt(r.dot(r)))
         if primal <= scale and dual <= scale:
             break
         if it % 50 == 0:
@@ -307,6 +318,7 @@ def fit_gaussian_sdp(
             elif dual > 10.0 * primal:
                 rho /= 2.0
                 u *= 2.0
+            step = weight / rho
     else:
         raise SolverError(
             f"gaussian SDP did not converge in {max_iter} iterations "

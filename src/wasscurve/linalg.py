@@ -1,9 +1,10 @@
 """Dense symmetric-matrix kernels: eigendecomposition, PSD square root, PSD projection.
 
 Inputs are plain square ndarrays; every routine validates symmetry to 1e-12
-relative before touching the spectrum. Backed by LAPACK via numpy.linalg.eigh,
-which is unconditionally stable for symmetric input at the matrix orders used
-here (a few hundred at most).
+relative before touching the spectrum; bitwise-symmetric input (every ADMM
+step's) passes as it is. Backed by LAPACK via numpy.linalg.eigh, which is
+unconditionally stable for symmetric input at the matrix orders used here (a
+few hundred at most).
 """
 
 from typing import Tuple
@@ -16,8 +17,10 @@ PSD_EIG_TOL = 1e-10
 
 def _as_symmetric(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError("expected a non-empty square matrix")
+    if m.tobytes() == m.T.tobytes():  # bitwise symmetric, signed zeros included: (m + m.T) / 2 would be m
+        return m
     scale = max(np.abs(m).max(), 1.0)
     if np.abs(m - m.T).max() > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
@@ -53,12 +56,12 @@ def project_psd(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero.
 
     Subtracts the negative eigenpairs from the symmetrized input, which costs
-    one product over those pairs only.
+    one product over those pairs only. The result is a new array, never ``a``.
     """
     m = _as_symmetric(a)
     w, v = np.linalg.eigh(m)  # ascending: the negative eigenvalues come first
     if w[0] >= 0:
-        return m
+        return m.copy()  # m may be the caller's own array
     n_neg = int(np.searchsorted(w, 0.0))
     v_neg = v[:, :n_neg]
     out = m - (v_neg * w[:n_neg]) @ v_neg.T

@@ -72,7 +72,7 @@ class DiscreteMeasure:
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
+            raise ValueError(f"weights must sum to 1 (got {float(w.sum())!r})")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property

@@ -14,7 +14,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
-from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared
+from wasscurve.gaussian_regression import _objective_matrix, gaussian_geodesic, w2_gaussian, w2_gaussian_squared
+from wasscurve.linalg import SYM_TOL
 from wasscurve.measures import (
     DiscreteMeasure,
     SnapshotDataset,
@@ -23,6 +24,7 @@ from wasscurve.measures import (
     normalize_timestamps,
 )
 from wasscurve.kernels import kernels_from_costs, param_tuple_stack
+from wasscurve.mm_sinkhorn import SolverError
 
 
 def dense_coupling_tensor(kernels, log_potentials):
@@ -336,3 +338,84 @@ def sparse_entries(weights: np.ndarray, threshold: float) -> Tuple[List[list], f
     entries = [[int(i) for i in row] + [float(weights[tuple(row)])] for row in idx]
     emitted = float(sum(e[-1] for e in entries))
     return entries, emitted
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian SDP's ADMM loop, kept as written before the loop-invariant work
+# left it, on a PSD projection that validates and symmetrizes every input.
+# ---------------------------------------------------------------------------
+
+
+def _as_symmetric_reference(a: np.ndarray) -> np.ndarray:
+    """Validate symmetry to 1e-12 relative, then symmetrize: no exact-symmetry shortcut."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.T).max() > SYM_TOL * scale:
+        raise ValueError("matrix is not symmetric")
+    return (m + m.T) / 2
+
+
+def _project_psd_reference(a: np.ndarray) -> np.ndarray:
+    m = _as_symmetric_reference(a)
+    w, v = np.linalg.eigh(m)
+    if w[0] >= 0:
+        return m
+    n_neg = int(np.searchsorted(w, 0.0))
+    v_neg = v[:, :n_neg]
+    out = m - (v_neg * w[:n_neg]) @ v_neg.T
+    return (out + out.T) / 2
+
+
+def gaussian_sdp_admm(data, curve, tol, max_iter):
+    """fit_gaussian_sdp's ADMM solve: (matrix, iterations, primal, dual, rho); SolverError past max_iter."""
+    timestamps = np.array([float(row[0]) for row in data])
+    lambdas = np.array([float(row[1]) for row in data])
+    covs = [np.atleast_2d(np.asarray(row[2], dtype=float)) for row in data]
+    n = len(covs)
+    d = covs[0].shape[0]
+    k = curve.n_params
+    size = (k + n) * d
+    weight = _objective_matrix(timestamps, lambdas, curve, d)
+
+    fixed_mask = np.zeros((size, size), dtype=bool)
+    fixed_values = np.zeros((size, size))
+    for i, c in enumerate(covs):
+        sl = slice((k + i) * d, (k + i + 1) * d)
+        fixed_mask[sl, sl] = True
+        fixed_values[sl, sl] = c
+
+    avg = sum(covs) / n
+    x = fixed_values.copy()
+    for j in range(k):
+        sl = slice(j * d, (j + 1) * d)
+        x[sl, sl] = avg
+    z = _project_psd_reference(x)
+    u = np.zeros_like(x)
+
+    primal = dual = np.inf
+    it = 0
+    rho = 1.0
+    for it in range(1, max_iter + 1):
+        x = z - u - weight / rho
+        x[fixed_mask] = fixed_values[fixed_mask]
+        x = (x + x.T) / 2
+        z_prev = z
+        z = _project_psd_reference(x + u)
+        u = u + x - z
+        primal = float(np.linalg.norm(x - z))
+        dual = float(rho * np.linalg.norm(z - z_prev))
+        scale = tol * (1.0 + float(np.linalg.norm(z)))
+        if primal <= scale and dual <= scale:
+            break
+        if it % 50 == 0:
+            if primal > 10.0 * dual:
+                rho *= 2.0
+                u /= 2.0
+            elif dual > 10.0 * primal:
+                rho /= 2.0
+                u *= 2.0
+    else:
+        raise SolverError(f"gaussian SDP did not converge in {max_iter} iterations")
+    return x, it, primal, dual, rho

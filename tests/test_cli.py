@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -494,6 +495,16 @@ MALFORMED_INPUTS = [
      "input: snapshot 0 needs one weight per basis atom (4), got shape (3,)"),
     (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,0.2,0.07,0.03]", "[0.9,0.2,-0.1,0.0]"), 3,
      "input: snapshot 0 has a negative weight"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[0.7,0.2,0.07,0.03]", "[0.5,0.1,0.1,0.1]"), 3,
+     "input: snapshot 0 weights must sum to 1 (got 0.7999999999999999)"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace('"t":0.1', '"lambda":-1,"t":0.1'), 3,
+     "input: snapshot 0 needs a positive lambda (got -1.0)"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace('"t":0.1', '"lambda":0.5,"t":0.1'), 3,
+     "input: snapshot lambdas must sum to 1 (got 1.25)"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[[0.16000000000000003]]", "[[-1.0]]"), 3,
+     "input: basis atom 0: covariance must be positive semi-definite"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[[0.16000000000000003]]", "[[1.0,0.0]]"), 3,
+     "input: basis atom 0: covariance must be d x d"),
     (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
      "header"),
     (["regress", "--input", "{input}"], "t,weight,x1\n0,0.5,0.0\n0,0.4,1.0\n", 3, "sum to"),
@@ -507,6 +518,8 @@ MALFORMED_INPUTS = [
      "point dimension does not match grid"),
     (["invariant", "--input", "{samples}", "--domain", "1:0"], None, 4, "hi > lo"),
     (["invariant", "--input", "{samples}", "--domain", "0"], None, 4, "--domain"),
+    (["invariant", "--input", "{samples}", "--domain=-inf:1"], None, 4, "--domain: LO and HI must be finite (got '-inf:1')"),
+    (["invariant", "--input", "{samples}", "--domain=0:inf"], None, 4, "--domain: LO and HI must be finite (got '0:inf')"),
     (["regress", "--input", "{samples}", "--query-times", "0,a"], None, 4, "--query-times"),
     (["regress", "--input", "{samples}", "--query-times", "0,nan"], None, 4, "times must be finite (got '0,nan')"),
     (["regress", "--input", "{samples}", "--grid", "0:nan:5"], None, 4, "must be finite (got '0:nan:5')"),
@@ -666,6 +679,60 @@ def test_readme_flag_table_matches_the_parser():
     options = {s for p in subparsers.values() for a in p._actions for s in a.option_strings}
     mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
     assert mentioned <= options, sorted(mentioned - options)  # no prose about a flag that no command takes
+
+
+def _readme_examples():
+    """The wasscurve command lines of the README's CLI section, without the program name."""
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("wasscurve ")]
+
+
+# command lines that argparse rejects (exit 2), beside the dropped flags above
+PARSER_ERRORS = [[], ["nope"], ["--input", "x.csv"], ["regress"], ["regress", "--input"], ["regress", "x.csv"],
+                 ["regress", "--input", "x.csv", "--curve", "cubic"], ["gmm", "--input", "x.json", "--max-iter", "1.5"],
+                 ["generate", "bogus", "--output", "x"], ["distance", "--input", "a.csv"]] + [
+    [command, flag, value] for command, flag, value in DROPPED_FLAGS]
+
+
+class TestOneCommandParser:
+    """The parser main() builds holds the flags of the invoked command only; it parses as the full one does."""
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_readme_examples_parse_the_same(self, argv):
+        assert cli._build_parser(argv).parse_args(argv) == cli._build_parser().parse_args(argv)
+
+    def test_other_commands_get_no_flags(self):
+        subparsers = next(a for a in cli._build_parser(["gmm"])._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(cli.COMMANDS)
+        assert [len(p._actions) for p in subparsers.choices.values()] == [
+            1 + len(spec.defaults) if name == "gmm" else 1 for name, spec in cli.COMMANDS.items()]
+
+    def test_main_builds_the_invoked_command_only(self, monkeypatch, tmp_path):
+        built, full = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv=None: built.append(argv) or full(argv))
+        argv = ["generate", "mixture-toy", "--output", str(tmp_path / "mix.json")]
+        assert cli.main(argv) == 0
+        assert built == [argv]
+
+    @pytest.mark.parametrize("argv", PARSER_ERRORS, ids=" ".join)
+    def test_errors_print_the_same(self, capsys, argv):
+        printed = []
+        for parser in (cli._build_parser(argv), cli._build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 2 and printed[0][1].err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gmm", "--help"], ["generate", "-h"]], ids=" ".join)
+    def test_help_prints_the_same(self, capsys, argv):
+        printed = []
+        for parser in (cli._build_parser(argv), cli._build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 def test_cli_import_loads_no_scipy():

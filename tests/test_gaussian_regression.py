@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wasscurve import gaussian_regression
 from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.gaussian_regression import (
     _nnls_two_columns,
@@ -12,6 +13,7 @@ from wasscurve.gaussian_regression import (
     fit_gaussian_sdp,
     gaussian_1d_parametric_oracle,
     gaussian_geodesic,
+    project_psd,
     w2_gaussian,
     w2_gaussian_squared,
 )
@@ -219,6 +221,60 @@ class TestFitGaussianSdp:
     def test_nonconvergence_raises(self):
         with pytest.raises(SolverError, match="did not converge"):
             fit_gaussian_sdp(ou_data(), LINEAR, max_iter=3)
+
+
+def random_gaussian_data(seed, d, n):
+    """n snapshots at random times in [0, 1], random weights summing to 1, random positive definite covariances."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.1, 1.0, n)
+    out = []
+    for t, lam in zip(rng.uniform(0.0, 1.0, n), lams / lams.sum()):
+        g = rng.standard_normal((d, d))
+        out.append((t, lam, g @ g.T + 0.1 * np.eye(d)))
+    return out
+
+
+class TestAdmmLoop:
+    """The ADMM loop against the one of tests/oracles.py, which validates and symmetrizes every projection input."""
+
+    MAX_ITER = 2000
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        curve=st.sampled_from([LINEAR, QUADRATIC]),
+        n=st.integers(1, 6),
+        tol=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+    )
+    def test_bit_equal_to_the_reference_loop(self, seed, d, curve, n, tol):
+        data = random_gaussian_data(seed, d, n)
+        try:
+            matrix, iterations, primal, dual, rho = oracles.gaussian_sdp_admm(data, curve, tol, self.MAX_ITER)
+        except SolverError:
+            with pytest.raises(SolverError):
+                fit_gaussian_sdp(data, curve, tol=tol, max_iter=self.MAX_ITER)
+            return
+        blocks, _ = fit_gaussian_sdp(data, curve, tol=tol, max_iter=self.MAX_ITER)
+        assert np.array_equal(blocks.matrix, matrix)
+        diag = blocks.diagnostics
+        assert (diag.iterations, diag.primal_residual, diag.dual_residual, diag.rho) == (iterations, primal, dual, rho)
+
+    @pytest.mark.parametrize("data, curve", [
+        (ou_data(8), QUADRATIC),
+        (random_gaussian_data(5, 2, 4), LINEAR),
+    ], ids=["ou-quadratic", "2d-linear"])
+    def test_every_projection_input_is_bitwise_symmetric(self, monkeypatch, data, curve):
+        inputs = []
+
+        def recording(a):
+            inputs.append(np.array(a))
+            return project_psd(a)
+
+        monkeypatch.setattr(gaussian_regression, "project_psd", recording)
+        blocks, _ = fit_gaussian_sdp(data, curve, tol=1e-6)
+        assert len(inputs) == blocks.diagnostics.iterations + 1  # the warm start, then one per step
+        assert all(m.tobytes() == m.T.tobytes() for m in inputs[1:])
 
 
 class TestParametricOracle:

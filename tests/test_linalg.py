@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wasscurve.linalg import inv_sqrtm_pd, project_psd, sqrtm_psd, sym_eig
+import oracles
+from wasscurve.linalg import _as_symmetric, inv_sqrtm_pd, project_psd, sqrtm_psd, sym_eig
 
 
 def random_psd(rng, n):
@@ -115,3 +118,52 @@ class TestInvSqrtmPd:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             inv_sqrtm_pd(np.diag([1.0, 0.0]))
+
+
+def _symmetric_matrices(bound):
+    """Bitwise-symmetric matrices: the upper triangle mirrored bit for bit, signed zeros and subnormals included,
+    entries within +-bound."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-bound, bound))
+    return st.integers(1, 6).flatmap(lambda n: st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda values: np.array(values).reshape(n, n))).map(lambda a: np.where(np.triu(np.ones(a.shape, bool)), a, a.T))
+
+
+class TestSymmetryCheck:
+    """Bitwise-symmetric input skips validation and symmetrization; anything else still gets both."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_symmetric_matrices(1e300))  # m + m.T overflows only above 8.9e307
+    def test_symmetric_input_is_returned_as_its_symmetrization(self, m):
+        assert _as_symmetric(m).tobytes() == ((m + m.T) / 2).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_symmetric_matrices(1e6))  # eigh stops converging on wider spreads of magnitude
+    def test_projection_matches_the_validating_one(self, m):
+        assert project_psd(m).tobytes() == oracles._project_psd_reference(m).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])  # relative to the largest entry, or to 1 below it
+    def test_asymmetry_above_the_tolerance_raises(self, scale):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-11, 3.0]]) * scale
+        for routine in (sym_eig, sqrtm_psd, inv_sqrtm_pd, project_psd):
+            with pytest.raises(ValueError, match="not symmetric"):
+                routine(m)
+
+    def test_empty_matrix_raises(self):
+        for routine in (sym_eig, sqrtm_psd, inv_sqrtm_pd, project_psd):
+            with pytest.raises(ValueError):
+                routine(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("low, up", [(1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0), (-0.0, 0.0)])
+    def test_asymmetry_within_the_tolerance_is_symmetrized(self, low, up):
+        m = np.array([[2.0, up], [low, 3.0]])
+        out = _as_symmetric(m)
+        assert out.tobytes() == ((m + m.T) / 2).tobytes()
+        assert out.tobytes() == out.T.tobytes()
+        assert out is not m
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, 2.0]), np.diag([1.0, -2.0]), np.array([[1.0, 0.0], [-0.0, 1.0]])])
+    def test_projection_never_returns_its_input(self, m):
+        before = m.copy()
+        out = project_psd(m)
+        out[0, 0] = 99.0
+        np.testing.assert_array_equal(m, before)

@@ -54,7 +54,7 @@ class TestDiscreteMeasure:
 
     def test_rejects_unnormalized(self):
         g = SupportGrid(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(ValueError, match=r"^weights must sum to 1 \(got 1\.2\)$"):  # a plain float, not numpy's repr
             DiscreteMeasure(g, np.array([0.6, 0.6]))
 
     def test_accepts_weights_within_tolerance(self):
