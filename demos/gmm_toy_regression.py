@@ -28,7 +28,7 @@ def main(outdir="demo_output"):
           f"(marginal residual {result.residual:.1e})")
     print("\nfitted mass on atom pairs (rows: start atom, columns: end atom):")
     with np.printoptions(precision=3, suppress=True):
-        print(result.coupling.w)
+        print(result.coupling.weights)
 
     x = np.linspace(-5.5, 5.5, 401)
     rows = []

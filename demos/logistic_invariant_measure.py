@@ -42,7 +42,7 @@ def main(outdir="demo_output"):
     centers = part.centers.points[:, 0]
     peak = centers[int(np.argmax(st.vector))]
     print(f"r=3 (N=6, 100 boxes, eps=0.05): stationary peak at x={peak:.3f} "
-          f"(fixed point 2/3 = {2/3:.3f}), fit objective {tm.fit_objective:.4f}")
+          f"(fixed point 2/3 = {2/3:.3f}), fit objective {tm.fit.objective:.4f}")
     print(f"    mass in the 5 boxes nearest 2/3: {mass_near(st.vector, part, 2/3, 5):.4f}")
     print("    sensitivity (mass near 2/3):")
     for n_snap in (3, 6, 9):

@@ -34,7 +34,6 @@ from .gaussian_regression import (
 )
 from .gmm_regression import (
     AtomSet,
-    MixtureCoupling,
     MixtureFitResult,
     fit_mixture_curve,
     mixture_marginal_at,
@@ -88,7 +87,6 @@ __all__ = [
     "GaussianMeasure",
     "GaussianMixture",
     "LINEAR",
-    "MixtureCoupling",
     "MixtureFitResult",
     "ParamCoupling",
     "QUADRATIC",

@@ -127,15 +127,7 @@ def _grid_from_spec(spec: Tuple[float, float, int], dim: int) -> SupportGrid:
 
 
 def _lambda_dict(config: RunConfig) -> Optional[Dict[float, float]]:
-    if config.lambda_policy == "uniform":
-        if config.lambda_file:
-            raise ValueError("--lambda-file PATH is read only with --lambda file")
-        return None
-    if config.lambda_policy == "file":
-        if not config.lambda_file:
-            raise ValueError("--lambda file needs --lambda-file PATH")
-        return dataio.load_lambda_file(config.lambda_file)
-    raise ValueError(f"unknown lambda policy {config.lambda_policy!r}")
+    return dataio.load_lambda_file(config.lambda_file) if config.lambda_file else None
 
 
 def _check_grids(config: RunConfig, names: Sequence[str], min_points: int) -> None:
@@ -281,7 +273,7 @@ def _run_gmm(config: RunConfig) -> ResultBundle:
     if horizon > 1.0:
         rows = [(t / horizon, lam, w) for t, lam, w in rows]
     result = fit_mixture_curve(rows, atoms, epsilon=config.epsilon, tol=config.tol, max_iter=config.max_iter)
-    entries, emitted = _sparse_entries(result.coupling.w)
+    entries, emitted = _sparse_entries(result.coupling.weights)
     marginals = []
     for t in config.query_times:
         mix = mixture_marginal_at(result.coupling, atoms, float(t))
@@ -327,10 +319,13 @@ def _run_invariant(config: RunConfig) -> ResultBundle:
     bundle = ResultBundle(
         command="invariant",
         objectives={
-            "fit_objective": float(transition.fit_objective),
+            "fit_objective": float(transition.fit.objective),
             "stationary_residual": float(stationary.residual),
         },
         diagnostics={
+            "iterations": int(transition.fit.iterations),
+            "marginal_residual": float(transition.fit.residual),
+            "converged": bool(transition.fit.converged),
             "power_iterations": int(stationary.iterations),
             "damped": bool(stationary.damped),
             "boxes": config.boxes,
@@ -448,7 +443,6 @@ _FLAGS = {
     "tol": ("--tol", {"type": float}, None),
     "max_iter": ("--max-iter", {"type": int}, None),
     "grids": ("--grid", {"action": "append", "metavar": "[NAME=]LO:HI:N", "help": "repeatable"}, _parse_grids),
-    "lambda_policy": ("--lambda", {"choices": ["uniform", "file"]}, None),
     "lambda_file": ("--lambda-file", {}, None),
     "query_times": ("--query-times", {"help": "comma-separated times for marginal output"}, _parse_times),
     "output": ("--output", {}, None),
@@ -475,15 +469,15 @@ class Command:
 COMMANDS = {
     "regress": Command("fit a measure-valued curve to snapshot data", _run_regress, dict(
         input=REQUIRED, curve="linear", epsilon=0.1, tol=1e-8, max_iter=10000, grids={},
-        lambda_policy="uniform", lambda_file=None, query_times=(), output=None)),
+        lambda_file=None, query_times=(), output=None)),
     "gaussian": Command("Gaussian-case regression via the covariance SDP", _run_gaussian, dict(
         input=REQUIRED, curve="linear", tol=1e-8, max_iter=50000,
-        lambda_policy="uniform", lambda_file=None, query_times=(), output=None)),
+        lambda_file=None, query_times=(), output=None)),
     "gmm": Command("mixture regression over a Gaussian basis", _run_gmm, dict(
         input=REQUIRED, epsilon=0.1, tol=1e-8, max_iter=10000, query_times=(), output=None)),
     "invariant": Command("transition matrix and invariant measure from snapshots", _run_invariant, dict(
         input=REQUIRED, boxes=100, domain=(0.0, 1.0), epsilon=0.05, tol=1e-8, max_iter=10000,
-        lambda_policy="uniform", lambda_file=None, output=None)),
+        lambda_file=None, output=None)),
     "distance": Command("transport distance between two snapshot files", _run_distance, dict(
         input=REQUIRED, input_b=REQUIRED, epsilon=0.1, tol=1e-8, max_iter=10000, grids={}, output=None),
         options={"input": "--input-a"}),
@@ -516,13 +510,15 @@ def run(config: RunConfig) -> ResultBundle:
 
 def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
     """The CLI parser. Given the command line, it adds flags only to the command it names (when
-    argv[0] is one); every command's subparser is still there, so help and errors read the same."""
-    parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0])
+    argv[0] is one); every command's subparser is still there, so help and errors read the same.
+    No parser takes abbreviations: each flag has one spelling, and a prefix such as --lambda is
+    rejected, not read as --lambda-file."""
+    parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     invoked = argv[0] if argv and argv[0] in COMMANDS else None
     for command, spec in COMMANDS.items():
         # a flag left out is absent from the parsed namespace, and RunConfig fills in its default
-        p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         if invoked not in (None, command):
             continue
         for name, default in spec.defaults.items():

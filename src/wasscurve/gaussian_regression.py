@@ -285,6 +285,15 @@ def fit_gaussian_sdp(
         x[sl, sl] = avg
     z = project_psd(x)
     u = np.zeros_like(x)
+    # the stopping test squares Frobenius norms of z and of differences up to twice its size;
+    # were they infinite, tol * (1 + ||z||) would be too, and the first step would pass it
+    r = z.ravel("K")
+    with np.errstate(over="ignore"):
+        norm_sq = 4.0 * r.dot(r)
+    if not math.isfinite(norm_sq):
+        scale = max(float(np.abs(c).max()) for c in covs)
+        raise ValueError(f"data scale too large for the SDP: covariance entries reach {scale:.3g}, "
+                         "and the residual norms overflow; rescale the data")
 
     # x + u, the projection's input, stays bitwise symmetric: x is symmetrized, z comes
     # out of project_psd symmetrized, and u is their sums and differences, halved or doubled

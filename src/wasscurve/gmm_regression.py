@@ -23,6 +23,7 @@ from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FactoredCoupling,
+    ParamCoupling,
     extract_param_coupling,
     sinkhorn_solve,
 )
@@ -43,29 +44,13 @@ def pairwise_w2_matrix(atoms_a: Sequence[GaussianMeasure], atoms_b: Sequence[Gau
 
 @dataclass(frozen=True, eq=False)
 class AtomSet:
-    """Finite base set of Gaussian atoms with cached pairwise distances."""
+    """Finite base set of Gaussian atoms."""
 
     atoms: Tuple[GaussianMeasure, ...]
-    pairwise_w2: np.ndarray
-
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        pw = np.asarray(self.pairwise_w2, dtype=float)
-        k = len(atoms)
-        if pw.shape != (k, k):
-            raise ValueError("pairwise distance matrix must be K x K")
-        if np.abs(pw - pw.T).max() > 1e-12 or np.abs(np.diag(pw)).max() > 1e-12 or pw.min() < 0:
-            raise ValueError("pairwise distances must be symmetric, nonnegative, zero on the diagonal")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pairwise_w2", pw)
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[GaussianMeasure]) -> "AtomSet":
-        atoms = tuple(atoms)
-        pw = pairwise_w2_matrix(atoms, atoms)
-        pw = (pw + pw.T) / 2
-        np.fill_diagonal(pw, 0.0)
-        return cls(atoms, pw)
+        return cls(tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -79,28 +64,11 @@ class AtomSet:
         return GaussianMixture(self.atoms, weights)
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureCoupling:
-    """Nonnegative K x K mass over ordered atom pairs, total mass 1."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("coupling must be a square matrix")
-        if np.any(w < 0):
-            raise ValueError("coupling must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError("coupling mass must be 1")
-        object.__setattr__(self, "w", w)
-
-
 @dataclass(eq=False)
 class MixtureFitResult:
-    """Fitted coupling over atom pairs plus solve diagnostics."""
+    """Fitted coupling over atom pairs (both grids the atom index grid) plus solve diagnostics."""
 
-    coupling: MixtureCoupling
+    coupling: ParamCoupling
     objective: float
     iterations: int
     residual: float
@@ -151,12 +119,11 @@ def fit_mixture_curve(
         epsilon: entropic regularization for the Sinkhorn solve.
 
     Returns:
-        MixtureFitResult whose coupling w[j, l] is the fitted mass on the
+        MixtureFitResult whose coupling weights[j, l] is the fitted mass on the
         geodesic from atom j to atom l.
     """
     if len(dataset) < 3:
         raise ValueError("mixture-curve regression needs at least 3 snapshots")
-    k = len(atoms)
     rows = sorted(((float(t), float(lam), np.asarray(p, dtype=float)) for t, lam, p in dataset), key=lambda r: r[0])
     timestamps = np.array([r[0] for r in rows])
     lambdas = np.array([r[1] for r in rows])
@@ -168,9 +135,8 @@ def fit_mixture_curve(
     costs = geodesic_cost_table(atoms, timestamps)
     kernels = kernels_from_costs(costs, lambdas, epsilon, (grid, grid))
     state = sinkhorn_solve(kernels, snap, tol=tol, max_iter=max_iter)
-    coupling = extract_param_coupling(state)
     return MixtureFitResult(
-        coupling=MixtureCoupling(coupling.weights),
+        coupling=extract_param_coupling(state),
         objective=state.objective,
         iterations=state.iterations,
         residual=state.marginal_residual,
@@ -179,7 +145,7 @@ def fit_mixture_curve(
     )
 
 
-def mixture_marginal_at(w: MixtureCoupling, atoms: AtomSet, t: float) -> GaussianMixture:
+def mixture_marginal_at(coupling: ParamCoupling, atoms: AtomSet, t: float) -> GaussianMixture:
     """One-time marginal of the fitted mixture curve: a Gaussian mixture.
 
     At interior times each atom pair (j, l) with positive mass contributes the
@@ -189,20 +155,21 @@ def mixture_marginal_at(w: MixtureCoupling, atoms: AtomSet, t: float) -> Gaussia
     if t < -1e-12 or t > 1.0 + 1e-12:
         raise ValueError("mixture marginal defined for t in [0, 1]")
     t = min(max(float(t), 0.0), 1.0)
+    w = coupling.weights
     k = len(atoms)
-    if w.w.shape != (k, k):
+    if w.shape != (k, k):
         raise ValueError("coupling size does not match the atom set")
     if t == 0.0 or t == 1.0:
-        weights = w.w.sum(axis=1) if t == 0.0 else w.w.sum(axis=0)
+        weights = w.sum(axis=1) if t == 0.0 else w.sum(axis=0)
         keep = weights > 0
         return GaussianMixture(
             tuple(a for a, kp in zip(atoms.atoms, keep) if kp),
             weights[keep] / weights.sum(),
         )
-    first, second = np.nonzero(w.w > 0)  # pairs (j, l) in C order
+    first, second = np.nonzero(w > 0)  # pairs (j, l) in C order
     means, covs = _stacked(atoms.atoms)
     geo_means, geo_covs = gaussian_geodesic_stack(means[first], covs[first], means[second], covs[second], np.array([t]))
-    masses = w.w[first, second]
+    masses = w[first, second]
     return GaussianMixture(tuple(map(GaussianMeasure, geo_means[0], geo_covs[0])), masses / masses.sum())
 
 

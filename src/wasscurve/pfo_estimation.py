@@ -63,7 +63,7 @@ class TransitionMatrix:
 
     Q: np.ndarray
     source_marginal: np.ndarray
-    fit_objective: float = np.nan  # transport objective of the underlying fit; model-mismatch hint
+    fit: Optional[RegressionResult] = None  # the underlying line fit; its objective hints at model mismatch
 
     def __post_init__(self):
         q = np.asarray(self.Q, dtype=float)
@@ -165,7 +165,7 @@ def estimate_transition(dataset: SnapshotDataset, config: Optional[SolverConfig]
     q[zero_rows] = 1.0 / n
     # exact row normalization after floating-point division
     q /= q.sum(axis=1, keepdims=True)
-    return TransitionMatrix(q, source, fit_objective=result.objective)
+    return TransitionMatrix(q, source, fit=result)
 
 
 @dataclass

@@ -6,7 +6,7 @@ supports, a linear program.
 """
 
 import logging
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -103,29 +103,23 @@ def two_marginal_w2(
     return float(np.sum(plan * cost)), plan
 
 
-def _monotone_plan_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray) -> List[Tuple[int, int, float]]:
-    """North-west-corner coupling of sorted 1D supports (optimal for convex costs)."""
-    entries = []
-    i = j = 0
-    pi, qj = p[0], q[0]
-    while True:
-        take = min(pi, qj)
-        if take > 0:
-            entries.append((i, j, take))
-        pi -= take
-        qj -= take
-        if pi <= 1e-17 and i + 1 < len(p):
-            i += 1
-            pi = p[i]
-        elif qj <= 1e-17 and j + 1 < len(q):
-            j += 1
-            qj = q[j]
-        elif pi <= 1e-17 and qj <= 1e-17:
-            break
-        elif pi <= 1e-17 or qj <= 1e-17:
-            # leftover on one side only: floating-point crumbs, stop
-            break
-    return entries
+def _monotone_coupling_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Quantile coupling of two 1D measures (optimal for convex costs): squared-distance cost and plan.
+
+    The quantile levels are the union of both cumulative sums, capped at the
+    smaller total. Each interval between levels carries its length as mass,
+    in the row and column whose quantile holds its midpoint, so zero-weight
+    points get none.
+    """
+    ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    cp, cq = np.cumsum(p[ix]), np.cumsum(q[iy])
+    levels = np.concatenate([[0.0], np.minimum(np.union1d(cp, cq), min(cp[-1], cq[-1]))])
+    mass = np.diff(levels)
+    mid = levels[:-1] + mass / 2
+    rows, cols = ix[np.searchsorted(cp, mid)], iy[np.searchsorted(cq, mid)]
+    plan = np.zeros((len(x), len(y)))
+    np.add.at(plan, (rows, cols), mass)
+    return float(mass @ (x[rows] - y[cols]) ** 2), plan
 
 
 def exact_w2_supported(a: SupportGrid, b: SupportGrid) -> bool:
@@ -150,17 +144,7 @@ def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[flo
     _check_same_dim(mu.grid, nu.grid)
     _check_mass(mu, nu)
     if mu.dim == 1:
-        x = mu.grid.points[:, 0]
-        y = nu.grid.points[:, 0]
-        ix = np.argsort(x, kind="stable")
-        iy = np.argsort(y, kind="stable")
-        entries = _monotone_plan_1d(x[ix], mu.weights[ix], y[iy], nu.weights[iy])
-        plan = np.zeros((len(x), len(y)))
-        cost = 0.0
-        for i, j, mass in entries:
-            plan[ix[i], iy[j]] += mass
-            cost += mass * (x[ix[i]] - y[iy[j]]) ** 2
-        return float(cost), plan
+        return _monotone_coupling_1d(mu.grid.points[:, 0], mu.weights, nu.grid.points[:, 0], nu.weights)
     if not exact_w2_supported(mu.grid, nu.grid):
         raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
     return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))

@@ -295,6 +295,19 @@ class TestRunInvariant:
         total = sum(bundle.marginals[0]["weights"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_reports_a_fit_stopped_at_max_iter(self, tmp_path):
+        src = tmp_path / "log.csv"
+        assert cli.main(["generate", "logistic", "--r", "4", "--snapshots", "6", "--particles", "1000", "--seed", "0",
+                         "--output", str(src)]) == 0
+        with pytest.warns(RuntimeWarning, match="non-converged"):
+            rc = cli.main(["invariant", "--input", str(src), "--boxes", "80", "--max-iter", "2",
+                           "--output", str(tmp_path / "out")])
+        assert rc == 0
+        diagnostics = json.loads((tmp_path / "out" / "result.json").read_text())["diagnostics"]
+        assert diagnostics["converged"] is False
+        assert diagnostics["iterations"] == 2
+        assert diagnostics["marginal_residual"] > 1e-8
+
 
 class TestMainEntry:
     def test_generate_and_regress_end_to_end(self, tmp_path, capsys):
@@ -354,17 +367,6 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["category"] == "schema"
         assert f"{p}:4" in err["error"]["message"]
-
-    def test_lambda_file_needs_lambda_file_policy(self, tmp_path, capsys):
-        p = tmp_path / "in.csv"
-        write(p, "t,x1\n0,0.1\n0,0.3\n0.5,0.4\n0.5,0.6\n1,0.9\n1,0.7\n")
-        lam = tmp_path / "lam.csv"
-        write(lam, "t,lambda\n0,0.2\n0.5,0.3\n1,0.5\n")
-        rc = cli.main(["regress", "--input", str(p), "--grid", "0:1:8", "--lambda-file", str(lam)])
-        assert rc == 4
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["category"] == "precondition"
-        assert "--lambda-file" in err["error"]["message"] and "--lambda file" in err["error"]["message"]
 
     def test_seed_only_on_generate(self, capsys):
         with pytest.raises(SystemExit):
@@ -457,6 +459,7 @@ def _samples_at(path, times):
 
 # (command, flag, value) for each flag a command does not read, so argparse rejects it
 DROPPED_FLAGS = [
+    ("regress", "--lambda", "uniform"),  # a prefix of --lambda-file, which no parser takes as an abbreviation
     ("gaussian", "--epsilon", "7"),
     ("gaussian", "--grid", "x2=0:1:3"),
     ("gmm", "--grid", "0:1:5"),
@@ -505,13 +508,13 @@ MALFORMED_INPUTS = [
      "input: basis atom 0: covariance must be positive semi-definite"),
     (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[[0.16000000000000003]]", "[[1.0,0.0]]"), 3,
      "input: basis atom 0: covariance must be d x d"),
-    (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
+    (["regress", "--input", "{samples}", "--lambda-file", "{input}"], "time,lambda\n0,1\n", 3,
      "header"),
     (["regress", "--input", "{input}"], "t,weight,x1\n0,0.5,0.0\n0,0.4,1.0\n", 3, "sum to"),
     (["regress", "--input", "{input}"], b"t,x1\n0,0.5\n1,\xff\n", 3, "input: bytes after line 0 are not UTF-8"),
     (["regress", "--input", "{input}"], "t,x1\n0,0.5\n1,x" + "0" * 140000 + "\n", 3,
      "input:3: field larger than field limit"),
-    (["regress", "--input", "{samples}", "--lambda", "file", "--lambda-file", "{input}"], b"t,lambda\n0,\xff\n", 3,
+    (["regress", "--input", "{samples}", "--lambda-file", "{input}"], b"t,lambda\n0,\xff\n", 3,
      "input: bytes after line 0 are not UTF-8 (invalid start byte)"),
     (["regress", "--input", "{input}"], PLANE_SAMPLES, 4, "the dense kernels need 582.1 GiB"),
     (["distance", "--input-a", "{input}", "--input-b", "{input}", "--grid", "0:1:5"], "t,weight,x1,x2\n0,1,0.2,0.3\n", 4,
@@ -526,6 +529,8 @@ MALFORMED_INPUTS = [
     (["regress", "--input", "{samples}", "--grid", "x0=-inf:1:5"], None, 4, "must be finite (got '-inf:1:5')"),
     (["regress", "--input", "{samples}", "--epsilon", "nan"], None, 4, "epsilon must be positive"),
     (["gaussian", "--input", "{samples}", "--tol", "inf"], None, 4, "tol must be positive"),
+    (["gaussian", "--input", "{input}", "--tol", "1e-4"], "t,x1\n0,1e150\n0,-1e150\n0.5,2e150\n0.5,-2e150\n1,1e150\n1,-3e150\n",
+     4, "data scale too large for the SDP: covariance entries reach 4e+300"),
     (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),
     (["distance", "--input-a", "{samples}", "--input-b", "{samples}", "--grid", "x0=0:1:3"], None, 4, "--grid x0"),
 ] + [
@@ -564,7 +569,7 @@ class TestSparseEntries:
     def test_gmm_coupling(self, tmp_path):
         write(tmp_path / "toy.json", MIXTURE_TOY)
         basis, rows = dataio.load_mixture_dataset(str(tmp_path / "toy.json"))
-        _assert_same_entries(fit_mixture_curve(rows, AtomSet.from_atoms(basis), epsilon=0.07, tol=1e-8, max_iter=30000).coupling.w)
+        _assert_same_entries(fit_mixture_curve(rows, AtomSet.from_atoms(basis), epsilon=0.07, tol=1e-8, max_iter=30000).coupling.weights)
 
 
 class TestMalformedInput:
@@ -602,7 +607,7 @@ class TestLambdaFile:
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0, 1.5))
         write(tmp_path / "lam.csv", lambdas)
         argv = [*self.COMMANDS[command], "--input", str(tmp_path / "samples.csv")]
-        assert cli.main([*argv, "--lambda", "file", "--lambda-file", str(tmp_path / "lam.csv")]) == code
+        assert cli.main([*argv, "--lambda-file", str(tmp_path / "lam.csv")]) == code
         assert message in capsys.readouterr().err
 
 

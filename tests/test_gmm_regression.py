@@ -6,7 +6,6 @@ import pytest
 from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian
 from wasscurve.gmm_regression import (
     AtomSet,
-    MixtureCoupling,
     discretized_mixture_w2,
     fit_mixture_curve,
     geodesic_cost_table,
@@ -15,6 +14,7 @@ from wasscurve.gmm_regression import (
     wm_distance,
 )
 from wasscurve.measures import GaussianMeasure, GaussianMixture
+from wasscurve.mm_sinkhorn import ParamCoupling
 
 import oracles
 
@@ -32,22 +32,6 @@ def toy_snapshots():
         (2.0 / 3.0, 0.25, np.array([0.10, 0.15, 0.30, 0.45])),
         (0.9, 0.25, np.array([0.03, 0.07, 0.20, 0.70])),
     ]
-
-
-class TestAtomSet:
-    def test_pairwise_cache_matches_closed_form(self):
-        atoms = toy_atoms()
-        for i in range(4):
-            for j in range(4):
-                assert atoms.pairwise_w2[i, j] == pytest.approx(
-                    w2_gaussian(atoms.atoms[i], atoms.atoms[j]), abs=1e-9
-                )
-        assert np.all(np.diag(atoms.pairwise_w2) == 0)
-
-    def test_rejects_bad_cache(self):
-        a = [GaussianMeasure.from_std_1d(0, 1), GaussianMeasure.from_std_1d(1, 1)]
-        with pytest.raises(ValueError, match="symmetric"):
-            AtomSet(tuple(a), np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def random_spd_atoms(rng, k, d):
@@ -77,18 +61,24 @@ class TestBatchedCostTables:
         scale = max(np.trace(a.covariance) for a in atoms.atoms)
         assert_matches_loop(geodesic_cost_table(atoms, timestamps), oracles.geodesic_cost_table(atoms, timestamps), scale)
 
+    def test_pairwise_w2_matches_closed_form(self):
+        atoms = toy_atoms().atoms
+        table = pairwise_w2_matrix(atoms, atoms)
+        for i in range(4):
+            for j in range(4):
+                assert table[i, j] == pytest.approx(w2_gaussian(atoms[i], atoms[j]), abs=1e-9)
+        assert np.all(np.diag(table) == 0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pairwise_w2_matches_loop(self, d):
         rng = np.random.default_rng(10 + d)
         a, b = random_spd_atoms(rng, 5, d), random_spd_atoms(rng, 3, d)
         scale = max(np.trace(x.covariance) for x in a + b)
         assert_matches_loop(pairwise_w2_matrix(a, b) ** 2, oracles.pairwise_w2_matrix(a, b) ** 2, scale)
-        # on the diagonal of an atom set with itself the loop's distance is the
-        # square root of rounding; AtomSet.from_atoms zeroes it either way
+        # on the diagonal of an atom set with itself the loop's distance is the square root of rounding
         same = pairwise_w2_matrix(a, a) ** 2
         assert_matches_loop(same, oracles.pairwise_w2_matrix(a, a) ** 2, scale)
         assert np.abs(np.diag(same)).max() <= 1e-14 * scale
-        np.testing.assert_array_equal(AtomSet.from_atoms(a).pairwise_w2, AtomSet.from_atoms(a).pairwise_w2.T)
 
     def test_wm_distance_uses_the_same_table(self):
         rng = np.random.default_rng(5)
@@ -105,7 +95,7 @@ class TestBatchedCostTables:
         atoms = AtomSet.from_atoms(random_spd_atoms(rng, 3, d))
         w = rng.random((3, 3))
         w[0, 2] = w[2, 1] = 0.0
-        coupling = MixtureCoupling(w / w.sum())
+        coupling = ParamCoupling((atoms.index_grid,) * 2, w / w.sum())
         mixture = mixture_marginal_at(coupling, atoms, 0.35)
         pairs = [(j, l) for j in range(3) for l in range(3) if w[j, l] > 0]
         assert len(mixture.atoms) == len(pairs)
@@ -113,7 +103,7 @@ class TestBatchedCostTables:
             expected = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], 0.35, allow_commuting_fallback=True)
             np.testing.assert_allclose(comp.mean, expected.mean, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(comp.covariance, expected.covariance, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(mixture.atom_weights, coupling.w[coupling.w > 0] / coupling.w.sum(), rtol=1e-15)
+        np.testing.assert_allclose(mixture.atom_weights, coupling.weights[coupling.weights > 0] / coupling.weights.sum(), rtol=1e-15)
 
     def test_singular_commuting_pair(self):
         # a singular first covariance takes the commuting fallback of gaussian_geodesic
@@ -212,8 +202,8 @@ class TestFitMixtureCurve:
         data = [(t, 1 / 3, w) for t in (0.1, 0.5, 0.9)]
         result = fit_mixture_curve(data, atoms, epsilon=1e-3, tol=1e-10)
         assert result.objective == pytest.approx(0.0, abs=1e-6)
-        np.testing.assert_allclose(np.diag(result.coupling.w), w, atol=1e-6)
-        off_diag = result.coupling.w - np.diag(np.diag(result.coupling.w))
+        np.testing.assert_allclose(np.diag(result.coupling.weights), w, atol=1e-6)
+        off_diag = result.coupling.weights - np.diag(np.diag(result.coupling.weights))
         assert off_diag.sum() <= 1e-6
 
     def test_matches_brute_force_lp_small_instance(self):
@@ -270,7 +260,7 @@ class TestFitMixtureCurve:
         assert relaxed.state.overrelaxation_reverts == 0
         assert relaxed.iterations < plain.iterations / 3
         assert relaxed.objective == pytest.approx(plain.objective, rel=1e-6)
-        np.testing.assert_allclose(relaxed.coupling.w, plain.coupling.w, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(relaxed.coupling.weights, plain.coupling.weights, rtol=1e-5, atol=1e-9)
 
     def test_needs_three_snapshots(self):
         atoms = toy_atoms()
@@ -289,7 +279,7 @@ class TestMixtureMarginalAt:
                 [0.0, 0.0, 0.0, 0.1],
             ]
         )
-        coupling = MixtureCoupling(w)
+        coupling = ParamCoupling((atoms.index_grid,) * 2, w)
         at0 = mixture_marginal_at(coupling, atoms, 0.0)
         np.testing.assert_allclose(at0.atom_weights, w.sum(axis=1), atol=1e-12)
         at1 = mixture_marginal_at(coupling, atoms, 1.0)
@@ -298,7 +288,7 @@ class TestMixtureMarginalAt:
     def test_diagonal_coupling_is_stationary(self):
         atoms = toy_atoms()
         w = np.diag([0.4, 0.3, 0.2, 0.1])
-        coupling = MixtureCoupling(w)
+        coupling = ParamCoupling((atoms.index_grid,) * 2, w)
         for t in (0.0, 0.33, 0.77, 1.0):
             mix = mixture_marginal_at(coupling, atoms, t)
             np.testing.assert_allclose(sorted(m.mean[0] for m in mix.atoms), [-3.0, -1.0, 1.0, 3.0], atol=1e-9)
@@ -308,7 +298,7 @@ class TestMixtureMarginalAt:
         atoms = toy_atoms()
         w = np.zeros((4, 4))
         w[0, 3] = 1.0
-        mix = mixture_marginal_at(MixtureCoupling(w), atoms, 0.5)
+        mix = mixture_marginal_at(ParamCoupling((atoms.index_grid,) * 2, w), atoms, 0.5)
         assert len(mix.atoms) == 1
         assert mix.atom_weights[0] == pytest.approx(1.0)
 
@@ -317,5 +307,5 @@ class TestMixtureMarginalAt:
         rng = np.random.default_rng(42)
         w = rng.random((4, 4))
         w /= w.sum()
-        mix = mixture_marginal_at(MixtureCoupling(w), atoms, 0.4)
+        mix = mixture_marginal_at(ParamCoupling((atoms.index_grid,) * 2, w), atoms, 0.4)
         assert mix.atom_weights.sum() == pytest.approx(1.0, abs=1e-12)

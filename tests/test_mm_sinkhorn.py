@@ -926,6 +926,33 @@ class TestTwoMarginal:
             ref, _ = oracles.transport_lp((vals_a[:, None] - vals_b[None, :]) ** 2, wa, wb)
             assert cost == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
+    @staticmethod
+    @st.composite
+    def unsorted_1d_measure(draw):
+        """A measure on 1-8 distinct unsorted points in [-5, 5]; zero weights allowed, never all zero.
+
+        The LP oracle (HiGHS) meets its constraints and optimality to 1e-7, not exactly. So the
+        points lie on a 1/8 lattice, where every cost, and so every reduced cost the simplex
+        checks, is a multiple of 1/64; and positive weights stay above 1e-3."""
+        points = np.array(draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))) / 8
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]) | st.floats(1e-3, 1.0),
+                                         min_size=len(points), max_size=len(points))))
+        if weights.sum() <= 0:
+            weights[draw(st.integers(0, len(points) - 1))] = 1.0
+        return DiscreteMeasure(grid_1d(points), weights / weights.sum())
+
+    @settings(max_examples=150, deadline=None)
+    @given(unsorted_1d_measure(), unsorted_1d_measure())
+    def test_exact_1d_plan_is_an_optimal_coupling(self, mu, nu):
+        cost, plan = two_marginal_w2_exact(mu, nu)
+        x, y = mu.grid.points[:, 0], nu.grid.points[:, 0]
+        ref, _ = oracles.transport_lp((x[:, None] - y[None, :]) ** 2, mu.weights, nu.weights)
+        assert cost == pytest.approx(ref, rel=1e-10, abs=1e-12)
+        assert plan.min() >= 0
+        np.testing.assert_allclose(plan.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+        assert float(np.sum(plan * (x[:, None] - y[None, :]) ** 2)) == pytest.approx(cost, rel=1e-12, abs=1e-15)
+
     def test_exact_2d_small_support(self):
         rng = np.random.default_rng(13)
         pa = rng.uniform(0, 1, (5, 2))

@@ -167,7 +167,7 @@ class TestEstimateTransition:
         measures = tuple(DiscreteMeasure(grid, w) for w in rows)
         ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3), 1.0, 1.0)
         tm = estimate_transition(ds, SolverConfig(epsilon=0.01))
-        assert tm.fit_objective > 0.01  # any line misses the middle swap
+        assert tm.fit.objective > 0.01  # any line misses the middle swap
 
     def test_zero_mass_rows_become_uniform(self):
         # constant map leaves upper boxes unvisited at t=1
