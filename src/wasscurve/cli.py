@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dataio
-from .curve_regression import SolverConfig, curve_from_name, fit, marginal_at, objective_true
+from .curve_regression import SolverConfig, curve_from_name, default_param_grids, fit, marginal_at, objective_true
 from .dataio import SchemaError
 from .gaussian_regression import biased_covariance, fit_gaussian_sdp, gaussian_1d_parametric_oracle
 from .gmm_regression import AtomSet, fit_mixture_curve, mixture_marginal_at
@@ -68,9 +68,14 @@ class RunConfig:
             setattr(self, name, fields[name] if name in fields else copy.copy(default))
 
     def validate(self) -> None:
+        spec = COMMANDS[self.command]
         for name in ("epsilon", "tol"):
-            if name in COMMANDS[self.command].defaults and not 0 < getattr(self, name) < np.inf:
+            if name in spec.defaults and not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name, least in (("max_iter", 1), ("particles", 1), ("snapshots", 1), ("seed", 0)):
+            value = getattr(self, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"{spec.option(name)} must be at least {least} (got {value})")
 
     def echo(self) -> dict:
         doc = {"command": self.command}
@@ -142,8 +147,6 @@ def _check_grids(config: RunConfig, names: Sequence[str], min_points: int) -> No
 
 
 def _param_grids(config: RunConfig, dataset, curve) -> Optional[List[SupportGrid]]:
-    from .curve_regression import default_param_grids
-
     names = ["x0", "x1", "x2"][: curve.n_params]
     if not any(n in config.grids for n in names):
         return None
@@ -152,6 +155,15 @@ def _param_grids(config: RunConfig, dataset, curve) -> Optional[List[SupportGrid
         if name in config.grids:
             grids[slot] = _grid_from_spec(config.grids[name], dataset.dim)
     return grids
+
+
+def _solve_diagnostics(result) -> dict:
+    """How a Sinkhorn-based fit stopped: the diagnostics regress, gmm and invariant share."""
+    return {
+        "iterations": int(result.iterations),
+        "marginal_residual": float(result.residual),
+        "converged": bool(result.converged),
+    }
 
 
 def _marginal_payload(t: float, measure: DiscreteMeasure) -> dict:
@@ -193,9 +205,7 @@ def _run_regress(config: RunConfig) -> ResultBundle:
         command="regress",
         objectives=objectives,
         diagnostics={
-            "iterations": int(result.iterations),
-            "marginal_residual": float(result.residual),
-            "converged": bool(result.converged),
+            **_solve_diagnostics(result),
             "epsilon": float(result.epsilon),
             "n_snapshots": len(dataset),
             "grid_points": len(dataset.grid),
@@ -215,6 +225,7 @@ def _moments_by_timestamp(path: str):
         pts = positions[order[rows]]
         wts = weights[order[rows]]
         if schema == "atoms":
+            dataio.atom_weight_total(path, t, wts)
             wts = wts / wts.sum()
             mean = wts @ pts
             centered = pts - mean
@@ -245,11 +256,12 @@ def _run_gaussian(config: RunConfig) -> ResultBundle:
         _, residual = gaussian_1d_parametric_oracle(sigmas)
         objectives["geodesic_1d"] = float(residual)
     query = config.query_times or tuple(float(t) for t, _, _ in data)
-    curve_rows = []
-    for t in query:
-        g = gcurve.gaussian_at(float(t))
-        curve_rows.append((float(t), list(map(float, g.mean)), [float(v) for v in g.covariance.ravel()]))
-    bundle = ResultBundle(
+    marginals = []
+    for t in map(float, query):
+        g = gcurve.gaussian_at(t)
+        mean, cov = list(map(float, g.mean)), [float(v) for v in g.covariance.ravel()]
+        marginals.append({"t": t, "extrapolated": bool(t < 0 or t > 1), "mean": mean, "covariance": cov})
+    return ResultBundle(
         command="gaussian",
         objectives=objectives,
         diagnostics={
@@ -259,11 +271,8 @@ def _run_gaussian(config: RunConfig) -> ResultBundle:
             "n_snapshots": n,
             "dimension": d,
         },
+        marginals=marginals,
     )
-    bundle.marginals = [
-        {"t": t, "extrapolated": bool(t < 0 or t > 1), "mean": m, "covariance": c} for t, m, c in curve_rows
-    ]
-    return bundle
 
 
 def _run_gmm(config: RunConfig) -> ResultBundle:
@@ -295,9 +304,7 @@ def _run_gmm(config: RunConfig) -> ResultBundle:
         command="gmm",
         objectives={"surrogate": float(result.objective)},
         diagnostics={
-            "iterations": int(result.iterations),
-            "marginal_residual": float(result.residual),
-            "converged": bool(result.converged),
+            **_solve_diagnostics(result),
             "n_atoms": len(atoms),
             "n_snapshots": len(rows),
         },
@@ -323,26 +330,21 @@ def _run_invariant(config: RunConfig) -> ResultBundle:
             "stationary_residual": float(stationary.residual),
         },
         diagnostics={
-            "iterations": int(transition.fit.iterations),
-            "marginal_residual": float(transition.fit.residual),
-            "converged": bool(transition.fit.converged),
+            **_solve_diagnostics(transition.fit),
             "power_iterations": int(stationary.iterations),
-            "damped": bool(stationary.damped),
             "boxes": config.boxes,
             "coupling_kind": "transition_matrix",
             "n_snapshots": len(dataset),
         },
         coupling_entries=entries,
         coupling_emitted_mass=emitted,
-    )
-    bundle.marginals = [
-        {
+        marginals=[{
             "t": None,
             "extrapolated": False,
             "points": [[float(c)] for c in centers],
             "weights": [float(w) for w in stationary.vector],
-        }
-    ]
+        }],
+    )
     columns, header = [centers, stationary.vector], ["center", "mass"]
     if 0.0 <= lo and hi <= 1.0:
         arcsine = arcsine_box_masses(partition)

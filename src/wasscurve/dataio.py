@@ -28,6 +28,7 @@ from .measures import (
     GaussianMeasure,
     SnapshotDataset,
     SupportGrid,
+    check_coordinate_scale,
     measure_from_samples,
     normalize_timestamps,
 )
@@ -173,30 +174,41 @@ def load_snapshots(
     Sample rows are quantized onto the grid (auto-built over the data range
     with grid_points per axis when not given); atom rows become weighted
     Diracs on the union of atom positions. Per-timestamp atom weights must
-    sum to 1 within 1e-6 and are renormalized exactly.
+    sum to 1 within 1e-6 and are renormalized exactly. Coordinates whose
+    squared distances overflow are a ValueError (``check_coordinate_scale``).
     """
     schema, times, weights, positions = read_snapshot_rows(path)
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    if grid is not None:
+        if positions.shape[1] != grid.dim:
+            raise ValueError("point dimension does not match grid")
+        lo, hi = np.minimum(lo, grid.points.min(axis=0)), np.maximum(hi, grid.points.max(axis=0))
+    check_coordinate_scale(lo, hi)
     order, distinct, groups = group_by_time(times)
     if schema == "samples":
         the_grid = grid if grid is not None else _grid_from_positions(positions, grid_points)
         measures = [measure_from_samples(positions[order[rows]], the_grid) for rows in groups]
     else:
         the_grid = grid if grid is not None else SupportGrid(np.unique(positions, axis=0))
-        if positions.shape[1] != the_grid.dim:
-            raise ValueError("point dimension does not match grid")
         atom_idx = _atom_indices(positions, the_grid)
         measures = []
         for t, rows in zip(distinct, groups):
             w = weights[order[rows]]
-            total = float(np.cumsum(w)[-1]) + 0.0  # a running sum in file order from +0.0, not np.sum's pairwise one
-            if abs(total - 1.0) > 1e-6:
-                raise SchemaError(f"{path}: atom weights at t={t} sum to {total!r}, expected 1")
+            total = atom_weight_total(path, t, w)
             acc = np.zeros(len(the_grid))
             np.add.at(acc, atom_idx[order[rows]], w)
             measures.append(DiscreteMeasure(the_grid, acc / total))
     snapshots = zip(distinct, measures, snapshot_lambdas(lambdas, distinct))
     dataset = SnapshotDataset.from_snapshots(snapshots)
     return normalize_timestamps(dataset)
+
+
+def atom_weight_total(path: str, t: float, weights: np.ndarray) -> float:
+    """Sum of one timestamp's atom weights; SchemaError unless it is 1 within 1e-6."""
+    total = float(np.cumsum(weights)[-1]) + 0.0  # a running sum in file order from +0.0, not np.sum's pairwise one
+    if abs(total - 1.0) > 1e-6:
+        raise SchemaError(f"{path}: atom weights at t={t} sum to {total!r}, expected 1")
+    return total
 
 
 def snapshot_lambdas(lambdas: Optional[Dict[float, float]], timestamps: Sequence[float]) -> List[float]:
@@ -217,21 +229,20 @@ def snapshot_lambdas(lambdas: Optional[Dict[float, float]], timestamps: Sequence
 
 
 def load_lambda_file(path: str) -> Dict[float, float]:
-    """Per-timestamp regression weights from a 't,lambda' CSV."""
-    out: Dict[float, float] = {}
+    """Per-timestamp regression weights from a 't,lambda' CSV: rows as ``_scan_rows`` reads them, one per timestamp."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(path, fh)
-        header = [h.strip().lower() for h in next(reader, [])]
+        rows = _csv_rows(path, fh)
+        header = [h.strip().lower() for h in next(rows, [])]
         if header != ["t", "lambda"]:
             raise SchemaError(f"{path}: lambda file header must be t,lambda")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}:{line_no}: expected 2 fields")
-            out[_parse_float(row[0], path, line_no)] = _parse_float(row[1], path, line_no)
-    if not out:
+        values = _scan_rows(path, rows, 2, "lambda").tolist()
+    if not values:
         raise SchemaError(f"{path}: no weights")
+    out: Dict[float, float] = {}
+    for t, lam in values:
+        if t in out:
+            raise SchemaError(f"{path}: timestamp t={t!r} is listed twice")
+        out[t] = lam
     return out
 
 
@@ -343,8 +354,11 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write compact one-line JSON deterministically (sorted keys, repr floats) via temp+rename."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write compact one-line JSON deterministically (sorted keys, repr floats) via temp+rename.
+
+    A NaN or infinite float raises ValueError: the file is always strict JSON.
+    """
+    _atomic_write(path, json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -154,7 +154,6 @@ class SdpDiagnostics:
     primal_residual: float
     dual_residual: float
     objective: float
-    converged: bool
     rho: float
 
 
@@ -335,7 +334,7 @@ def fit_gaussian_sdp(
         )
 
     objective = float(np.sum(weight * x))
-    diag = SdpDiagnostics(it, primal, dual, objective, True, rho)
+    diag = SdpDiagnostics(it, primal, dual, objective, rho)
     blocks = GaussianCouplingBlocks(d, k, n, x, fixed_mask, diag)
 
     if means is not None:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import CurveClass
-from .measures import SnapshotDataset, SupportGrid
+from .measures import SnapshotDataset, SupportGrid, check_coordinate_scale
 
 
 def param_tuple_stack(grids: Sequence[SupportGrid]) -> np.ndarray:
@@ -241,9 +241,9 @@ def build_kernels(
     FactoredKernelSet; otherwise the N arrays of shape (P, |X|) are written
     into one buffer of squared distances that then becomes the log kernels
     in place. Each snapshot's cost is shifted by its minimum before
-    exponentiation, so kernel entries lie in (0, 1]. A dense buffer larger
-    than the machine's physical memory is a ValueError, raised before any
-    allocation.
+    exponentiation, so kernel entries lie in (0, 1]. Costs that overflow
+    (``check_coordinate_scale``) and a dense buffer larger than the machine's
+    physical memory are ValueErrors, raised before any allocation.
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -253,6 +253,7 @@ def build_kernels(
             raise ValueError("parameter grids must match the data dimension")
     support = dataset.grid.points  # (|X|, d)
     coefficients = np.array([curve.coefficients(t) for t in dataset.timestamps])
+    _check_cost_scale(support, grids, coefficients, _rates(np.asarray(dataset.lambdas, dtype=float), epsilon))
     # a negative coefficient (t > 1) would give factors above 1
     factored = dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0
     if not factored:
@@ -265,6 +266,18 @@ def build_kernels(
     if factored:
         return _factored_kernels(dataset, curve, grids, stack, coefficients, epsilon)
     return _kernels_in_place(_curve_costs(curve, dataset.timestamps, stack, support), dataset.lambdas, epsilon, grids)
+
+
+def _check_cost_scale(
+    support: np.ndarray, grids: Tuple[SupportGrid, ...], coefficients: np.ndarray, rates: np.ndarray
+) -> None:
+    """check_coordinate_scale for each snapshot's cost, from coordinate extents: per axis,
+    the curve points at t_i lie in sum_k c_ik [lo_k, hi_k] over the parameter grids' boxes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [coefficients[:, :, None] * np.array([f(g.points, axis=0) for g in grids]) for f in (np.min, np.max)]
+        lo = np.minimum(np.minimum(*ends).sum(axis=1), support.min(axis=0))
+        hi = np.maximum(np.maximum(*ends).sum(axis=1), support.max(axis=0))
+    check_coordinate_scale(lo, hi, rates)
 
 
 def _factored_kernels(

@@ -11,6 +11,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+# Bound on a squared distance, times lambda / epsilon where a kernel is built
+# from it: costs up to it, and sums of a few of them, stay finite floats.
+MAX_SCALED_COST = 1e300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -125,12 +128,12 @@ class SnapshotDataset:
     def from_snapshots(
         cls,
         snapshots: Iterable[Tuple[float, DiscreteMeasure, Optional[float]]],
-        horizon: Optional[float] = None,
     ) -> "SnapshotDataset":
         """Build a dataset from (timestamp, measure[, weight]) tuples.
 
         Tuples may be given in any order; they are sorted by timestamp.
-        Missing weights default to uniform 1/N.
+        Missing weights default to uniform 1/N. The horizon is the last
+        timestamp, or 1 when every timestamp is 0.
         """
         rows = []
         for snap in snapshots:
@@ -146,10 +149,7 @@ class SnapshotDataset:
             raise ValueError("give weights for all snapshots or none")
         else:
             lam_arr = np.array([float(l) for l in lams])
-        if horizon is not None:
-            T = float(horizon)
-        else:
-            T = float(ts[-1]) if ts[-1] > 0 else 1.0  # all-at-zero data lives on [0, 1]
+        T = float(ts[-1]) if ts[-1] > 0 else 1.0  # all-at-zero data lives on [0, 1]
         return cls(ts, tuple(r[1] for r in rows), lam_arr, T, T)
 
     @property
@@ -212,6 +212,23 @@ def quantize_to_grid(points: np.ndarray, masses: np.ndarray, grid: SupportGrid) 
         idx = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index wins ties
         np.add.at(out, idx, masses[start : start + chunk])
     return out
+
+
+def check_coordinate_scale(lo: np.ndarray, hi: np.ndarray, rate=1.0) -> None:
+    """ValueError when points inside the boxes [lo, hi] (arrays (..., d)) can
+    have squared distances that, times ``rate``, pass MAX_SCALED_COST.
+
+    The bound is each box's squared diagonal, so no pairwise array is formed;
+    an overflow in it reads as too large.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        largest = np.square(np.subtract(hi, lo)).sum(axis=-1)
+        scaled = largest * rate
+    if not np.max(scaled) <= MAX_SCALED_COST:
+        raise ValueError(
+            f"coordinate scale too large: squared distances reach {np.max(largest):.3g}, and the "
+            f"costs formed from them ({np.max(scaled):.3g}) pass {MAX_SCALED_COST:g}; rescale the data"
+        )
 
 
 def measure_from_samples(samples: np.ndarray, grid: SupportGrid) -> DiscreteMeasure:

@@ -101,12 +101,12 @@ class FactoredCoupling:
     """Sinkhorn solver state: kernels plus one dual potential vector per snapshot.
 
     ``log_potentials`` is canonical (entries may be -inf where a target weight
-    is zero); ``potentials`` is its exponential. The implicit coupling is
-    Gamma[p, y_1..y_N] = prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums``
-    holds log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape
-    (N, P), as the solver finished with them; a state built without them
-    (None) has them recomputed where they are needed. The last three fields
-    say why the solve took the sweeps it did (see _Overrelaxation).
+    is zero). The implicit coupling is Gamma[p, y_1..y_N] =
+    prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums`` holds
+    log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape (N, P),
+    as the solver finished with them; a state built without them (None)
+    computes them once, on construction. The last three fields say why the
+    solve took the sweeps it did (see _Overrelaxation).
     """
 
     kernels: KernelSet
@@ -122,9 +122,9 @@ class FactoredCoupling:
     overrelaxed_from: Optional[int] = None  # first sweep of the last over-relaxed run
     overrelaxation_reverts: int = 0  # over-relaxed sweeps undone
 
-    @property
-    def potentials(self) -> np.ndarray:
-        return np.exp(self.log_potentials)
+    def __post_init__(self):
+        if self.log_factor_sums is None:
+            self.log_factor_sums = _log_factor_sums(self.kernels.log_kernels, self.log_potentials)
 
 
 def _logsumexp(x: np.ndarray, axis: Optional[int] = None, work: Optional[np.ndarray] = None):
@@ -159,12 +159,6 @@ def _log_factor_sums(log_kernels: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     return _logsumexp(terms, 2, terms)
 
 
-def _state_log_factor_sums(state: FactoredCoupling) -> np.ndarray:
-    if state.log_factor_sums is not None:
-        return state.log_factor_sums
-    return _log_factor_sums(state.kernels.log_kernels, state.log_potentials)
-
-
 def _log_weights_without(log_total: np.ndarray, log_m_j: np.ndarray) -> np.ndarray:
     """log w_j = log prod_{i != j} m_i, from log_total = sum_i log m_i; shape (P,).
 
@@ -194,15 +188,14 @@ def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
     if not -n <= j < n:
         raise IndexError(f"snapshot index {j} out of range for {n} snapshots")
     j = j % n
-    log_m = _state_log_factor_sums(state)
-    return np.exp(_log_marginal(state.kernels.log_kernels, log_m, state.log_potentials, j))
+    return np.exp(_log_marginal(state.kernels.log_kernels, state.log_factor_sums, state.log_potentials, j))
 
 
 def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     """Project the implicit coupling onto the parameter tuple, normalized to mass 1."""
     if not state.converged:
         warnings.warn("extracting parameter coupling from a non-converged state", RuntimeWarning)
-    log_w = _state_log_factor_sums(state).sum(axis=0)
+    log_w = state.log_factor_sums.sum(axis=0)
     log_w -= _logsumexp(log_w)
     weights = np.exp(log_w).reshape(state.kernels.param_shape)
     total = weights.sum()
@@ -211,13 +204,11 @@ def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     return ParamCoupling(state.kernels.parameter_grids, weights / total)
 
 
-def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: Optional[np.ndarray] = None) -> float:
+def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: np.ndarray) -> float:
     """<c, Gamma> computed kernel-wise, without materializing the coupling.
 
-    ``log_m`` are the log factor sums of ``log_a``; they are computed when not given.
+    ``log_m`` are the log factor sums of ``log_a`` (``_log_factor_sums``).
     """
-    if log_m is None:
-        log_m = _log_factor_sums(kernels.log_kernels, log_a)
     log_total = log_m.sum(axis=0)  # (P,)
     obj = 0.0
     for i in range(kernels.n_snapshots):
@@ -247,10 +238,8 @@ class _Finish(NamedTuple):
     objective: Callable[[], float]
 
 
-def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray, log_m: Optional[np.ndarray] = None) -> float:
+def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> float:
     """Max L1 marginal violation, in log space; ``log_m`` as in transport_objective_from_logs."""
-    if log_m is None:
-        log_m = _log_factor_sums(log_kern, log_a)
     violations = [
         np.abs(np.exp(_log_marginal(log_kern, log_m, log_a, j)) - targets[j]).sum()
         for j in range(log_kern.shape[0])
@@ -258,9 +247,7 @@ def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray
     return float(np.max(violations))  # np.max keeps a NaN, where max() could drop it
 
 
-def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: Optional[np.ndarray] = None) -> _Finish:
-    if log_m is None:
-        log_m = _log_factor_sums(kernels.log_kernels, log_a)
+def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> _Finish:
     residual = _final_residual(kernels.log_kernels, log_a, targets, log_m)
     return _Finish(log_a, log_m, residual, partial(transport_objective_from_logs, kernels, log_a, log_m))
 
@@ -287,7 +274,7 @@ def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, m: np.ndarr
         residual = float(np.max(violations))
         if np.isfinite(residual):
             return _Finish(log_a, log_m, residual, partial(_transport_objective_exp, op, a, log_m))
-    return _finish_log(kernels, log_a, targets)
+    return _finish_log(kernels, log_a, targets, _log_factor_sums(kernels.log_kernels, log_a))
 
 
 def _with_log_zeros(a: np.ndarray) -> np.ndarray:

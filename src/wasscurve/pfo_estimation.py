@@ -128,7 +128,9 @@ def generate_logistic_rows(
     n_particles: int = 1000,
     seed: int = 0,
 ) -> List[Tuple[float, float]]:
-    """Particle snapshots of the logistic map from a uniform start on [0, 1]."""
+    """Particle snapshots of the logistic map from a uniform start on [0, 1], at t = 0, 1/(N-1), ..., 1."""
+    if n_snapshots < 2:
+        raise ValueError("need at least two snapshots")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 1.0, size=n_particles)
     paths = iterate_map_particles(lambda x: logistic_map(x, r), x0, n_snapshots)
@@ -175,42 +177,27 @@ class StationaryResult:
     vector: np.ndarray
     residual: float
     iterations: int
-    damped: bool
 
 
 def stationary_distribution(
     transition: TransitionMatrix,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    damping: float = 0.999,
 ) -> StationaryResult:
     """Left fixed point of Q by power iteration from the uniform vector.
 
-    When plain iteration fails to converge within max_iter (periodic chains),
-    a damped pass v <- a v Q + (1-a) u is run and reported in the result.
+    Raises SolverError when the iteration does not settle within max_iter
+    steps, as on a periodic chain whose stationary vector is not uniform.
     """
     q = transition.Q
-    n = q.shape[0]
-    uniform = np.full(n, 1.0 / n)
-
-    def _iterate(update):
-        v = uniform.copy()
-        for it in range(1, max_iter + 1):
-            v_new = update(v)
-            v_new /= v_new.sum()
-            if np.abs(v_new @ q - v_new).sum() <= tol:
-                return v_new, it
-            v = v_new
-        return None, max_iter
-
-    v, iters = _iterate(lambda v: v @ q)
-    if v is not None:
-        return StationaryResult(v, float(np.abs(v @ q - v).sum()), iters, False)
-    logger.info("plain power iteration did not converge in %d steps; damping with a=%g", max_iter, damping)
-    v, iters2 = _iterate(lambda v: damping * (v @ q) + (1.0 - damping) * uniform)
-    if v is None:
-        raise SolverError(f"stationary iteration failed even with damping after {max_iter} steps")
-    return StationaryResult(v, float(np.abs(v @ q - v).sum()), iters + iters2, True)
+    v = np.full(q.shape[0], 1.0 / q.shape[0])
+    for it in range(1, max_iter + 1):
+        v = v @ q
+        v /= v.sum()
+        residual = float(np.abs(v @ q - v).sum())
+        if residual <= tol:
+            return StationaryResult(v, residual, it)
+    raise SolverError(f"stationary power iteration did not converge in {max_iter} steps")
 
 
 def logistic_map(x, r: float):

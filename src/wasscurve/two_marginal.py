@@ -11,7 +11,7 @@ from typing import Tuple
 import numpy as np
 
 from .kernels import _sq_distances
-from .measures import DiscreteMeasure, SupportGrid
+from .measures import DiscreteMeasure, SupportGrid, check_coordinate_scale
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     SolverError,
@@ -31,14 +31,13 @@ def _check_same_dim(a: SupportGrid, b: SupportGrid) -> None:
         raise ValueError(f"measures must share one state dimension (got {a.dim} and {b.dim})")
 
 
-def _pairwise_sq_cost(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, rate: float) -> None:
+    """One dimension, equal mass, and squared distances that, times ``rate``, stay in range."""
     _check_same_dim(mu.grid, nu.grid)
-    return _sq_distances(mu.grid.points, nu.grid.points)
-
-
-def _check_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("measures must carry equal mass")
+    a, b = mu.grid.points, nu.grid.points
+    check_coordinate_scale(np.minimum(a.min(axis=0), b.min(axis=0)), np.maximum(a.max(axis=0), b.max(axis=0)), rate)
 
 
 def two_marginal_w2(
@@ -58,8 +57,8 @@ def two_marginal_w2(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _check_mass(mu, nu)
-    cost = _pairwise_sq_cost(mu, nu)
+    _check_pair(mu, nu, 1.0 / epsilon)
+    cost = _sq_distances(mu.grid.points, nu.grid.points)
     log_k = -(cost - cost.min()) / epsilon
     p, q = mu.weights, nu.weights
     log_p = _with_log_zeros(p)
@@ -141,20 +140,21 @@ def two_marginal_w2_exact(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[flo
     program directly and are limited to the supports ``exact_w2_supported``
     accepts (ValueError otherwise, and for measures of different dimensions).
     """
-    _check_same_dim(mu.grid, nu.grid)
-    _check_mass(mu, nu)
+    _check_pair(mu, nu, 1.0)
     if mu.dim == 1:
         return _monotone_coupling_1d(mu.grid.points[:, 0], mu.weights, nu.grid.points[:, 0], nu.weights)
     if not exact_w2_supported(mu.grid, nu.grid):
         raise ValueError(f"exact LP path limited to {_LP_MAX_SUPPORT} support points per side")
-    return exact_transport_lp(mu.weights, nu.weights, _pairwise_sq_cost(mu, nu))
+    return exact_transport_lp(mu.weights, nu.weights, _sq_distances(mu.grid.points, nu.grid.points))
 
 
 def exact_transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[float, np.ndarray]:
     """Minimal <cost, plan> over plans with row sums p and column sums q, and the plan.
 
     Solved as a linear program by scipy's HiGHS, imported here: the rest of
-    the package needs numpy only. Raises SolverError when the solver fails.
+    the package needs numpy only. Its feasibility tolerances are the tightest
+    HiGHS accepts, 1e-10; at its defaults (1e-7) it drops masses of that size.
+    Raises SolverError when the solver fails.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -164,7 +164,10 @@ def exact_transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> Tuple[
     rows = np.concatenate([np.repeat(np.arange(n), m), n + np.repeat(np.arange(m), n)])
     cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
     a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     if not res.success:
         raise SolverError(f"exact transport LP failed: {res.message}")
     return float(res.fun), res.x.reshape(n, m)

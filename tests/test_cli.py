@@ -88,6 +88,21 @@ class TestSchemas:
         lam = dataio.load_lambda_file(str(p))
         assert lam == {0.0: 0.5, 1.0: 0.5}
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0.5\n\n1,0.5\n", None),  # a blank row is skipped, as in snapshot files
+        ("0,0.5\n1,0.5,7\n", ":3: expected 2 fields, got 3"),
+        ("0,0.5\n1,nan\n", ":3: 'nan' is not a finite number"),
+        ("0,0.5\n1,0.25\n1,0.25\n", ": timestamp t=1.0 is listed twice"),
+    ])
+    def test_lambda_rows_follow_the_snapshot_grammar(self, tmp_path, body, message):
+        p = tmp_path / "lam.csv"
+        write(p, "t,lambda\n" + body)
+        if message is None:
+            assert dataio.load_lambda_file(str(p)) == {0.0: 0.5, 1.0: 0.5}
+        else:
+            with pytest.raises(SchemaError, match=re.escape(f"{p}{message}")):
+                dataio.load_lambda_file(str(p))
+
 
 class TestGenerators:
     def test_ou_rows_match_variance_law(self):
@@ -99,6 +114,10 @@ class TestGenerators:
         for t, xs in by_t.items():
             target = 2.0 * (1.0 - np.exp(-2.0 * t))
             assert np.var(xs) == pytest.approx(target, rel=0.15)
+
+    def test_logistic_rows_need_two_snapshots(self):
+        with pytest.raises(ValueError, match="at least two snapshots"):
+            generate_logistic_rows(n_snapshots=1)
 
     def test_logistic_rows_deterministic(self):
         a = generate_logistic_rows(r=4.0, n_snapshots=3, n_particles=50, seed=5)
@@ -477,6 +496,15 @@ MIXTURE_TOY = json.dumps(dataio.generate_mixture_toy(), sort_keys=True, separato
 # five snapshots of 200 points in the plane: the default 50-per-axis grid would need 582 GiB of dense kernels
 PLANE_SAMPLES = "t,x1,x2\n" + "".join(f"{t},{i * 37 % 200 / 200},{i * 91 % 200 / 200}\n" for t in range(5) for i in range(200))
 
+
+def _huge_samples():
+    """200 draws of N(t, 1) * 1e160 at each of t = 0, 0.5, 1: their squared distances overflow."""
+    rng = np.random.default_rng(0)
+    return "t,x1\n" + "".join(f"{t!r},{float(x)!r}\n" for t in (0.0, 0.5, 1.0) for x in rng.normal(t, 1, 200) * 1e160)
+
+
+HUGE_SAMPLES = _huge_samples()
+
 # argv ({input}: the file holding `content`; {samples}: a well-formed samples CSV), content, exit code, and
 # a text that stderr must hold
 MALFORMED_INPUTS = [
@@ -531,6 +559,23 @@ MALFORMED_INPUTS = [
     (["gaussian", "--input", "{samples}", "--tol", "inf"], None, 4, "tol must be positive"),
     (["gaussian", "--input", "{input}", "--tol", "1e-4"], "t,x1\n0,1e150\n0,-1e150\n0.5,2e150\n0.5,-2e150\n1,1e150\n1,-3e150\n",
      4, "data scale too large for the SDP: covariance entries reach 4e+300"),
+    (["regress", "--input", "{samples}", "--lambda-file", "{input}"], "t,lambda\n0,0.5\n1,0.25\n1,0.25\n0.5,0.25\n", 3,
+     "input: timestamp t=1.0 is listed twice"),
+    (["gaussian", "--input", "{input}", "--tol", "1e-4"],
+     "t,weight,x1\n0,0.25,0\n0,0.25,1\n0.5,0.25,0\n0.5,0.25,1\n1,0.25,0\n1,0.25,1\n", 3,
+     "input: atom weights at t=0.0 sum to 0.5, expected 1"),
+    (["gaussian", "--input", "{samples}", "--max-iter", "0"], None, 4, "--max-iter must be at least 1 (got 0)"),
+    (["regress", "--input", "{samples}", "--max-iter", "-3"], None, 4, "--max-iter must be at least 1 (got -3)"),
+    (["generate", "logistic", "--snapshots", "1", "--output", "{input}"], None, 4, "need at least two snapshots"),
+    (["generate", "ou", "--particles", "-1", "--output", "{input}"], None, 4, "--particles must be at least 1 (got -1)"),
+    (["generate", "ou", "--seed", "-1", "--output", "{input}"], None, 4, "--seed must be at least 0 (got -1)"),
+    (["generate", "ou", "--snapshots", "0", "--output", "{input}"], None, 4, "--snapshots must be at least 1 (got 0)"),
+    (["generate", "logistic", "--particles", "0", "--output", "{input}"], None, 4, "--particles must be at least 1 (got 0)"),
+    (["invariant", "--input", "{input}", "--domain=-5e160:5e160", "--boxes", "20"], HUGE_SAMPLES, 4,
+     "coordinate scale too large: squared distances reach inf"),
+    (["regress", "--input", "{input}"], HUGE_SAMPLES, 4, "coordinate scale too large"),
+    (["distance", "--input-a", "{input}", "--input-b", "{input}"], "t,x1\n0,1e160\n0,-2e160\n", 4,
+     "pass 1e+300; rescale the data"),
     (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),
     (["distance", "--input-a", "{samples}", "--input-b", "{samples}", "--grid", "x0=0:1:3"], None, 4, "--grid x0"),
 ] + [
@@ -578,6 +623,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, content, code, message", MALFORMED_INPUTS, ids=[f"{c[0][0]}: {c[3]}" for c in MALFORMED_INPUTS]
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy message on the way to the exit code
     def test_exit_category(self, tmp_path, capsys, argv, content, code, message):
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
         if content is not None:
@@ -585,6 +631,42 @@ class TestMalformedInput:
         paths = {"input": str(tmp_path / "input"), "samples": str(tmp_path / "samples.csv")}
         assert _exit_code([arg.format(**paths) for arg in argv]) == code
         assert message in capsys.readouterr().err
+
+
+class TestErrorPaths:
+    """Exits and rescales of well-formed runs that no other test reaches."""
+
+    def test_gaussian_stopped_at_max_iter_is_solver_divergence(self, tmp_path, capsys):
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
+        assert cli.main(["gaussian", "--input", str(tmp_path / "samples.csv"), "--tol", "1e-12", "--max-iter", "3"]) == 5
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["category"] == "solver-divergence"
+        assert "did not converge in 3 iterations" in err["message"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1:0:5", "grid data: need hi > lo"),
+        ("x0=0:1:1", "grid x0: regress needs at least 2 points per axis"),
+    ])
+    def test_unusable_grid_is_a_precondition_error(self, tmp_path, capsys, grid, message):
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
+        assert cli.main(["regress", "--input", str(tmp_path / "samples.csv"), "--grid", grid]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_gmm_rescales_timestamps_past_1(self, tmp_path):
+        # the toy's times 0.1, 1/3, 2/3, 0.9 times 4 run on 4 t / 3.6, the toy's divided by 0.9
+        toy = dataio.generate_mixture_toy()
+        runs = {}
+        for name, scale in (("times4", 4.0), ("over09", 1.0 / 0.9)):
+            doc = json.loads(json.dumps(toy))
+            for snap in doc["snapshots"]:
+                snap["t"] *= scale
+            dataio.write_json(str(tmp_path / f"{name}.json"), doc)
+            runs[name] = cli.run(cli.RunConfig(command="gmm", input=str(tmp_path / f"{name}.json"), epsilon=0.1))
+        assert runs["times4"].diagnostics["converged"]
+        np.testing.assert_allclose(runs["times4"].objectives["surrogate"], runs["over09"].objectives["surrogate"], rtol=1e-9)
+        np.testing.assert_allclose(
+            [e[2] for e in runs["times4"].coupling_entries], [e[2] for e in runs["over09"].coupling_entries], rtol=1e-7, atol=1e-12
+        )
 
 
 class TestLambdaFile:
@@ -778,7 +860,10 @@ def test_moments_by_timestamp_match_the_per_timestamp_scan(tmp_path, schema):
     if schema == "samples":
         lines = ["t,x1,x2"] + [f"{t!r},{a!r},{b!r}" for t, (a, b) in zip(ts, xs)]
     else:
-        w = (rng.random(n) + 0.1).tolist()  # normalized per timestamp by the function
+        w = rng.random(n) + 0.1
+        for t in set(ts):  # each timestamp's weights sum to 1, as the atoms format requires
+            w[np.array(ts) == t] /= w[np.array(ts) == t].sum()
+        w = w.tolist()
         lines = ["t,weight,x1,x2"] + [f"{t!r},{wi!r},{a!r},{b!r}" for t, wi, (a, b) in zip(ts, w, xs)]
     p = tmp_path / "m.csv"
     write(p, "\n".join(lines) + "\n")

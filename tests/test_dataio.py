@@ -249,6 +249,14 @@ def test_write_json_is_the_compact_sorted_dump(tmp_path_factory, doc):
     assert json.loads(raw) == doc
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_floats(tmp_path, value):
+    path = tmp_path / "result.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataio.write_json(str(path), {"objectives": {"fit_objective": value}})
+    assert not path.exists()
+
+
 def test_dataio_imports_only_measures():
     """The file layer sits below the solvers: of its own package it imports the measures module alone."""
     with open(dataio.__file__, encoding="utf-8") as fh:

@@ -126,6 +126,19 @@ class TestBuildKernels:
         with pytest.raises(ValueError, match="positive"):
             build_kernels(ds, LINEAR, [grid_1d([0.0, 1.0])] * 2, 0.0)
 
+    @pytest.mark.parametrize("curve, scale, epsilon", [
+        (LINEAR, 1e160, 0.1),  # squared distances overflow (factored path)
+        (QUADRATIC, 1e160, 0.1),  # the same on the dense path
+        (LINEAR, 1e149, 1e-3),  # squared distances below 1e300, but lambda c / epsilon above
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_costs_that_overflow(self, curve, scale, epsilon):
+        ds, _ = random_instance(np.random.default_rng(1))
+        grids = [grid_1d([-scale, scale])] * curve.n_params
+        with pytest.raises(ValueError, match="coordinate scale too large"):
+            build_kernels(ds, curve, grids, epsilon)
+        build_kernels(ds, curve, [grid_1d([-1e140, 1e140])] * curve.n_params, epsilon)  # in range
+
 
 class TestProjections:
     def test_counting_identity_kernels(self):
@@ -229,7 +242,7 @@ class TestSinkhornSolve:
 
     def test_log_and_exp_domains_agree(self, monkeypatch):
         import wasscurve.mm_sinkhorn as engine
-        from wasscurve.mm_sinkhorn import transport_objective_from_logs
+        from wasscurve.mm_sinkhorn import _log_factor_sums, transport_objective_from_logs
 
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
         state = sinkhorn_solve(kernels, ds, tol=1e-11)
@@ -238,7 +251,8 @@ class TestSinkhornSolve:
         log_state = sinkhorn_solve(kernels, ds, tol=1e-11)
         assert log_state.used_log_domain
         assert log_state.converged and log_state.marginal_residual <= 1e-11
-        log_obj = transport_objective_from_logs(kernels, log_state.log_potentials)
+        log_a = log_state.log_potentials
+        log_obj = transport_objective_from_logs(kernels, log_a, _log_factor_sums(kernels.log_kernels, log_a))
         np.testing.assert_allclose(log_obj, state.objective, rtol=1e-8)
 
     def test_mid_run_switch_to_log_domain(self):
@@ -274,6 +288,15 @@ class TestSinkhornSolve:
         ds, kernels = random_instance(np.random.default_rng(6))
         with pytest.raises(ValueError, match="tol"):
             sinkhorn_solve(kernels, ds, tol=0.0)
+
+    def test_zero_projection_at_positive_target_raises(self):
+        # an infinite cost column: no parameter tuple reaches support point 1, whose target is positive
+        costs = np.zeros((2, 2, 2))
+        costs[0, :, 1] = np.inf
+        kernels = kernels_from_costs(costs, np.full(2, 0.5), 1.0, (grid_1d([0.0]), grid_1d([0.0, 1.0])))
+        ds = dataset_from_weights([0.0, 1.0], np.full((2, 2), 0.5), grid_1d([0.0, 1.0]))
+        with pytest.raises(SolverError, match="zero marginal projection where the target is positive"):
+            sinkhorn_solve(kernels, ds)
 
 
 class TestExpSweep:
@@ -379,13 +402,14 @@ class TestFinish:
 
     @staticmethod
     def _assert_matches_log_recomputation(state, ds):
-        from wasscurve.mm_sinkhorn import _final_residual, transport_objective_from_logs
+        from wasscurve.mm_sinkhorn import _final_residual, _log_factor_sums, transport_objective_from_logs
 
         kernels, log_a = state.kernels, state.log_potentials
         assert state.log_factor_sums is not None
-        residual = _final_residual(kernels.log_kernels, log_a, ds.target_matrix())
+        log_m = _log_factor_sums(kernels.log_kernels, log_a)
+        residual = _final_residual(kernels.log_kernels, log_a, ds.target_matrix(), log_m)
         np.testing.assert_allclose(state.marginal_residual, residual, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(state.objective, transport_objective_from_logs(kernels, log_a), rtol=1e-10)
+        np.testing.assert_allclose(state.objective, transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # states stopped at max_iter
             cached = extract_param_coupling(state).weights
@@ -966,6 +990,29 @@ class TestTwoMarginal:
         cost, _ = two_marginal_w2_exact(mu, nu)
         ref, _ = oracles.transport_lp(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1), wa, wb)
         assert cost == pytest.approx(ref, rel=1e-10)
+
+    def test_exact_lp_keeps_a_mass_below_the_default_tolerance(self):
+        # HiGHS's default feasibility tolerance (1e-7) drops the 6e-8, and the cost with it
+        mu = DiscreteMeasure(SupportGrid(np.array([[0.0, 0.0]])), np.array([1.0]))
+        nu = DiscreteMeasure(SupportGrid(np.array([[0.0, 0.0], [1.0, 0.0]])), np.array([1.0 - 6e-8, 6e-8]))
+        cost, plan = two_marginal_w2_exact(mu, nu)
+        assert cost == pytest.approx(6e-8, rel=1e-6)
+        np.testing.assert_allclose(plan.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_costs_that_overflow_are_rejected(self, dim):
+        def pair(scale):
+            pad = [[0.0] * (dim - 1)] * 2
+            return DiscreteMeasure(SupportGrid(np.hstack([[[scale], [-scale]], pad])), np.array([0.5, 0.5]))
+
+        mu, nu = pair(1e160), pair(2e160)
+        with pytest.raises(ValueError, match="coordinate scale too large"):
+            two_marginal_w2_exact(mu, nu)
+        with pytest.raises(ValueError, match="coordinate scale too large"):
+            two_marginal_w2(mu, nu, 0.1)
+        with pytest.raises(ValueError, match="coordinate scale too large"):
+            two_marginal_w2(pair(1e149), pair(2e149), 1e-3)  # finite costs, but cost / epsilon passes 1e300
 
     def test_exact_lp_failure_is_solver_error(self):
         with pytest.raises(SolverError, match="exact transport LP failed") as info:

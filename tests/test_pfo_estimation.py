@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from wasscurve.curve_regression import SolverConfig
 from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
+from wasscurve.mm_sinkhorn import SolverError
 from wasscurve.pfo_estimation import (
     BoxPartition,
     TransitionMatrix,
@@ -184,12 +185,19 @@ class TestStationaryDistribution:
         tm = TransitionMatrix(np.eye(3), np.full(3, 1 / 3))
         res = stationary_distribution(tm)
         np.testing.assert_allclose(res.vector, 1 / 3, atol=1e-12)
-        assert not res.damped
 
-    def test_periodic_swap_needs_damping(self):
+    def test_periodic_swap_converges_from_its_uniform_fixed_point(self):
         tm = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
         res = stationary_distribution(tm, tol=1e-12, max_iter=50)
         np.testing.assert_allclose(res.vector, [0.5, 0.5], atol=1e-9)
+        assert res.iterations == 1
+
+    def test_periodic_chain_with_nonuniform_fixed_point_raises(self):
+        # period 2, stationary vector (1/4, 1/2, 1/4): power iteration oscillates
+        q = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        tm = TransitionMatrix(q, np.full(3, 1 / 3))
+        with pytest.raises(SolverError, match="did not converge in 200 steps"):
+            stationary_distribution(tm, max_iter=200)
 
     def test_absorbing_chain(self):
         tm = TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([0.5, 0.5]))
