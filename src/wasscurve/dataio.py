@@ -30,6 +30,7 @@ from .measures import (
     SupportGrid,
     check_coordinate_scale,
     measure_from_samples,
+    nearest_index,
     normalize_timestamps,
 )
 
@@ -150,16 +151,12 @@ def _grid_from_positions(pos: np.ndarray, n_points: int) -> SupportGrid:
 
 
 def _atom_indices(positions: np.ndarray, grid: SupportGrid) -> np.ndarray:
-    """Grid index of each atom: its exact grid point, else the nearest one."""
-    points = np.asarray(grid.points)
-    index_of = {key: i for i, key in enumerate(map(tuple, points.tolist()))}
-    out = np.empty(len(positions), dtype=np.intp)
-    for k, key in enumerate(map(tuple, positions.tolist())):
-        idx = index_of.get(key)
-        if idx is None:
-            # off-grid atom: quantize to the nearest grid point
-            idx = int(np.argmin(((points - positions[k][None, :]) ** 2).sum(axis=1)))
-        out[k] = idx
+    """Grid index of each atom: its exact grid point, else the nearest one (``nearest_index``)."""
+    index_of = {key: i for i, key in enumerate(map(tuple, grid.points.tolist()))}
+    out = np.array([index_of.get(key, -1) for key in map(tuple, positions.tolist())], dtype=np.intp)
+    off_grid = out < 0
+    if off_grid.any():
+        out[off_grid] = nearest_index(positions[off_grid], grid)
     return out
 
 
@@ -182,7 +179,7 @@ def load_snapshots(
     if grid is not None:
         if positions.shape[1] != grid.dim:
             raise ValueError("point dimension does not match grid")
-        lo, hi = np.minimum(lo, grid.points.min(axis=0)), np.maximum(hi, grid.points.max(axis=0))
+        lo, hi = np.minimum(lo, grid.bounds[0]), np.maximum(hi, grid.bounds[1])
     check_coordinate_scale(lo, hi)
     order, distinct, groups = group_by_time(times)
     if schema == "samples":

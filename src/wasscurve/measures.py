@@ -6,6 +6,7 @@ can be shared freely across threads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +46,11 @@ class SupportGrid:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate minimum and maximum of the points, each shape (d,)."""
+        return _readonly(self.points.min(axis=0)), _readonly(self.points.max(axis=0))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -188,30 +194,75 @@ def normalize_timestamps(dataset: SnapshotDataset) -> SnapshotDataset:
     )
 
 
-def quantize_to_grid(points: np.ndarray, masses: np.ndarray, grid: SupportGrid) -> np.ndarray:
-    """Deposit masses on the nearest grid point each (Euclidean metric).
+def _nearest_index_scan(pts: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """Brute-force nearest_index: every point-to-grid squared distance, O(n |X| d)."""
+    idx = np.empty(pts.shape[0], dtype=np.intp)
+    # Chunks keep each pairwise temporary under 64 KiB, below the C allocator's
+    # mmap threshold: a larger one is mapped fresh, and zero-filled page by
+    # page, on every call.
+    chunk = max(1, 2 ** 13 // max(gp.shape[0] * gp.shape[1], 1))
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        d2 = ((block[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2)
+        idx[start : start + chunk] = np.argmin(d2, axis=1)  # the first minimum: lowest index wins ties
+    return idx
 
-    Distance ties break toward the lowest grid index. Returns the accumulated
-    weight vector over the grid (not normalized).
+
+def _nearest_index_1d(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """nearest_index on a line by sorted search, O((n + |X|) log |X|).
+
+    With the grid sorted, s[i-1] < x <= s[i]. The float (x - g) ** 2 is
+    monotone on each side of x, so the minimum sits at s[i-1] or s[i], and a
+    grid point further out can equal it only if the next neighbour out on
+    its side (s[i-2] or s[i+1]) does too. Points where that happens
+    (distances collapsed by rounding or underflow) go to the scan, so the
+    lowest index still wins every tie.
+    """
+    order = np.argsort(g, kind="stable")
+    s = g[order]
+    last = len(s) - 1
+    i = np.searchsorted(s, x)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, last)
+    d_lo, d_hi = (x - s[lo]) ** 2, (x - s[hi]) ** 2
+    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (order[hi] < order[lo]))
+    idx = order[np.where(take_hi, hi, lo)]
+    best = np.minimum(d_lo, d_hi)
+    far_lo, far_hi = np.maximum(i - 2, 0), np.minimum(i + 1, last)
+    tied = ((far_lo < lo) & ((x - s[far_lo]) ** 2 == best)) | ((far_hi > hi) & ((x - s[far_hi]) ** 2 == best))
+    if tied.any():
+        idx[tied] = _nearest_index_scan(x[tied, None], g[:, None])
+    return idx
+
+
+def nearest_index(points: np.ndarray, grid: SupportGrid) -> np.ndarray:
+    """Index of the grid point nearest to each point, shape (n,).
+
+    Nearest means the least squared Euclidean distance, taken as
+    ``((x - g) ** 2).sum()``; ties go to the lowest grid index. One-dimensional
+    grids use a sorted search, O((n + |X|) log |X|); other grids scan every
+    distance, O(n |X| d). Both give the same indices. Points must be a
+    finite (n, d) array, or (n,) when d = 1; ValueError otherwise.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != grid.dim:
         raise ValueError("point dimension does not match grid")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    if grid.dim == 1:
+        return _nearest_index_1d(pts[:, 0], grid.points[:, 0])
+    return _nearest_index_scan(pts, grid.points)
+
+
+def quantize_to_grid(points: np.ndarray, masses: np.ndarray, grid: SupportGrid) -> np.ndarray:
+    """Deposit masses on the nearest grid point each (``nearest_index``).
+
+    Returns the accumulated weight vector over the grid (not normalized),
+    summed in point order. Non-finite points are a ValueError.
+    """
     masses = np.asarray(masses, dtype=float).ravel()
-    out = np.zeros(len(grid))
-    gp = grid.points
-    # Chunks keep each pairwise temporary under 64 KiB, below the C allocator's
-    # mmap threshold: a larger one is mapped fresh, and zero-filled page by
-    # page, on every call.
-    chunk = max(1, 2 ** 13 // max(len(grid) * grid.dim, 1))
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        d2 = ((block[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index wins ties
-        np.add.at(out, idx, masses[start : start + chunk])
-    return out
+    return np.bincount(nearest_index(points, grid), weights=masses, minlength=len(grid))
 
 
 def check_coordinate_scale(lo: np.ndarray, hi: np.ndarray, rate=1.0) -> None:

@@ -36,8 +36,8 @@ def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, rate: float) -> None:
     _check_same_dim(mu.grid, nu.grid)
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("measures must carry equal mass")
-    a, b = mu.grid.points, nu.grid.points
-    check_coordinate_scale(np.minimum(a.min(axis=0), b.min(axis=0)), np.maximum(a.max(axis=0), b.max(axis=0)), rate)
+    (a_lo, a_hi), (b_lo, b_hi) = mu.grid.bounds, nu.grid.bounds
+    check_coordinate_scale(np.minimum(a_lo, b_lo), np.maximum(a_hi, b_hi), rate)
 
 
 def two_marginal_w2(

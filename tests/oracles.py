@@ -20,7 +20,6 @@ from wasscurve.measures import (
     DiscreteMeasure,
     SnapshotDataset,
     SupportGrid,
-    measure_from_samples,
     normalize_timestamps,
 )
 from wasscurve.kernels import kernels_from_costs, param_tuple_stack
@@ -37,6 +36,26 @@ def dense_coupling_tensor(kernels, log_potentials):
         shape = (p,) + (1,) * i + (x,) + (1,) * (n - i - 1)
         gamma = gamma * (k[i] * a[i][None, :]).reshape(shape)
     return gamma
+
+
+def dense_coupling_marginals(kernels, log_potentials):
+    """Marginals of dense_coupling_tensor on every snapshot, shape (N, |X|).
+
+    The same exp-space products, with the other snapshots' axes summed out
+    one factor at a time (m_i = K_i a_i), so the (P, |X|, ..., |X|) tensor
+    is never formed.
+    """
+    k = np.exp(kernels.log_kernels)  # (N, P, X)
+    a = np.exp(log_potentials)  # (N, X)
+    m = np.einsum("npx,nx->np", k, a)
+    out = np.empty_like(a)
+    for j in range(k.shape[0]):
+        others = np.ones(k.shape[1])
+        for i in range(k.shape[0]):
+            if i != j:
+                others = others * m[i]
+        out[j] = a[j] * (others @ k[j])
+    return out
 
 
 def dense_curve_kernels(dataset, curve, grids, epsilon):
@@ -282,6 +301,33 @@ def _grid_from_rows(rows: Sequence[Tuple[float, float, np.ndarray]], n_points: i
     return SupportGrid(np.stack([m.ravel() for m in mesh], axis=1))
 
 
+def quantize_to_grid(points: np.ndarray, masses: np.ndarray, grid: SupportGrid) -> np.ndarray:
+    """Deposit masses on the nearest grid point each (Euclidean metric).
+
+    The reference for ``measures.quantize_to_grid``: every point-to-grid
+    distance, scanned in chunks. Distance ties break toward the lowest grid
+    index. Returns the accumulated weight vector over the grid (not normalized).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != grid.dim:
+        raise ValueError("point dimension does not match grid")
+    masses = np.asarray(masses, dtype=float).ravel()
+    out = np.zeros(len(grid))
+    gp = grid.points
+    # Chunks keep each pairwise temporary under 64 KiB, below the C allocator's
+    # mmap threshold: a larger one is mapped fresh, and zero-filled page by
+    # page, on every call.
+    chunk = max(1, 2 ** 13 // max(len(grid) * grid.dim, 1))
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        d2 = ((block[:, None, :] - gp[None, :, :]) ** 2).sum(axis=2)
+        idx = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index wins ties
+        np.add.at(out, idx, masses[start : start + chunk])
+    return out
+
+
 def load_snapshots(
     path: str,
     grid: Optional[SupportGrid] = None,
@@ -302,8 +348,9 @@ def load_snapshots(
         the_grid = grid if grid is not None else _grid_from_rows(rows, grid_points)
         for t in times:
             pts = np.stack([r[2] for r in rows if r[0] == t])
+            counts = quantize_to_grid(pts, np.ones(pts.shape[0]), the_grid)
             lam = lambdas.get(t) if lambdas else None
-            snapshots.append((t, measure_from_samples(pts, the_grid), lam))
+            snapshots.append((t, DiscreteMeasure(the_grid, counts / counts.sum()), lam))
     else:
         if grid is not None:
             the_grid = grid

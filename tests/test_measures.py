@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wasscurve.measures import (
     DiscreteMeasure,
     GaussianMeasure,
@@ -12,6 +13,7 @@ from wasscurve.measures import (
     SnapshotDataset,
     SupportGrid,
     measure_from_samples,
+    nearest_index,
     normalize_timestamps,
     quantize_to_grid,
 )
@@ -163,6 +165,49 @@ class TestMeasureFromSamples:
         expected = np.zeros(len(grid))
         np.add.at(expected, np.argmin(d2, axis=1), masses)
         np.testing.assert_array_equal(quantize_to_grid(pts, masses, grid), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_grid=st.integers(1, 9),
+        layout=st.sampled_from(["uniform", "lattice", "offset", "tiny"]),
+        n_points=st.integers(0, 60),
+    )
+    def test_sorted_search_matches_the_scan(self, seed, n_grid, layout, n_points):
+        # 1-D grids in shuffled order; points on grid points, on midpoints (ties),
+        # outside the range, repeated, and far enough away (1e17) that rounding
+        # collapses three or more distances into one; masses include zeros
+        rng = np.random.default_rng(seed)
+        if layout == "uniform":
+            axis = rng.uniform(-1.0, 1.0, n_grid)
+        elif layout == "lattice":
+            axis = rng.choice(np.arange(-8, 9) * 0.25, n_grid, replace=False)
+        elif layout == "offset":
+            axis = 1e17 + rng.choice(np.arange(-8, 9) * 16.0, n_grid, replace=False)  # 16 is one ulp of 1e17
+        else:
+            axis = rng.choice(np.arange(-8, 9) * 1e-170, n_grid, replace=False)  # squares underflow to 0
+        grid = SupportGrid(axis)
+        far = np.array([1e17, -1e17, 1e17 + 16.0, 3e17, 0.0])
+        pool = np.concatenate([axis, (axis[:, None] + axis[None, :]).ravel() / 2, rng.uniform(-3.0, 3.0, 8) * np.ptp(axis) + axis.mean(), far])
+        pts = rng.choice(pool, n_points)
+        masses = rng.random(n_points) * (rng.random(n_points) < 0.8)
+        np.testing.assert_array_equal(quantize_to_grid(pts, masses, grid), oracles.quantize_to_grid(pts, masses, grid))
+        d2 = (pts[:, None] - axis[None, :]) ** 2
+        np.testing.assert_array_equal(nearest_index(pts, grid), np.argmin(d2, axis=1) if n_points else np.empty(0, int))
+
+    def test_collapsed_distances_go_to_the_lowest_index(self):
+        # near 1e17 every distance to a unit grid rounds to the same float
+        grid = SupportGrid(np.array([3.0, 1.0, 0.0, 2.0]))
+        assert (1e17 - 3.0) ** 2 == (1e17 - 0.0) ** 2
+        np.testing.assert_array_equal(nearest_index(np.array([1e17, -1e17]), grid), [0, 0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_rejected(self, bad):
+        grid = SupportGrid(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match="finite"):
+            quantize_to_grid(np.array([0.5, bad]), np.ones(2), grid)
+        with pytest.raises(ValueError, match="finite"):
+            measure_from_samples(np.array([bad]), grid)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)

@@ -397,17 +397,22 @@ class TestFinish:
 
     The residual sums |marginal - target| over unit-mass marginals, so near
     convergence it is a cancellation; beside rtol 1e-10 it gets atol 1e-14
-    (about 45 ulps of 1), as the exp-sweep comparisons do.
+    (about 45 ulps of 1), as the exp-sweep comparisons do. Its reference is
+    the marginals of the dense coupling (``oracles.dense_coupling_marginals``),
+    one exp per factor. The stored log potentials round the exp sweep's own,
+    which alone can move the residual by about 40 ulps; a log-space logsumexp
+    over (N, P, |X|) adds its rounding on top and can pass the atol.
     """
 
     @staticmethod
     def _assert_matches_log_recomputation(state, ds):
-        from wasscurve.mm_sinkhorn import _final_residual, _log_factor_sums, transport_objective_from_logs
+        from wasscurve.mm_sinkhorn import _log_factor_sums, transport_objective_from_logs
 
         kernels, log_a = state.kernels, state.log_potentials
         assert state.log_factor_sums is not None
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
-        residual = _final_residual(kernels.log_kernels, log_a, ds.target_matrix(), log_m)
+        marginals = oracles.dense_coupling_marginals(kernels, log_a)
+        residual = np.abs(marginals - ds.target_matrix()).sum(axis=1).max()
         np.testing.assert_allclose(state.marginal_residual, residual, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(state.objective, transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-10)
         with warnings.catch_warnings():
@@ -426,6 +431,7 @@ class TestFinish:
         zero_targets=st.booleans(),
         tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
     )
+    @example(seed=87540411, n_snapshots=1, n_support=2, param_sizes=(2, 2), epsilon=0.01, zero_targets=False, tol=1e-4)
     def test_matches_log_recomputation(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, tol):
         rng = np.random.default_rng(seed)
         grid = grid_1d(np.sort(rng.uniform(0, 1, n_support)))
