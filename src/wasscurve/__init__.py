@@ -9,8 +9,6 @@ distribution snapshots alone.
 
 __version__ = "0.1.0"
 
-import numpy.ma  # noqa: F401 -- np.unique imports it on its first call; load it with the package, not inside a solve
-
 from .curves import LINEAR, QUADRATIC, CurveClass, curve_from_name
 from .curve_regression import (
     ExtrapolationWarning,

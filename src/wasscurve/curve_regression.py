@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import CurveClass, LINEAR, QUADRATIC, curve_from_name
 from .kernels import build_kernels
-from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid, quantize_to_grid
+from .measures import DiscreteMeasure, SnapshotDataset, SupportGrid, quantize_to_grid, sorted_unique
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -161,7 +161,7 @@ def euclidean_regression_oracle(
     if np.any(lams <= 0):
         raise ValueError("weights must be positive")
     k = curve.n_params
-    if len(np.unique(ts)) < k:
+    if len(sorted_unique(ts)) < k:
         raise ValueError(f"need at least {k} distinct timestamps for a {curve.kind} fit")
     design = np.stack([curve.coefficients(t) for t in ts])  # (N, k)
     sw = np.sqrt(lams)[:, None]

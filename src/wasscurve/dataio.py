@@ -32,6 +32,7 @@ from .measures import (
     measure_from_samples,
     nearest_index,
     normalize_timestamps,
+    sorted_unique,
 )
 
 logger = logging.getLogger(__name__)
@@ -186,7 +187,7 @@ def load_snapshots(
         the_grid = grid if grid is not None else _grid_from_positions(positions, grid_points)
         measures = [measure_from_samples(positions[order[rows]], the_grid) for rows in groups]
     else:
-        the_grid = grid if grid is not None else SupportGrid(np.unique(positions, axis=0))
+        the_grid = grid if grid is not None else SupportGrid(sorted_unique(positions, axis=0))
         atom_idx = _atom_indices(positions, the_grid)
         measures = []
         for t, rows in zip(distinct, groups):
@@ -354,8 +355,11 @@ def write_json(path: str, obj) -> None:
     """Write compact one-line JSON deterministically (sorted keys, repr floats) via temp+rename.
 
     A NaN or infinite float raises ValueError: the file is always strict JSON.
+    ``obj`` must be a tree (no container inside itself); the encoder does not
+    check for cycles, which saves its bookkeeping on every list and dict.
     """
-    _atomic_write(path, json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .curves import CurveClass, LINEAR
 from .curve_regression import euclidean_regression_oracle
 from .linalg import inv_sqrtm_pd, inv_sqrtm_pd_stack, project_psd, project_psd_stack, sqrtm_psd, sqrtm_psd_stack
-from .measures import GaussianMeasure
+from .measures import GaussianMeasure, sorted_unique
 from .mm_sinkhorn import SolverError
 
 logger = logging.getLogger(__name__)
@@ -250,8 +250,14 @@ def fit_gaussian_sdp(
         the induced Gaussian-valued curve.
 
     Raises:
+        ValueError: tol not a positive finite number, max_iter below 1, or
+            invalid snapshots.
         SolverError: residuals did not reach tol within max_iter.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     timestamps = np.array([float(row[0]) for row in data])
     lambdas = np.array([float(row[1]) for row in data])
     covs = [np.atleast_2d(np.asarray(row[2], dtype=float)) for row in data]
@@ -364,7 +370,7 @@ def gaussian_1d_parametric_oracle(
         raise ValueError("standard deviations must be positive")
     if np.any(lams <= 0):
         raise ValueError("weights must be positive")
-    if len(np.unique(ts)) < 2:
+    if len(sorted_unique(ts)) < 2:
         raise ValueError("need at least two distinct timestamps")
     design = np.stack([1.0 - ts, ts], axis=1)
     sw = np.sqrt(lams)

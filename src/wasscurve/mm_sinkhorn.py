@@ -24,7 +24,9 @@ factored ones, and no (N, P, |X|) array; the finish recomputes the sums in
 log space only when one falls below the normal float range or a w_j
 overflows. A log-domain solve hands over the log sums its sweeps maintain.
 
-Sweeps over-relax once their contraction rate settles (``_Overrelaxation``).
+While sweeps contract slowly, Anderson acceleration extrapolates their
+log-potentials, keeping an extrapolation only when it raises the dual
+objective above the plain sweep's (``_Anderson``).
 """
 
 import logging
@@ -33,7 +35,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,11 +58,12 @@ _NORMAL_MIN = np.finfo(float).tiny
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
 
-# over-relaxation (see _Overrelaxation)
-_SETTLE_COUNT = 5
-_SETTLE_SPREAD = 1e-3
-_DUAL_ROUNDING = 1e-13
-_RATE_WINDOW = 50
+# Anderson acceleration (see _Anderson)
+_DEPTH = 5
+_SLOW_RATIO = 0.3
+# an extrapolation that divides a potential by more than exp(_MAX_SHRINK) is
+# undone: its factor sums m + K (a o expm1(step)) would cancel past 8 digits
+_MAX_SHRINK = 20.0
 
 
 class SolverError(RuntimeError):
@@ -105,8 +108,8 @@ class FactoredCoupling:
     prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums`` holds
     log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape (N, P),
     as the solver finished with them; a state built without them (None)
-    computes them once, on construction. The last three fields say why the
-    solve took the sweeps it did (see _Overrelaxation).
+    computes them once, on construction. The last two fields count the kept
+    and the undone extrapolations of its sweeps (see _Anderson).
     """
 
     kernels: KernelSet
@@ -118,9 +121,8 @@ class FactoredCoupling:
     objective: float
     used_log_domain: bool
     log_factor_sums: Optional[np.ndarray] = None  # (N, P)
-    omega: float = 1.0  # at the end of the solve
-    overrelaxed_from: Optional[int] = None  # first sweep of the last over-relaxed run
-    overrelaxation_reverts: int = 0  # over-relaxed sweeps undone
+    accelerated: int = 0
+    acceleration_reverts: int = 0
 
     def __post_init__(self):
         if self.log_factor_sums is None:
@@ -172,8 +174,9 @@ def _log_weights_without(log_total: np.ndarray, log_m_j: np.ndarray) -> np.ndarr
 
 
 def _log_marginal(log_kernels: np.ndarray, log_m: np.ndarray, log_a: np.ndarray, j: int) -> np.ndarray:
-    """log P_{y_j}(Gamma) from cached factor sums; shape (|X|,)."""
-    log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
+    """log P_{y_j}(Gamma) from cached factor sums; shape (|X|,). log w_j sums the other
+    log m_i: the total minus log m_j cancels, by 1e-14 at log sums of a few hundred."""
+    log_w = np.delete(log_m, j, axis=0).sum(axis=0)
     terms = log_kernels[j] + log_w[:, None]
     return _logsumexp(terms, 0, terms) + log_a[j]
 
@@ -282,86 +285,106 @@ def _with_log_zeros(a: np.ndarray) -> np.ndarray:
         return np.log(a)
 
 
-class _Overrelaxation:
-    """The over-relaxation factor omega of a scaling iteration, and when it changes.
+def _mass_change(mass: np.ndarray, ratio: Iterable[np.ndarray]) -> float:
+    """sum_p mass_p (prod_j (1 + ratio_j(p)) - 1), the change of a coupling of
+    parameter marginal ``mass`` whose factor sums m_j grow by the ratios
+    ratio_j (rows, one per snapshot); as sum_j ratio_j prod_{i<j} (1 + ratio_i)
+    it is accurate relative to the change, not to the mass. Zero-mass tuples add 0."""
+    with np.errstate(all="ignore"):
+        total, grown = np.zeros_like(mass), np.ones_like(mass)
+        for r in ratio:
+            term = r * grown
+            total += term
+            grown += term
+        return float(np.where(mass > 0, mass * total, 0.0).sum())
 
-    omega is 1 until _SETTLE_COUNT successive residual ratios agree within
-    _SETTLE_SPREAD (relative) and are below 1; then it is
-    2 / (1 + sqrt(1 - theta)) for the last ratio theta (Lehmann, von Renesse,
-    Sambale, Uschmajew 2022). A run of over-relaxed sweeps ends when
-    ``accept`` gets a fall of the dual objective sum_j <p_j, log a_j> - mass
-    beyond _DUAL_ROUNDING * mass (the caller undoes that sweep; Thibault,
-    Chizat, Dossal, Papadakis 2021), or when a window of _RATE_WINDOW of its
-    sweeps, after its first, contracts no faster than theta. The next run
-    then needs twice as many settled ratios.
+
+def _log_sums_ratio(log_k: np.ndarray, log_s: np.ndarray, log_sums: np.ndarray, grow: np.ndarray, buf: np.ndarray):
+    """(K (s o grow)) / (K s) for log_sums = log (K s), 0 where K s is 0: the ratio
+    by which K s grows when s grows by the ratio ``grow``; ``buf`` as log_k."""
+    np.add(log_k, log_s, out=buf)
+    buf -= log_sums[:, None]
+    ratio = np.exp(buf, out=buf) @ grow
+    ratio[np.isneginf(log_sums)] = 0.0
+    return ratio
+
+
+class _Anderson:
+    """Anderson acceleration (Walker & Ni 2011) of a scaling iteration.
+
+    The iterate x holds the log-potentials at positive targets; a plain
+    sweep maps it to g(x). ``record`` keeps the last _DEPTH differences of g
+    and of f = g - x, with the Gram matrix of the latter, and asks for an
+    extrapolation while successive residuals fall by less than _SLOW_RATIO
+    (one costs N factor-sum products). ``propose`` returns g - dG gamma for
+    the gamma minimizing |f - dF gamma|; ``keep`` takes it only if its dual
+    objective sum_j <p_j, log a_j> - mass is at least the plain sweep's (the
+    safeguard of Thibault, Chizat, Dossal, Papadakis 2021), with the mass
+    change from ``_mass_change``, so that near convergence the test reads
+    the step, not rounding. Else the caller restores the plain iterate, and
+    the history must refill before the next extrapolation.
     """
 
-    def __init__(self, what: str):
+    def __init__(self, weights: np.ndarray, what: str):
+        """``weights``: the targets at the iterate's entries; the first iterate is 0."""
+        n = weights.size
         self.what = what
-        self.omega = 1.0
-        self.started: Optional[int] = None  # first sweep of the latest over-relaxed run, 1-based
-        self.reverts = 0
-        self._window = _SETTLE_COUNT
-        self._ratios: List[float] = []
-        self._last = 0.0
-        self._theta = self._base = 0.0
-        self._count = 0  # sweeps since _base; negative in a run's first window
+        self.x = np.zeros(n)
+        self.weights = weights
+        self.g = self.f = None  # the last sweep's output and residual
+        self.dg = np.empty((_DEPTH, n))
+        self.df = np.empty((_DEPTH, n))
+        self.gram = np.empty((_DEPTH, _DEPTH))
+        self.count = self.slot = 0  # columns held, and where the next one goes
+        self.need = 1  # columns needed for an extrapolation
+        self.last = np.inf  # the last residual
+        self.accelerated = self.reverts = 0
 
-    def observe(self, done: int, residual: float) -> None:
-        """Take the residual of sweep ``done`` (1-based); may set omega for the next sweep."""
-        last, self._last = self._last, residual
-        if self.omega != 1.0:
-            self._check_rate(done, residual)
-            return
-        if not last > 0.0:
-            return
-        ratios = self._ratios
-        ratios.append(residual / last)
-        del ratios[: -self._window]
-        top = max(ratios)
-        if len(ratios) < self._window or not top < 1.0 or top - min(ratios) > _SETTLE_SPREAD * top:
-            return
-        self._theta = ratios[-1]
-        self._count = -_RATE_WINDOW
-        self.omega = 2.0 / (1.0 + math.sqrt(1.0 - self._theta))
-        self.started = done + 1
-        logger.info("over-relaxing %s from sweep %d: rate %.6f, omega %.4f", self.what, self.started, self._theta, self.omega)
+    def record(self, g: np.ndarray, residual: float) -> bool:
+        """Take the output g of the sweep from self.x and its residual; True to extrapolate."""
+        f = g - self.x
+        if self.g is not None:
+            s = self.slot
+            np.subtract(g, self.g, out=self.dg[s])
+            np.subtract(f, self.f, out=self.df[s])
+            self.count = k = min(self.count + 1, _DEPTH)
+            self.slot = (s + 1) % _DEPTH
+            self.gram[:k, s] = self.gram[s, :k] = self.df[:k] @ self.df[s]
+        self.x, self.g, self.f = g, g, f
+        slow = residual > _SLOW_RATIO * self.last
+        self.last = residual
+        return slow and self.count >= self.need
 
-    def _check_rate(self, done: int, residual: float) -> None:
-        self._count += 1
-        if self._count == 0:
-            self._base = residual
-        if self._count < _RATE_WINDOW or not self._base > 0.0:
-            return
-        rate = (residual / self._base) ** (1.0 / self._count)
-        if rate < self._theta:
-            self._base, self._count = residual, 0
-            return
-        self._stop()
-        logger.info("over-relaxed %s: rate %.6f at sweep %d, plain was %.6f; omega 1", self.what, rate, done, self._theta)
+    def coefficients(self) -> np.ndarray:
+        """gamma minimizing |f - dF gamma|, from the normal equations (NaN when singular)."""
+        k = self.count
+        try:
+            return np.linalg.solve(self.gram[:k, :k], self.df[:k] @ self.f)
+        except np.linalg.LinAlgError:
+            return np.full(k, np.nan)
 
-    def accept(self, gain: float, mass: float, done: int) -> bool:
-        """Keep over-relaxed sweep ``done``, whose dual objective changed by ``gain``; False to undo it."""
-        if gain >= -_DUAL_ROUNDING * mass:
+    def propose(self) -> np.ndarray:
+        """The extrapolated iterate g - dG gamma."""
+        return self.g - self.coefficients() @ self.dg[: self.count]
+
+    def keep(self, x: np.ndarray, mass_change: float) -> bool:
+        """Whether x, whose coupling mass exceeds the plain iterate's by
+        ``mass_change``, becomes the iterate: its dual objective must be at
+        least the plain one's."""
+        step = x - self.g
+        gain, shrink = float(self.weights @ step) - mass_change, -step.min()
+        if gain >= 0.0 and shrink <= _MAX_SHRINK:
+            self.x = x
+            self.accelerated += 1
             return True
         self.reverts += 1
-        self._stop()
-        logger.info("over-relaxed %s: sweep %d lowered the dual objective by %.3e; undone, omega 1", self.what, done, -gain)
+        self.count = self.slot = 0
+        self.need = _DEPTH
+        logger.debug("%s: extrapolation undone: dual objective change %.3e, log shrink %.3g", self.what, gain, shrink)
         return False
 
-    def _stop(self) -> None:
-        self.omega = 1.0
-        self._window *= 2
-        self._ratios.clear()
-        self._last = 0.0
-
-
-def _overrelaxed_log(log_x: np.ndarray, log_plain: np.ndarray, weights: np.ndarray, positive: np.ndarray, omega: float):
-    """(1 - omega) log_x + omega log_plain where ``positive`` (-inf elsewhere), and
-    <weights, log_plain - log_x> over those entries (the log ratio the plain update scales by)."""
-    with np.errstate(invalid="ignore"):
-        step = np.where(positive, log_plain - log_x, 0.0)
-    return np.where(positive, log_x + omega * step, -np.inf), float(weights @ step)
+    def report(self) -> None:
+        logger.info("%s: %d extrapolations kept, %d undone", self.what, self.accelerated, self.reverts)
 
 
 class _ExpSweepWork:
@@ -375,7 +398,6 @@ class _ExpSweepWork:
     3 (N - 2) products of length P: O(NP) in all. ``a`` and ``m`` must be
     C-contiguous; the sweep writes through views of their rows. The kernel
     products are the calls ``op`` binds to those views.
-    ``omega`` is the next sweep's over-relaxation factor.
     """
 
     def __init__(self, op: _ExpOperator, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
@@ -384,9 +406,6 @@ class _ExpSweepWork:
         self.a = a
         self.m = m
         self.targets = targets
-        self.omega = 1.0
-        self.ratio = np.empty((n, nx))
-        self.powered = np.empty(nx)
         self.a_start = np.empty((n, nx))
         self.phi = np.empty((n, nx))
         self.gap = np.empty((n, nx))
@@ -420,28 +439,50 @@ class _ExpSweepWork:
             zero = ~positive[j]
             self.steps.append((
                 w_step, op.phi(j, w, self.phi[j]), self.phi[j], targets[j], a[j], self.m_calls[j],
-                zero if zero.any() else None, pre_step, self.ratio[j],
+                zero if zero.any() else None, pre_step,
             ))
         self.positive = None if positive.all() else positive
         self.zero = None if positive.all() else ~positive
+        self.plain = np.empty_like(a), np.empty_like(m)  # a and m of a plain sweep while an extrapolation is tried
 
     def update_sums(self) -> None:
         """Factor sums m = K a from the current potentials."""
         for m_j in self.m_calls:
             m_j()
 
-    def restore_start(self) -> None:
-        """Undo the last sweep: potentials back to a_start, factor sums back to K a."""
-        np.copyto(self.a, self.a_start)
-        self.update_sums()
+    def in_range(self) -> bool:
+        """Whether the potentials of positive targets, as those of K_j, lie in [_POTENTIAL_LO, _POTENTIAL_HI]."""
+        a = self.a if self.unscale is None else np.multiply(self.a, self.unscale, out=self.gap)
+        live = a if self.positive is None else a[self.positive]
+        return bool(live.min() >= _POTENTIAL_LO and live.max() <= _POTENTIAL_HI)
 
-    def log_ratio_sum(self) -> float:
-        """sum_j <p_j, log r_j> over the ratios r_j of the last, over-relaxed, sweep."""
-        ratio = self.ratio
-        if self.zero is not None:
-            ratio[self.zero] = 1.0  # 0/0 there
-        np.log(ratio, out=ratio)
-        return float(np.vdot(self.targets, ratio))
+    def log_potentials(self, a: Optional[np.ndarray] = None) -> np.ndarray:
+        """log of the potentials ``a`` (default: the current ones) as potentials of K_j."""
+        return _with_log_zeros(self.a if a is None else a) - self.op.offsets[:, None]
+
+    def try_step(self, step: np.ndarray) -> float:
+        """Multiply the potentials of positive targets by exp(step), and m = K a with them,
+        keeping a and m for ``restore``; returns the change of coupling mass, from the
+        changes K_j (a_j o expm1(step_j)) of m (NaN when a leaves the safe range)."""
+        a, m = self.a, self.m
+        a0, m0 = self.plain
+        np.copyto(a0, a)
+        np.copyto(m0, m)
+        with np.errstate(all="ignore"):
+            if self.positive is None:
+                a *= np.expm1(step).reshape(a.shape)
+            else:
+                a[self.positive] *= np.expm1(step)
+            self.update_sums()  # the changes of m
+            change = _mass_change(np.prod(m0, axis=0), (dm_j / m0_j for dm_j, m0_j in zip(m, m0)))
+            a += a0
+            m += m0
+        return change if self.in_range() else np.nan
+
+    def restore(self) -> None:
+        """Undo ``try_step``."""
+        np.copyto(self.a, self.plain[0])
+        np.copyto(self.m, self.plain[1])
 
 
 @np.errstate(all="ignore")
@@ -469,27 +510,16 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     of phi and a is written once per sweep, so these checks reject exactly
     what the same checks after each snapshot would, and -1.0 still marks the
     first sweep that leaves the safe range.
-
-    With ``work.omega`` != 1 the update is a_j <- a_j * r_j^omega, with
-    r_j = p_j / (phi_j a_j) kept in ``work.ratio``.
     """
     multiply, divide = np.multiply, np.divide
-    a = work.a
-    omega = work.omega
-    np.copyto(work.a_start, a)
+    np.copyto(work.a_start, work.a)
     for left, right, out in work.suffix_steps:
         multiply(left, right, out)
-    for w_step, phi_call, phi_j, t_j, a_j, m_call, zero, pre_step, r_j in work.steps:
+    for w_step, phi_call, phi_j, t_j, a_j, m_call, zero, pre_step in work.steps:
         if w_step is not None:
             multiply(*w_step)
         phi_call()
-        if omega == 1.0:
-            divide(t_j, phi_j, out=a_j)
-        else:
-            multiply(phi_j, a_j, out=r_j)
-            divide(t_j, r_j, out=r_j)
-            np.power(r_j, omega, out=work.powered)
-            multiply(a_j, work.powered, out=a_j)
+        divide(t_j, phi_j, out=a_j)
         if zero is not None:
             a_j[zero] = 0.0
         m_call()
@@ -499,15 +529,9 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     np.subtract(gap, work.targets, gap)
     np.abs(gap, gap)
     rows = gap.dot(work.ones_x, out=work.row_l1).tolist()
-    if work.unscale is not None:
-        a = np.multiply(a, work.unscale, out=work.gap)
-    if work.positive is None:
-        live = a
-    else:
-        live = a[work.positive]
-        if not work.phi[work.zero].max() < np.inf:
-            return -1.0
-    if not (live.min() >= _POTENTIAL_LO and live.max() <= _POTENTIAL_HI):
+    if work.zero is not None and not work.phi[work.zero].max() < np.inf:
+        return -1.0
+    if not work.in_range():
         return -1.0
     return max(rows)
 
@@ -530,22 +554,10 @@ def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
     return work
 
 
-def _sweep_log(
-    log_kern: np.ndarray,
-    log_a: np.ndarray,
-    log_m: np.ndarray,
-    targets: np.ndarray,
-    log_targets: np.ndarray,
-    omega: float,
-) -> Tuple[float, float]:
-    """One full log-domain sweep, over-relaxed by ``omega``; updates log_a and log_m in place.
-
-    Returns the residual and, when over-relaxed, sum_j <p_j, log r_j> as
-    ``_ExpSweepWork.log_ratio_sum`` (0.0 otherwise).
-    """
-    n = log_kern.shape[0]
-    residual = log_ratio = 0.0
-    for j in range(n):
+def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
+    """One full log-domain sweep; updates log_a and log_m in place and returns the residual."""
+    residual = 0.0
+    for j in range(log_kern.shape[0]):
         log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
         terms = log_kern[j] + log_w[:, None]
         log_phi = _logsumexp(terms, 0, terms)
@@ -557,13 +569,9 @@ def _sweep_log(
                 "zero marginal projection where the target is positive; "
                 "epsilon too small for the cost scale or kernel disconnected"
             )
-        if omega == 1.0:
-            log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
-        else:
-            log_a[j], step_sum = _overrelaxed_log(log_a[j], log_targets[j] - log_phi, targets[j], positive, omega)
-            log_ratio += step_sum
+        log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
         log_m[j] = _log_kernel_sums(log_kern[j], log_a[j][None, :], 1, terms)
-    return residual, log_ratio
+    return residual
 
 
 def sinkhorn_solve(
@@ -575,17 +583,20 @@ def sinkhorn_solve(
     """Run multiplicative scaling sweeps until every marginal matches its target.
 
     Sweeps cycle snapshots in ascending timestamp order, updating
-    a_j <- a_j * p_j / P_{y_j}(Gamma), over-relaxed as ``_Overrelaxation``
-    decides. Convergence is declared when the max L1 marginal violation of the final
-    state is at most tol. Raises SolverError when the iteration produces
-    non-finite values or a zero projection where the target carries mass
-    (signals epsilon too small).
+    a_j <- a_j * p_j / P_{y_j}(Gamma); while they contract slowly, each is
+    followed by an Anderson extrapolation of the log-potentials, kept only
+    when it raises the dual objective (``_Anderson``). Convergence is
+    declared when the max L1 marginal violation of the final state is at
+    most tol. Raises SolverError when the iteration produces non-finite
+    values or a zero projection where the target carries mass (signals
+    epsilon too small).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     targets = dataset.target_matrix()
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
         raise ValueError("dataset does not match kernel shapes")
+    positive = targets > 0
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
     work = log_a = log_m = None
     if kernels.min_log_kernel >= _EXP_SAFE_LOG:
@@ -593,6 +604,8 @@ def sinkhorn_solve(
     else:
         log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
+    # the iterate: log-potentials of the kernels at positive targets, in either domain
+    accel = _Anderson(targets[positive], "sinkhorn sweeps")
     log_t = _with_log_zeros(targets)
 
     def finish_now() -> _Finish:
@@ -601,56 +614,41 @@ def sinkhorn_solve(
             return _finish_exp(kernels, work.op, work.a, work.m, targets)
         return _finish_log(kernels, log_a, targets, log_m)
 
-    def mass() -> float:
-        """Total mass of the coupling, sum_p prod_j m_j(p)."""
-        if work is not None:
-            return float(np.prod(work.m, axis=0).sum())
-        return float(np.exp(_logsumexp(log_m.sum(axis=0))))
-
-    relax = _Overrelaxation("sinkhorn sweeps")
     history: List[float] = []
-    mass_start = None  # coupling mass at the current state, carried from one over-relaxed sweep to the next
     for sweep in range(max_iter):
-        omega = relax.omega
-        if omega == 1.0:
-            mass_start = None
-        elif mass_start is None:
-            mass_start = mass()
-        if work is not None:
-            work.omega = omega
-            if (res := _sweep_exp_numpy(work)) < 0.0:
-                # the sweep left the safe range: redo it in the log domain from its start
-                logger.info("switching to log-domain updates after %d sweeps", sweep)
-                log_a = _with_log_zeros(work.a_start)
-                log_a -= work.op.offsets[:, None]
-                log_m = _log_factor_sums(kernels.log_kernels, log_a)
-                work = None
-            elif omega != 1.0:
-                log_ratio = work.log_ratio_sum()
+        if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
+            # the sweep left the safe range: redo it in the log domain from its start
+            logger.info("switching to log-domain updates after %d sweeps", sweep)
+            log_a = work.log_potentials(work.a_start)
+            log_m = _log_factor_sums(kernels.log_kernels, log_a)
+            work = None
         if work is None:
-            if omega != 1.0:
-                start = log_a.copy(), log_m.copy()
-            res, log_ratio = _sweep_log(kernels.log_kernels, log_a, log_m, targets, log_t, omega)
+            res = _sweep_log(kernels.log_kernels, log_a, log_m, targets, log_t)
         history.append(res)
-        if omega != 1.0:
-            mass_end = mass()
-            if not relax.accept(omega * log_ratio - (mass_end - mass_start), mass_start, sweep + 1):
-                if work is not None:
-                    work.restore_start()
-                else:
-                    np.copyto(log_a, start[0])
-                    np.copyto(log_m, start[1])
-                continue
-            mass_start = mass_end
         if res <= tol:
             finish = finish_now()
             if finish.residual <= tol:
                 iters, ok = sweep + 1, True
                 break
-        relax.observe(sweep + 1, res)
+        if not accel.record((work.log_potentials() if work is not None else log_a)[positive], res):
+            continue
+        x = accel.propose()
+        if work is not None:
+            if not accel.keep(x, work.try_step(x - accel.g)):
+                work.restore()
+            continue
+        grow = np.zeros_like(log_a)
+        buf = np.empty(kernels.log_kernels.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow[positive] = np.expm1(x - accel.g)
+            ratio = np.array([_log_sums_ratio(*args, buf) for args in zip(kernels.log_kernels, log_a, log_m, grow)])
+            if accel.keep(x, _mass_change(np.exp(log_m.sum(axis=0)), ratio)):
+                log_a[positive] = x
+                log_m += np.log1p(ratio)
     else:
         finish, iters, ok = finish_now(), max_iter, False
     work = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
+    accel.report()
     if not np.isfinite(finish.residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")
     objective = finish.objective()
@@ -666,9 +664,8 @@ def sinkhorn_solve(
         objective=objective,
         used_log_domain=log_a is not None,
         log_factor_sums=finish.log_m,
-        omega=relax.omega,
-        overrelaxed_from=relax.started,
-        overrelaxation_reverts=relax.reverts,
+        accelerated=accel.accelerated,
+        acceleration_reverts=accel.reverts,
     )
 
 

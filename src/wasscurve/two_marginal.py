@@ -1,7 +1,7 @@
 """Two-marginal transport (the classical case), entropic and exact paths.
 
-The entropic path runs the log-domain scaling of ``mm_sinkhorn`` with its
-over-relaxation rule; the exact path is the 1D monotone coupling or, on small
+The entropic path runs log-domain scaling with the Anderson acceleration of
+``mm_sinkhorn``; the exact path is the 1D monotone coupling or, on small
 supports, a linear program.
 """
 
@@ -11,13 +11,14 @@ from typing import Tuple
 import numpy as np
 
 from .kernels import _sq_distances
-from .measures import DiscreteMeasure, SupportGrid, check_coordinate_scale
+from .measures import DiscreteMeasure, SupportGrid, check_coordinate_scale, sorted_unique
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     SolverError,
+    _Anderson,
     _log_kernel_sums,
-    _Overrelaxation,
-    _overrelaxed_log,
+    _log_sums_ratio,
+    _mass_change,
     _with_log_zeros,
 )
 
@@ -49,9 +50,9 @@ def two_marginal_w2(
 ) -> Tuple[float, np.ndarray]:
     """Entropic transport cost <c, plan> (entropy term excluded) and the plan.
 
-    Log-domain scaling throughout, over-relaxed as in ``sinkhorn_solve``
-    (dual objective <p, log u> + <q, log v> - sum u K v). The returned value is
-    the transport term of a feasible plan, so it upper-bounds the exact
+    Log-domain scaling throughout, accelerated as in ``sinkhorn_solve``
+    (dual objective <p, log u> + <q, log v> - sum u K v). The returned value
+    is the transport term of a feasible plan, so it upper-bounds the exact
     discrete squared Wasserstein cost and approaches it from above as
     epsilon shrinks.
     """
@@ -67,37 +68,37 @@ def two_marginal_w2(
     log_v = np.zeros(len(q))
     buf = np.empty_like(log_k)
     log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)  # log (K v)
-    relax = _Overrelaxation("two-marginal iterations")
+    # the iterate is (log u, log v) at positive weights, as one vector
+    live = np.concatenate([p, q]) > 0
+    weights = np.concatenate([p, q])[live]
+    accel = _Anderson(weights, "two-marginal iterations")
     err = np.inf
     for it in range(max_iter):
-        omega = relax.omega
-        if omega == 1.0:
-            with np.errstate(invalid="ignore"):
-                log_u = log_p - log_rows
-                log_u[np.isnan(log_u)] = -np.inf
-                log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
-                log_v[np.isnan(log_v)] = -np.inf
-        else:
-            start = log_u, log_v, log_rows, err
-            mass_start = float(np.exp(log_u + log_rows).sum())  # sum u K v
-            log_u, step_u = _overrelaxed_log(log_u, log_p - log_rows, p, p > 0, omega)
-            log_cols = _log_kernel_sums(log_k, log_u[:, None], 0, buf)  # log (K^T u)
-            log_v, step_v = _overrelaxed_log(log_v, log_q - log_cols, q, q > 0, omega)
+        with np.errstate(invalid="ignore"):
+            log_u = log_p - log_rows
+            log_u[np.isnan(log_u)] = -np.inf
+            log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
+            log_v[np.isnan(log_v)] = -np.inf
         # the row sums of the plan are u * (K v), and log (K v) is what the
-        # next u update needs; a plain iteration matches the columns exactly
+        # next u update needs; the columns match exactly
         log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)
         rows = np.exp(log_u + log_rows)
         err = float(np.abs(rows - p).sum())
-        if omega != 1.0:
-            err = max(err, float(np.abs(np.exp(log_v + log_cols) - q).sum()))
-            if not relax.accept(omega * (step_u + step_v) - (rows.sum() - mass_start), mass_start, it + 1):
-                log_u, log_v, log_rows, err = start
-                continue
         if err <= tol:
             break
-        relax.observe(it + 1, err)
+        if accel.record(np.concatenate([log_u, log_v])[live], err):
+            x = accel.propose()
+            step = np.zeros(live.size)
+            step[live] = x - accel.g
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = np.expm1(step)
+                ratio = _log_sums_ratio(log_k, log_v, log_rows, grow[len(p):], buf)  # of K v
+                if accel.keep(x, _mass_change(rows, np.stack([grow[: len(p)], ratio]))):
+                    log_v = log_v + step[len(p):]
+                    log_rows = log_rows + np.log1p(ratio)
     else:
         logger.warning("two-marginal sinkhorn stopped at max_iter with residual %.3e", err)
+    accel.report()
     plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
     return float(np.sum(plan * cost)), plan
 
@@ -112,7 +113,7 @@ def _monotone_coupling_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.nda
     """
     ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
     cp, cq = np.cumsum(p[ix]), np.cumsum(q[iy])
-    levels = np.concatenate([[0.0], np.minimum(np.union1d(cp, cq), min(cp[-1], cq[-1]))])
+    levels = np.concatenate([[0.0], np.minimum(sorted_unique(np.concatenate([cp, cq])), min(cp[-1], cq[-1]))])
     mass = np.diff(levels)
     mid = levels[:-1] + mass / 2
     rows, cols = ix[np.searchsorted(cp, mid)], iy[np.searchsorted(cq, mid)]

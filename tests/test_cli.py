@@ -831,6 +831,30 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["generate", "regress", "gaussian", "gmm", "invariant", "distance"])
+def test_commands_load_no_numpy_ma(tmp_path, command):
+    """np.unique imports numpy.ma on its hash path (10-17 ms per process); no command takes that path."""
+    samples, mixture, atoms_a, atoms_b = (tmp_path / name for name in ("s.csv", "m.json", "a.csv", "b.csv"))
+    dataio.write_sample_csv(str(samples), generate_logistic_rows(r=3.0, n_snapshots=4, n_particles=100, seed=0))
+    dataio.write_json(str(mixture), dataio.generate_mixture_toy())
+    write(atoms_a, "t,weight,x1\n0,0.5,0.0\n0,0.25,1.0\n0,0.25,2.0\n")
+    write(atoms_b, "t,weight,x1\n0,1,0.5\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["generate", "ou", "--particles", "50", "--snapshots", "4", "--output", str(tmp_path / "ou.csv")],
+        "regress": ["regress", "--input", str(samples), "--grid", "0:1:12", "--output", out],
+        "gaussian": ["gaussian", "--input", str(samples), "--output", out],
+        "gmm": ["gmm", "--input", str(mixture), "--output", out],
+        "invariant": ["invariant", "--input", str(samples), "--boxes", "10", "--output", out],
+        "distance": ["distance", "--input-a", str(atoms_a), "--input-b", str(atoms_b), "--output", out],
+    }[command]
+    code = "import sys; from wasscurve import cli; print(cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.split()[-2:] == ["0", "False"]
+
+
 def _moments_by_timestamp_loop(path):
     """One rescan of the rows per timestamp: the reference for cli._moments_by_timestamp."""
     from wasscurve.gaussian_regression import biased_covariance

@@ -78,7 +78,7 @@ class TestW2Gaussian:
 
     def test_entropic_transport_at_small_epsilon_reaches_its_tol(self, caplog):
         # the instance above: plain iterations stop at max_iter with residual
-        # 1.8e-8; over-relaxed ones reach tol 1e-9 in both marginals
+        # 1.8e-8; accelerated ones reach tol 1e-9 in both marginals
         from wasscurve.two_marginal import two_marginal_w2
 
         m0, s0, m1, s1 = 0.0, 1.0, 0.5, 1.5
@@ -89,7 +89,7 @@ class TestW2Gaussian:
         with caplog.at_level("INFO"):
             _, plan = two_marginal_w2(mu, nu, epsilon=0.01 * closed, tol=1e-9)
         assert "max_iter" not in caplog.text
-        assert "over-relaxing" in caplog.text
+        assert "two-marginal iterations: " in caplog.text and " extrapolations kept, " in caplog.text
         assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-9
         assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-9
 
@@ -217,6 +217,18 @@ class TestFitGaussianSdp:
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             fit_gaussian_sdp([(0.0, 0.7, np.eye(1)), (1.0, 0.7, np.eye(1))], LINEAR)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        # before: the whole budget (50,000 ADMM steps by default) ran, then SolverError
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            fit_gaussian_sdp(ou_data(), LINEAR, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_rejects_empty_budget(self, max_iter):
+        # before: "did not converge in -5 iterations"
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            fit_gaussian_sdp(ou_data(), LINEAR, max_iter=max_iter)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(SolverError, match="did not converge"):

@@ -16,11 +16,29 @@ from wasscurve.measures import (
     nearest_index,
     normalize_timestamps,
     quantize_to_grid,
+    sorted_unique,
 )
 
 
 def uniform_measure(grid):
     return DiscreteMeasure(grid, np.full(len(grid), 1.0 / len(grid)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]), min_size=1, max_size=40),
+    columns=st.integers(0, 3),
+)
+def test_sorted_unique_matches_np_unique(values, columns):
+    """The same values as np.unique, and for rows the same bits: of rows equal
+    up to the sign of a zero, the same one (the grid a loader builds)."""
+    a = np.array(values)
+    if columns == 0:
+        np.testing.assert_array_equal(sorted_unique(a), np.unique(a))
+    else:
+        rows = a[: len(a) // columns * columns].reshape(-1, columns)
+        got, ref = sorted_unique(rows, axis=0), np.unique(rows, axis=0)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestSupportGrid:

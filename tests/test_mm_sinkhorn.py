@@ -649,15 +649,16 @@ class TestFactoredKernels:
 
 
 class TestOverrelaxation:
-    """Over-relaxed sweeps change the path of a solve, not its fixed point."""
+    """Accelerated sweeps (Anderson extrapolation, which took over from
+    over-relaxation) change the path of a solve, not its fixed point."""
 
     @staticmethod
     def _solve(kernels, ds, plain, log_domain, **kwargs):
         import wasscurve.mm_sinkhorn as engine
 
         with ExitStack() as stack:
-            if plain:  # the rate never counts as settled
-                stack.enter_context(mock.patch.object(engine, "_SETTLE_SPREAD", -1.0))
+            if plain:  # no residual ratio counts as slow
+                stack.enter_context(mock.patch.object(engine, "_SLOW_RATIO", np.inf))
             if log_domain:
                 stack.enter_context(mock.patch.object(engine, "_EXP_SAFE_LOG", np.inf))
             return sinkhorn_solve(kernels, ds, **kwargs)
@@ -678,14 +679,18 @@ class TestOverrelaxation:
         curve = LINEAR if len(param_sizes) == 2 else QUADRATIC
         return ds, build_kernels(ds, curve, param_grids, epsilon)
 
-    # instances of the property below whose residual ratios settle, so that
-    # their solves over-relax: (seed, N, |X|, grid sizes, epsilon, zero targets)
+    # instances of the property below whose plain sweeps contract slowly
+    # (949, 483, 113 and 41 of them at tol 1e-10): (seed, N, |X|, grid
+    # sizes, epsilon, zero targets)
     SETTLING = [
         (856912306, 5, 8, (2, 2), 0.0035809754799371097, False),
         (624804088, 5, 4, (2, 2), 0.002536891017960976, True),
         (3653403231, 4, 5, (3, 4), 0.0025077373480802754, False),
         (4011686354, 4, 4, (2, 3, 2), 0.011826425112643613, True),
     ]
+    # a hard instance for extrapolation: plain sweeps take 1,101, accelerated
+    # ones about 276, of whose extrapolations about 43 are undone
+    STALL = (1616143949, 6, 4, (3, 4), 0.0025336, False)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -700,6 +705,8 @@ class TestOverrelaxation:
     @example(*SETTLING[0], False)
     @example(*SETTLING[1], True)
     @example(*SETTLING[3], True)
+    @example(*STALL, False)
+    @example(*STALL, True)
     def test_agrees_with_plain_sweeps(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, log_domain):
         ds, kernels = self._instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets)
         tol = 1e-10
@@ -709,62 +716,108 @@ class TestOverrelaxation:
             assert state.used_log_domain or not log_domain
             for j in range(n_snapshots):
                 assert np.abs(project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
-        plain, relaxed = states
-        assert plain.omega == 1.0 and plain.overrelaxed_from is None
-        np.testing.assert_allclose(relaxed.objective, plain.objective, rtol=1e-6)
+        plain, accelerated = states
+        assert plain.accelerated == plain.acceleration_reverts == 0
+        assert accelerated.iterations <= 2 * plain.iterations
+        np.testing.assert_allclose(accelerated.objective, plain.objective, rtol=1e-6)
         np.testing.assert_allclose(
-            extract_param_coupling(relaxed).weights, extract_param_coupling(plain).weights, rtol=1e-6
+            extract_param_coupling(accelerated).weights, extract_param_coupling(plain).weights, rtol=1e-6
         )
 
     @pytest.mark.parametrize("instance", SETTLING)
     def test_settled_rate_over_relaxes(self, instance):
-        # over-relaxation does not pay on every instance (the first one takes
-        # more sweeps than plain ones), but the rate check bounds what it costs
+        # a slowly contracting solve is extrapolated, and takes fewer sweeps than plain ones
         ds, kernels = self._instance(*instance)
         plain = self._solve(kernels, ds, True, False, tol=1e-10, max_iter=50000)
-        relaxed = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=50000)
-        assert relaxed.overrelaxed_from is not None
-        assert relaxed.overrelaxation_reverts == 0
-        assert relaxed.iterations < 2 * plain.iterations
+        accelerated = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=50000)
+        assert accelerated.accelerated > 0
+        assert accelerated.accelerated + accelerated.acceleration_reverts < accelerated.iterations
+        assert accelerated.iterations < plain.iterations
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    @pytest.mark.parametrize("instance", [SETTLING[0], SETTLING[1], STALL])
+    def test_accepted_sweeps_raise_the_dual(self, monkeypatch, instance, log_domain):
+        # every kept extrapolation x leaves the dual objective
+        # sum_j <p_j, log a_j> - mass at least where the plain sweep's output
+        # g left it, with the masses recomputed from the dense coupling; the
+        # difference is formed term by term, so 1e-14 (45 ulps of the unit
+        # mass) covers the rounding of the recomputation
+        import wasscurve.mm_sinkhorn as engine
+
+        ds, kernels = self._instance(*instance)
+        targets = ds.target_matrix()
+        positive = targets > 0
+        gains = []
+
+        def mass(x):
+            log_a = np.full(targets.shape, -np.inf)
+            log_a[positive] = x
+            return oracles.dense_coupling_marginals(kernels, log_a)[0].sum()
+
+        keep = engine._Anderson.keep
+
+        def checked_keep(self, x, mass_change):
+            kept = keep(self, x, mass_change)
+            if kept:
+                gains.append(targets[positive] @ (x - self.g) - (mass(x) - mass(self.g)))
+            return kept
+
+        monkeypatch.setattr(engine._Anderson, "keep", checked_keep)
+        state = self._solve(kernels, ds, False, log_domain, tol=1e-10, max_iter=50000)
+        assert state.converged and state.used_log_domain == log_domain
+        assert len(gains) == state.accelerated > 0
+        assert min(gains) >= -1e-14
 
     @pytest.mark.parametrize("log_domain", [False, True])
     def test_safeguard_undoes_a_sweep_that_lowers_the_dual(self, monkeypatch, caplog, log_domain):
         import wasscurve.mm_sinkhorn as engine
 
-        init = engine._Overrelaxation.__init__
-
-        def forced(self, what):
-            init(self, what)
-            self.omega, self.started = 1.99, 1
-
-        monkeypatch.setattr(engine._Overrelaxation, "__init__", forced)
-        ds, kernels = random_instance(np.random.default_rng(12), n_snapshots=4, n_support=5, param_sizes=(4, 4), epsilon=0.05)
-        with caplog.at_level("INFO", logger="wasscurve.mm_sinkhorn"):
-            state = self._solve(kernels, ds, False, log_domain, tol=1e-10)
-        assert state.overrelaxation_reverts >= 1
-        assert "lowered the dual objective" in caplog.text
+        coefficients = engine._Anderson.coefficients
+        monkeypatch.setattr(engine._Anderson, "coefficients", lambda self: -40.0 * coefficients(self))
+        ds, kernels = self._instance(*self.SETTLING[0])
+        with caplog.at_level("DEBUG", logger="wasscurve.mm_sinkhorn"):
+            state = self._solve(kernels, ds, False, log_domain, tol=1e-10, max_iter=50000)
+        assert state.acceleration_reverts >= 1
+        assert "extrapolation undone: dual objective change -" in caplog.text
         assert state.residual_history.size == state.iterations
         monkeypatch.undo()
-        plain = self._solve(kernels, ds, True, log_domain, tol=1e-10)
+        plain = self._solve(kernels, ds, True, log_domain, tol=1e-10, max_iter=50000)
         assert state.converged and plain.converged
+        assert state.used_log_domain == plain.used_log_domain == log_domain
         np.testing.assert_allclose(state.objective, plain.objective, rtol=1e-6)
 
-    def test_unsettled_solve_runs_plain(self, monkeypatch):
-        # a solve whose residual ratios never settle runs every sweep at omega = 1
+    def test_safeguard_undoes_a_two_marginal_extrapolation(self, monkeypatch, caplog):
         import wasscurve.mm_sinkhorn as engine
 
-        omegas = []
-        sweep = engine._sweep_exp_numpy
+        rng = np.random.default_rng(14)
+        grid = grid_1d(np.linspace(0, 1, 12))
+        mu, nu = (DiscreteMeasure(grid, w / w.sum()) for w in rng.random((2, 12)) + 0.05)
+        coefficients = engine._Anderson.coefficients
+        monkeypatch.setattr(engine._Anderson, "coefficients", lambda self: -40.0 * coefficients(self))
+        with caplog.at_level("DEBUG", logger="wasscurve.mm_sinkhorn"):
+            cost, plan = two_marginal_w2(mu, nu, 0.002, tol=1e-10)
+        assert "two-marginal iterations: extrapolation undone: dual objective change -" in caplog.text
+        assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-10
+        assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-10
+        monkeypatch.undo()
+        with mock.patch.object(engine, "_SLOW_RATIO", np.inf):
+            plain, _ = two_marginal_w2(mu, nu, 0.002, tol=1e-10)
+        np.testing.assert_allclose(cost, plain, rtol=1e-6)
 
-        def record(work):
-            omegas.append(work.omega)
-            return sweep(work)
+    def test_unsettled_solve_runs_plain(self, monkeypatch):
+        # a solve whose residual falls fast is never extrapolated, so its
+        # potentials are those of plain sweeps, bit for bit
+        import wasscurve.mm_sinkhorn as engine
 
-        monkeypatch.setattr(engine, "_sweep_exp_numpy", record)
+        proposals = []
+        propose = engine._Anderson.propose
+        monkeypatch.setattr(engine._Anderson, "propose", lambda self: proposals.append(1) or propose(self))
         ds, kernels = random_instance(np.random.default_rng(3), n_snapshots=4, n_support=4, param_sizes=(3, 3))
         state = sinkhorn_solve(kernels, ds, tol=1e-9)
-        assert state.overrelaxed_from is None and state.omega == 1.0
-        assert set(omegas) == {1.0}
+        plain = self._solve(kernels, ds, True, False, tol=1e-9)
+        assert state.accelerated == state.acceleration_reverts == 0 and not proposals
+        np.testing.assert_array_equal(state.log_potentials, plain.log_potentials)
+        assert state.iterations == plain.iterations
 
 
 class TestExtractParamCoupling:
