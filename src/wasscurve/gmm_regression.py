@@ -37,11 +37,6 @@ def _stacked(atoms: Sequence[GaussianMeasure]) -> Tuple[np.ndarray, np.ndarray]:
     return np.stack([a.mean for a in atoms]), np.stack([a.covariance for a in atoms])
 
 
-def pairwise_w2_matrix(atoms_a: Sequence[GaussianMeasure], atoms_b: Sequence[GaussianMeasure]) -> np.ndarray:
-    """Matrix of Gaussian W2 distances between two atom lists."""
-    return np.sqrt(w2_gaussian_squared_table(*_stacked(atoms_a), *_stacked(atoms_b)))
-
-
 @dataclass(frozen=True, eq=False)
 class AtomSet:
     """Finite base set of Gaussian atoms."""

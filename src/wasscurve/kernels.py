@@ -6,10 +6,11 @@ terms c_i(params, y_i), so one Gibbs kernel of shape (num parameter tuples,
 snapshot so that their entries lie in (0, 1]. A CostKernelSet stores them
 densely, in log space, as an (N, P, |X|) array. A line in one dimension has a
 cost that is a sum of pairwise terms, so its FactoredKernelSet holds three
-(n, n) factors per snapshot, O(N |X|^2) in all, and builds the dense logs
-only on first use. ``exp_operator()`` gives the two products a Sinkhorn
-sweep needs, phi_j = K_j^T w and m_j = K_j a_j: bound ndarray.dot calls on
-the dense kernels, or two matrix products per snapshot on the factors.
+(n, n) factors per snapshot, O(N |X|^2) in all, whose product is the
+kernel itself, and builds the dense logs only on first use. ``exp_operator()``
+gives the two products a Sinkhorn sweep needs, phi_j = K_j^T w and
+m_j = K_j a_j: bound ndarray.dot calls on the dense kernels, or two matrix
+products per snapshot on the factors.
 """
 
 import math
@@ -116,9 +117,11 @@ class FactoredKernelSet(_KernelSet):
     With curve coefficients c0, c1 >= 0, c0 + c1 = 1 the cost is a sum of pairwise terms,
     (c0 x0 + c1 x1 - y)^2 = c0 (x0 - y)^2 + c1 (x1 - y)^2 - c0 c1 (x0 - x1)^2,
     so the kernel of CostKernelSet (same shifts, largest entry 1) is
-    K_i[(x0, x1), y] = exp(offsets_i) * a_i[x0, x1] * b_i[x0, y] * c_i[x1, y].
-    Each factor is shifted to a largest entry of exactly 1, so their product
-    is at most exp(-offsets_i) <= 1. The factors are built from coordinate
+    K_i[(x0, x1), y] = a_i[x0, x1] * b_i[x0, y] * c_i[x1, y].
+    b_i and c_i are shifted to a largest entry of exactly 1; a_i carries
+    those shifts and the kernel's, so its entries may exceed 1, and may even
+    overflow where every kernel entry is in range (a solve then leaves the
+    exp domain on its first sweep). The factors are built from coordinate
     differences, so they do not depend on where the grids lie. Memory is
     O(N |X|^2); the dense ``log_kernels`` of the log-domain path are built
     on first use.
@@ -127,7 +130,6 @@ class FactoredKernelSet(_KernelSet):
     factor_a: np.ndarray  # (N, n0, n1)
     factor_b: np.ndarray  # (N, n0, |X|)
     factor_c: np.ndarray  # (N, n1, |X|)
-    offsets: np.ndarray  # (N,)
     min_log_kernel: float  # smallest entry of log_kernels
     curve: CurveClass
     timestamps: np.ndarray  # (N,)
@@ -312,17 +314,20 @@ def _factored_kernels(
     d01 = _sq_distances(grids[0].points, grids[1].points)  # (n0, n1)
     rc0, rc1 = (rates * coefficients[:, 0]), (rates * coefficients[:, 1])
     rc01 = rc0 * coefficients[:, 1]
+    # in factor_a, so that a_i b_i c_i is the kernel itself: the three factors' shifts and the kernel's
     offsets = rc01 * d01.max() - rc0 * d0.min() - rc1 * d1.min() + shifts
 
-    def factor(rate, dist, top):
+    def factor(rate, dist, top, offset=None):
         logs = np.multiply.outer(rate, dist - top)
-        return np.exp(logs, out=logs)
+        if offset is not None:
+            logs += offset[:, None, None]
+        with np.errstate(over="ignore"):
+            return np.exp(logs, out=logs)
 
     return FactoredKernelSet(
-        factor_a=factor(rc01, d01, d01.max()),
+        factor_a=factor(rc01, d01, d01.max(), offsets),
         factor_b=factor(-rc0, d0, d0.min()),
         factor_c=factor(-rc1, d1, d1.min()),
-        offsets=offsets,
         min_log_kernel=float(np.min(hi * -rates + shifts)),
         curve=curve,
         timestamps=np.asarray(dataset.timestamps, dtype=float),
@@ -340,7 +345,6 @@ class _DenseExp:
     def __init__(self, kern: np.ndarray, weighted_cost: Optional[Callable[[int], np.ndarray]] = None):
         self.kern = kern
         self.shape = kern.shape
-        self.offsets = np.zeros(kern.shape[0])
         self.weighted_cost = weighted_cost
 
     def phi(self, j: int, w: np.ndarray, out: np.ndarray) -> Callable[[], None]:
@@ -363,14 +367,11 @@ class _FactoredExp:
 
     With W the weights w as an (n0, n1) array, phi_j = colsum(B_j o ((A_j o W) C_j))
     and m_j = A_j o ((B_j diag a_j) C_j^T): two matrix products per snapshot.
-    These are the products with exp(-offsets_j) K_j, so the potentials they
-    act on are exp(offsets_j) times those of K_j. The calls share one set of
-    scratch arrays, so they must run one at a time.
+    The calls share one set of scratch arrays, so they must run one at a time.
     """
 
     def __init__(self, kernels: FactoredKernelSet):
         self.kernels = kernels
-        self.offsets = kernels.offsets
         n, n0, n1 = kernels.factor_a.shape
         self.shape = (n, n0 * n1, kernels.n_support)
         self._aw = np.empty((n0, n1))

@@ -9,10 +9,10 @@ O(N * |params| * |X|) instead of O(|X|^(N+k)).
 The kernels come from ``kernels.py``: dense, or, for lines in one
 dimension, three (n, n) factors per snapshot. Scaling updates run in the
 exponential domain on the two products the kernel set's ``exp_operator()``
-supplies while safe (dense ones for a factored set whose offsets exceed
-_MAX_EXP_OFFSET), and switch to log-domain updates, on the dense log kernels
-(built on first use for a factored set), when potentials leave the
-representable range or a projection underflows.
+supplies while safe, and switch to log-domain updates, on the dense log
+kernels (built on first use for a factored set), when potentials leave the
+representable range or a projection underflows. A factored set's products
+are those of its kernels, so the exp domain never needs dense products.
 
 A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
 the final marginal residual (marginal_j = a_j * (w_j K_j), with
@@ -30,7 +30,6 @@ objective above the plain sweep's (``_Anderson``).
 """
 
 import logging
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .kernels import FactoredKernelSet, KernelSet, _DenseExp, _ExpOperator, param_tuple_stack
+from .kernels import KernelSet, _ExpOperator, param_tuple_stack
 from .measures import SnapshotDataset, SupportGrid
 
 logger = logging.getLogger(__name__)
@@ -48,10 +47,6 @@ logger = logging.getLogger(__name__)
 _EXP_SAFE_LOG = -600.0
 _POTENTIAL_LO = 1e-150
 _POTENTIAL_HI = 1e150
-# A factored operator's potentials are exp(offsets_j) times those of K_j. Up to
-# this offset they stay below 1e300 while those of K_j are in range, and its
-# phi_j = p_j / a_j above p_j * 1e-300; past it the dense products are used.
-_MAX_EXP_OFFSET = math.log(_POTENTIAL_HI)
 # below this a factor sum is subnormal and its log loses precision
 _NORMAL_MIN = np.finfo(float).tiny
 
@@ -107,9 +102,9 @@ class FactoredCoupling:
     is zero). The implicit coupling is Gamma[p, y_1..y_N] =
     prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums`` holds
     log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape (N, P),
-    as the solver finished with them; a state built without them (None)
-    computes them once, on construction. The last two fields count the kept
-    and the undone extrapolations of its sweeps (see _Anderson).
+    as the solver finished with them (``_log_factor_sums`` computes them for
+    a state built by hand). The last two fields count the kept and the
+    undone extrapolations of its sweeps (see _Anderson).
     """
 
     kernels: KernelSet
@@ -120,13 +115,9 @@ class FactoredCoupling:
     residual_history: np.ndarray
     objective: float
     used_log_domain: bool
-    log_factor_sums: Optional[np.ndarray] = None  # (N, P)
+    log_factor_sums: np.ndarray  # (N, P)
     accelerated: int = 0
     acceleration_reverts: int = 0
-
-    def __post_init__(self):
-        if self.log_factor_sums is None:
-            self.log_factor_sums = _log_factor_sums(self.kernels.log_kernels, self.log_potentials)
 
 
 def _logsumexp(x: np.ndarray, axis: Optional[int] = None, work: Optional[np.ndarray] = None):
@@ -264,7 +255,6 @@ def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, m: np.ndarr
     the finish to the log-space recomputation instead.
     """
     log_a = _with_log_zeros(a)
-    log_a -= op.offsets[:, None]  # potentials of K_i, not of op's exp(-offsets_i) K_i
     if m.min() >= _NORMAL_MIN:
         log_m = np.log(m)
         log_total = log_m.sum(axis=0)
@@ -411,8 +401,6 @@ class _ExpSweepWork:
         self.gap = np.empty((n, nx))
         self.row_l1 = np.empty(n)
         self.ones_x = np.ones(nx)
-        # the range check reads the potentials of K_j: op's are exp(offsets_j) times those
-        self.unscale = np.exp(-op.offsets)[:, None] if op.offsets.any() else None
         suffix = np.empty((max(n - 2, 0), p))
         prefix = np.empty(p)
         w_buf = np.empty(p)
@@ -451,14 +439,9 @@ class _ExpSweepWork:
             m_j()
 
     def in_range(self) -> bool:
-        """Whether the potentials of positive targets, as those of K_j, lie in [_POTENTIAL_LO, _POTENTIAL_HI]."""
-        a = self.a if self.unscale is None else np.multiply(self.a, self.unscale, out=self.gap)
-        live = a if self.positive is None else a[self.positive]
+        """Whether the potentials of positive targets lie in [_POTENTIAL_LO, _POTENTIAL_HI]."""
+        live = self.a if self.positive is None else self.a[self.positive]
         return bool(live.min() >= _POTENTIAL_LO and live.max() <= _POTENTIAL_HI)
-
-    def log_potentials(self, a: Optional[np.ndarray] = None) -> np.ndarray:
-        """log of the potentials ``a`` (default: the current ones) as potentials of K_j."""
-        return _with_log_zeros(self.a if a is None else a) - self.op.offsets[:, None]
 
     def try_step(self, step: np.ndarray) -> float:
         """Multiply the potentials of positive targets by exp(step), and m = K a with them,
@@ -499,14 +482,15 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
 
     The whole sweep runs under one errstate, and its checks run once, at its
     end: the potentials of positive targets within [_POTENTIAL_LO,
-    _POTENTIAL_HI] (as potentials of K_j, so exp(-offsets_j) times ``a`` for
-    a factored operator), and phi finite where the target is zero. A zero or
+    _POTENTIAL_HI], and phi finite where the target is zero. A zero or
     non-finite phi at a positive target puts its potential out of range (a
     NaN fails both comparisons), so phi needs a check of its own only at zero
     targets; phi is never negative, so a maximum below inf means finite. m
-    needs none: kernel entries are at most 1 (the kernel set's shift; a
-    product of factors, each at most 1, for a FactoredKernelSet) and
-    potentials at most _POTENTIAL_HI, so m_j = K_j a_j stays finite. Each row
+    needs none: kernel entries are at most 1 (the kernel set's shift, which
+    a FactoredKernelSet's factor_a carries) and potentials at most
+    _POTENTIAL_HI, so m_j = K_j a_j stays finite; where factor_a overflows,
+    the sums are non-finite from ``_exp_start`` on and the first sweep
+    leaves the range. Each row
     of phi and a is written once per sweep, so these checks reject exactly
     what the same checks after each snapshot would, and -1.0 still marks the
     first sweep that leaves the safe range.
@@ -536,21 +520,12 @@ def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
     return max(rows)
 
 
-def _exp_operator(kernels: KernelSet) -> _ExpOperator:
-    """The exp-domain products of ``kernels``: dense ones, from its log kernels,
-    for a factored set with an offset above _MAX_EXP_OFFSET."""
-    if isinstance(kernels, FactoredKernelSet) and kernels.offsets.max() > _MAX_EXP_OFFSET:
-        return _DenseExp(np.exp(kernels.log_kernels), kernels.weighted_cost)
-    return kernels.exp_operator()
-
-
 def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
-    """Exp-domain sweep state on the products ``op`` at potentials 1 (for the
-    kernels of the kernel set) and factor sums m = K a."""
+    """Exp-domain sweep state on the products ``op`` at potentials 1 and factor sums m = K a."""
     n, p, nx = op.shape
-    a = np.repeat(np.exp(op.offsets)[:, None], nx, axis=1)
-    work = _ExpSweepWork(op, a, np.empty((n, p)), targets)
-    work.update_sums()
+    work = _ExpSweepWork(op, np.ones((n, nx)), np.empty((n, p)), targets)
+    with np.errstate(all="ignore"):  # non-finite sums fail the first sweep's range check
+        work.update_sums()
     return work
 
 
@@ -600,7 +575,7 @@ def sinkhorn_solve(
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
     work = log_a = log_m = None
     if kernels.min_log_kernel >= _EXP_SAFE_LOG:
-        work = _exp_start(_exp_operator(kernels), targets)
+        work = _exp_start(kernels.exp_operator(), targets)
     else:
         log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
@@ -619,7 +594,7 @@ def sinkhorn_solve(
         if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
             # the sweep left the safe range: redo it in the log domain from its start
             logger.info("switching to log-domain updates after %d sweeps", sweep)
-            log_a = work.log_potentials(work.a_start)
+            log_a = _with_log_zeros(work.a_start)
             log_m = _log_factor_sums(kernels.log_kernels, log_a)
             work = None
         if work is None:
@@ -630,7 +605,7 @@ def sinkhorn_solve(
             if finish.residual <= tol:
                 iters, ok = sweep + 1, True
                 break
-        if not accel.record((work.log_potentials() if work is not None else log_a)[positive], res):
+        if not accel.record((_with_log_zeros(work.a) if work is not None else log_a)[positive], res):
             continue
         x = accel.propose()
         if work is not None:
@@ -686,7 +661,7 @@ def benchmark_sweep_seconds(
     are not used.
     """
     targets = dataset.target_matrix()
-    op = _exp_operator(kernels)
+    op = kernels.exp_operator()
     best = np.inf
     for _ in range(repeats):
         work = _exp_start(op, targets)

@@ -46,16 +46,6 @@ class BoxPartition:
         e = self.edges
         return SupportGrid(((e[:-1] + e[1:]) / 2.0)[:, None])
 
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-    def box_index(self, x: np.ndarray) -> np.ndarray:
-        """Box index per point, clamping anything outside the domain."""
-        x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.lo) / self.width).astype(int)
-        return np.clip(idx, 0, self.n - 1)
-
 
 @dataclass(eq=False)
 class TransitionMatrix:

@@ -44,6 +44,7 @@ from wasscurve.kernels import build_kernels, kernels_from_costs, param_tuple_sta
 from wasscurve.measures import DiscreteMeasure, GaussianMeasure, SnapshotDataset, SupportGrid
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
+    _log_factor_sums,
     benchmark_sweep_seconds,
     extract_param_coupling,
     project_marginal,
@@ -135,7 +136,7 @@ def test_criterion_2_oracle_equivalence():
             lams /= lams.sum()
             kernels = kernels_from_costs(costs, lams, float(rng.uniform(0.1, 1.0)), grids)
             log_a = rng.normal(0, 1, (n_snap, nx))
-            state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False)
+            state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
             gamma = oracles.dense_coupling_tensor(kernels, log_a)
             for j in range(n_snap):
                 np.testing.assert_allclose(

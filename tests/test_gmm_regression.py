@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian
+from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared_table
 from wasscurve.gmm_regression import (
     AtomSet,
+    _stacked,
     discretized_mixture_w2,
     fit_mixture_curve,
     geodesic_cost_table,
     mixture_marginal_at,
-    pairwise_w2_matrix,
     wm_distance,
 )
 from wasscurve.measures import GaussianMeasure, GaussianMixture
@@ -43,6 +43,11 @@ def random_spd_atoms(rng, k, d):
     return atoms
 
 
+def squared_w2_table(atoms_a, atoms_b):
+    """The squared Gaussian-W2 table between two atom lists, as wm_distance forms it."""
+    return w2_gaussian_squared_table(*_stacked(atoms_a), *_stacked(atoms_b))
+
+
 def assert_matches_loop(batched, loop, scale):
     """rtol 1e-12; entries that are zero up to rounding (the loop's value is
     itself rounding there) get atol 1e-14 times the size of the covariances."""
@@ -63,7 +68,7 @@ class TestBatchedCostTables:
 
     def test_pairwise_w2_matches_closed_form(self):
         atoms = toy_atoms().atoms
-        table = pairwise_w2_matrix(atoms, atoms)
+        table = np.sqrt(squared_w2_table(atoms, atoms))
         for i in range(4):
             for j in range(4):
                 assert table[i, j] == pytest.approx(w2_gaussian(atoms[i], atoms[j]), abs=1e-9)
@@ -74,9 +79,9 @@ class TestBatchedCostTables:
         rng = np.random.default_rng(10 + d)
         a, b = random_spd_atoms(rng, 5, d), random_spd_atoms(rng, 3, d)
         scale = max(np.trace(x.covariance) for x in a + b)
-        assert_matches_loop(pairwise_w2_matrix(a, b) ** 2, oracles.pairwise_w2_matrix(a, b) ** 2, scale)
+        assert_matches_loop(squared_w2_table(a, b), oracles.pairwise_w2_matrix(a, b) ** 2, scale)
         # on the diagonal of an atom set with itself the loop's distance is the square root of rounding
-        same = pairwise_w2_matrix(a, a) ** 2
+        same = squared_w2_table(a, a)
         assert_matches_loop(same, oracles.pairwise_w2_matrix(a, a) ** 2, scale)
         assert np.abs(np.diag(same)).max() <= 1e-14 * scale
 

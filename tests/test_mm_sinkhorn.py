@@ -24,6 +24,7 @@ from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     SolverError,
+    _log_factor_sums,
     extract_param_coupling,
     project_marginal,
     sinkhorn_solve,
@@ -147,7 +148,8 @@ class TestProjections:
         param_grids = (grid_1d([0.0, 1.0]), grid_1d([0.0, 0.5]))
         costs = np.zeros((n, 4, x))
         kernels = kernels_from_costs(costs, np.full(n, 1 / 3), 1.0, param_grids)
-        state = FactoredCoupling(kernels, np.zeros((n, x)), True, 0, 0.0, np.array([]), 0.0, False)
+        log_a = np.zeros((n, x))
+        state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         for j in range(n):
             np.testing.assert_allclose(project_marginal(state, j), 4 * x ** (n - 1), rtol=1e-12)
 
@@ -156,7 +158,7 @@ class TestProjections:
         costs = np.array([[[0.2]], [[0.4]]])  # N=2, P=1, X=1
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, param_grids)
         log_a = np.log(np.array([[0.7], [0.9]]))
-        state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False)
+        state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         k = np.exp(kernels.log_kernels)
         expected = k[0, 0, 0] * 0.7 * k[1, 0, 0] * 0.9
         assert project_marginal(state, 0)[0] == pytest.approx(expected, rel=1e-12)
@@ -167,7 +169,7 @@ class TestProjections:
             sizes = (2, 2) if trial % 2 == 0 else (2, 3)
             ds, kernels = random_instance(rng, n_snapshots=3, n_support=3, param_sizes=sizes)
             log_a = np.log(rng.uniform(0.4, 2.0, (3, 3)))
-            state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False)
+            state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
             gamma = oracles.dense_coupling_tensor(kernels, log_a)
             for j in range(3):
                 dense = oracles.dense_marginal(gamma, j)
@@ -242,7 +244,7 @@ class TestSinkhornSolve:
 
     def test_log_and_exp_domains_agree(self, monkeypatch):
         import wasscurve.mm_sinkhorn as engine
-        from wasscurve.mm_sinkhorn import _log_factor_sums, transport_objective_from_logs
+        from wasscurve.mm_sinkhorn import transport_objective_from_logs
 
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
         state = sinkhorn_solve(kernels, ds, tol=1e-11)
@@ -406,7 +408,7 @@ class TestFinish:
 
     @staticmethod
     def _assert_matches_log_recomputation(state, ds):
-        from wasscurve.mm_sinkhorn import _log_factor_sums, transport_objective_from_logs
+        from wasscurve.mm_sinkhorn import transport_objective_from_logs
 
         kernels, log_a = state.kernels, state.log_potentials
         assert state.log_factor_sums is not None
@@ -418,7 +420,7 @@ class TestFinish:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # states stopped at max_iter
             cached = extract_param_coupling(state).weights
-            fresh = extract_param_coupling(dataclasses.replace(state, log_factor_sums=None)).weights
+            fresh = extract_param_coupling(dataclasses.replace(state, log_factor_sums=log_m)).weights
         np.testing.assert_allclose(cached, fresh, rtol=1e-10, atol=0)
 
     @settings(max_examples=30, deadline=None)
@@ -497,7 +499,7 @@ class TestFinish:
     def test_underflowing_factor_sums_finish_in_log_space(self):
         # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1];
         # the finish recomputes the factor sums in log space instead of taking log 0
-        from wasscurve.mm_sinkhorn import _finish_exp, _log_factor_sums
+        from wasscurve.mm_sinkhorn import _finish_exp
 
         pg = (grid_1d([0.0, 1.0]), grid_1d([0.0]))
         costs = np.array([[[0.0, 590.0], [590.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
@@ -523,7 +525,7 @@ class TestFactoredKernels:
     """
 
     @staticmethod
-    def _instance(seed, n_snapshots, n_support, param_sizes, origin):
+    def _instance(seed, n_snapshots, n_support, param_sizes, origin, reach=0.3):
         rng = np.random.default_rng(seed)
         grid = grid_1d(origin + np.sort(rng.uniform(0, 1, n_support)))
         rows = rng.random((n_snapshots, n_support)) + 0.05
@@ -532,7 +534,7 @@ class TestFactoredKernels:
         ts[0], ts[-1] = 0.0, 1.0
         lambdas = rng.uniform(0.2, 1.0, n_snapshots)
         ds = dataset_from_weights(ts, rows, grid, lambdas / lambdas.sum())
-        grids = tuple(grid_1d(origin + np.sort(rng.uniform(-0.3, 1.3, k))) for k in param_sizes)
+        grids = tuple(grid_1d(origin + np.sort(rng.uniform(-reach, 1 + reach, k))) for k in param_sizes)
         return ds, grids
 
     @staticmethod
@@ -578,10 +580,10 @@ class TestFactoredKernels:
     @pytest.mark.parametrize("spread", [1.0, 3.0])
     def test_wide_parameter_grids_near_exp_limit(self, spread):
         # parameter grids reaching ``spread`` past each end of the support and
-        # a smallest log kernel entry of -590 give offsets near 320 (1.0; the
-        # factored products) and 430 (3.0; past _MAX_EXP_OFFSET, dense products)
-        import wasscurve.mm_sinkhorn as engine
-
+        # a smallest log kernel entry of -590 give largest log factor_a
+        # entries of 318.6 (1.0) and 433.65 (3.0); the solve runs on the
+        # factors in the exp domain and allocates no array of the dense
+        # kernels' size
         grid = grid_1d(np.linspace(0, 1, 20))
         rows = np.random.default_rng(0).random((4, 20)) + 0.05
         ds = dataset_from_weights([0.0, 0.3, 0.6, 1.0], rows / rows.sum(axis=1, keepdims=True), grid)
@@ -589,31 +591,32 @@ class TestFactoredKernels:
         epsilon = (1 + spread) ** 2 * 0.25 / 590
         kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), epsilon)
         assert kernels.min_log_kernel == pytest.approx(-590.0)
-        factored_products = kernels.offsets.max() <= engine._MAX_EXP_OFFSET
-        assert factored_products == (spread == 1.0)
-        assert isinstance(engine._exp_operator(kernels), _DenseExp) != factored_products
+        assert np.log(kernels.factor_a.max()) == pytest.approx({1.0: 318.6, 3.0: 433.65}[spread])
+        tensor_bytes = len(ds) * kernels.n_param_tuples * kernels.n_support * 8
+        tracemalloc.start()
+        try:
+            state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.converged and not state.used_log_domain
+        assert peak < tensor_bytes
         assert not self._assert_matches_dense(ds, (pgrid, pgrid), epsilon).used_log_domain
 
-    def test_range_check_reads_kernel_potentials(self):
-        # the factored sweep's potentials are exp(offsets) times those of the
-        # kernels; with the upper bound set between the two, the sweep must
-        # stay in range as the dense one does
-        import wasscurve.mm_sinkhorn as engine
-
-        ds, grids = self._instance(3, 4, 12, (10, 11), 0.0)
-        kernels = build_kernels(ds, LINEAR, grids, 0.02)
-        assert kernels.offsets.max() > 1.0
-        targets = ds.target_matrix()
-        ops = (kernels.exp_operator(), _DenseExp(np.exp(kernels.log_kernels)))
-        works = [engine._exp_start(op, targets) for op in ops]
-        for work in works:
-            engine._sweep_exp_numpy(work)
-        factored_max, dense_max = (work.a.max() for work in works)
-        assert factored_max > 2.0 * dense_max
-        with mock.patch.object(engine, "_POTENTIAL_HI", np.sqrt(factored_max * dense_max)):
-            res, ref = (engine._sweep_exp_numpy(engine._exp_start(op, targets)) for op in ops)
-        assert ref >= 0.0
-        np.testing.assert_allclose(res, ref, rtol=1e-12)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_factor_a_reaches_the_dense_objective(self):
+        # factor_a, the one factor above 1, can overflow where the kernels are
+        # in the exp domain: here its largest log is 1.53 times -min_log_kernel.
+        # The solve then leaves the exp domain on its first sweep (the dense one
+        # does not) and still reaches the dense oracle's objective
+        ds, grids = self._instance(412, 4, 5, (2, 5), 0.0, 3.0)
+        epsilon = -build_kernels(ds, LINEAR, grids, 1.0).min_log_kernel / 590
+        kernels = build_kernels(ds, LINEAR, grids, epsilon)
+        assert kernels.min_log_kernel == pytest.approx(-590.0) and np.isinf(kernels.factor_a).any()
+        dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
+        state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
+        assert state.converged and ref.converged
+        np.testing.assert_allclose(state.objective, ref.objective, rtol=1e-10)
 
     def test_negative_coefficients_stay_dense(self):
         # t > 1 on an unnormalized horizon gives c0 = 1 - t < 0, for which the
@@ -825,7 +828,8 @@ class TestExtractParamCoupling:
         param_grids = (grid_1d([0.0, 1.0]), grid_1d([0.0, 1.0]))
         costs = np.zeros((2, 4, 3))
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, param_grids)
-        state = FactoredCoupling(kernels, np.zeros((2, 3)), True, 0, 0.0, np.array([]), 0.0, False)
+        log_a = np.zeros((2, 3))
+        state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         np.testing.assert_allclose(extract_param_coupling(state).weights, 0.25)
 
     def test_warns_when_not_converged(self):
