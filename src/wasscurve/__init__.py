@@ -38,7 +38,7 @@ from .gmm_regression import (
     wm_distance,
 )
 from .kernels import CostKernelSet, FactoredKernelSet, build_kernels, kernels_from_costs
-from .linalg import project_psd, sqrtm_psd, sym_eig
+from .linalg import project_psd
 from .measures import (
     DiscreteMeasure,
     GaussianMeasure,
@@ -121,9 +121,7 @@ __all__ = [
     "project_psd",
     "sinkhorn_solve",
     "snapshots_from_map",
-    "sqrtm_psd",
     "stationary_distribution",
-    "sym_eig",
     "two_marginal_w2",
     "two_marginal_w2_exact",
     "w2_gaussian",

@@ -1,5 +1,9 @@
 """Closed-form Gaussian Wasserstein geometry and Gaussian-case curve regression.
 
+The Bures-Wasserstein distance and the McCann interpolant are implemented
+once, over stacks of Gaussians; ``w2_gaussian_squared``, ``w2_gaussian`` and
+``gaussian_geodesic`` call them at n = 1.
+
 For Gaussian snapshots the regression over measure-valued curves collapses to
 a semidefinite program on the joint covariance of (curve parameters, data
 marginals): the objective is linear in that block matrix, the data blocks are
@@ -17,7 +21,7 @@ import numpy as np
 
 from .curves import CurveClass, LINEAR
 from .curve_regression import euclidean_regression_oracle
-from .linalg import inv_sqrtm_pd, inv_sqrtm_pd_stack, project_psd, project_psd_stack, sqrtm_psd, sqrtm_psd_stack
+from .linalg import inv_sqrtm_pd_stack, project_psd, project_psd_stack, sqrtm_psd_stack
 from .measures import GaussianMeasure, sorted_unique
 from .mm_sinkhorn import SolverError
 
@@ -27,65 +31,13 @@ SDP_DEFAULT_TOL = 1e-7
 SDP_DEFAULT_MAX_ITER = 50000
 
 
-def w2_gaussian_squared(a: GaussianMeasure, b: GaussianMeasure) -> float:
-    """Squared Wasserstein-2 distance between Gaussians, closed form."""
-    c0, c1 = a.covariance, b.covariance
-    root0 = sqrtm_psd(c0)
-    middle = sqrtm_psd(root0 @ c1 @ root0)
-    bures = float(np.trace(c0) + np.trace(c1) - 2.0 * np.trace(middle))
-    mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    return mean_term + max(bures, 0.0)
-
-
-def w2_gaussian(a: GaussianMeasure, b: GaussianMeasure) -> float:
-    """Wasserstein-2 distance between Gaussians, closed form."""
-    return float(np.sqrt(w2_gaussian_squared(a, b)))
-
-
-def gaussian_geodesic(
-    a: GaussianMeasure,
-    b: GaussianMeasure,
-    t: float,
-    allow_commuting_fallback: bool = False,
-) -> GaussianMeasure:
-    """Displacement interpolation between two Gaussians at time t in [0, 1].
-
-    Needs the first covariance strictly positive definite. With
-    allow_commuting_fallback=True, a singular first covariance is accepted
-    when the two covariances commute, using the symmetric interpolation of
-    square roots ((1-t)*C0^(1/2) + t*C1^(1/2))^2, which agrees with the
-    geodesic in the commuting case.
-    """
-    if t < -1e-12 or t > 1.0 + 1e-12:
-        raise ValueError("geodesic time must lie in [0, 1]")
-    t = min(max(float(t), 0.0), 1.0)
-    mean = (1.0 - t) * a.mean + t * b.mean
-    c0, c1 = a.covariance, b.covariance
-    evals = np.linalg.eigvalsh(c0)
-    singular = evals.min() <= 1e-12 * max(evals.max(), 1e-300)
-    if singular:
-        if not allow_commuting_fallback:
-            raise ValueError("first covariance is singular; geodesic formula needs its inverse square root")
-        comm = c0 @ c1 - c1 @ c0
-        scale = max(np.abs(c0).max() * max(np.abs(c1).max(), 1.0), 1.0)
-        if np.abs(comm).max() > 1e-10 * scale:
-            raise ValueError("singular first covariance and non-commuting pair; geodesic undefined here")
-        mix = (1.0 - t) * sqrtm_psd(c0) + t * sqrtm_psd(c1)
-        return GaussianMeasure(mean, mix @ mix)
-    root0 = sqrtm_psd(c0)
-    inv_root0 = inv_sqrtm_pd(c0)
-    middle = sqrtm_psd(root0 @ c1 @ root0)
-    mix = (1.0 - t) * c0 + t * middle
-    cov = inv_root0 @ mix @ mix @ inv_root0
-    return GaussianMeasure(mean, project_psd((cov + cov.T) / 2))
-
-
 def w2_gaussian_squared_table(
     means_a: np.ndarray, covs_a: np.ndarray, means_b: np.ndarray, covs_b: np.ndarray
 ) -> np.ndarray:
-    """``w2_gaussian_squared`` from every Gaussian of stack a, means (..., d) and
-    covariances (..., d, d), to every one of stack b, (m, d) and (m, d, d); shape
-    (..., m). In 1D it is (mean difference)^2 + (std difference)^2."""
+    """Squared W2 from every Gaussian of stack a, means (..., d) and covariances
+    (..., d, d), to every one of stack b, (m, d) and (m, d, d); shape (..., m):
+    |m_a - m_b|^2 + tr C_a + tr C_b - 2 tr (C_a^(1/2) C_b C_a^(1/2))^(1/2), the
+    last three terms clipped at 0. In 1D, (mean difference)^2 + (std difference)^2."""
     diff = means_a[..., None, :] - means_b
     mean_term = np.sum(diff * diff, axis=-1)
     if means_b.shape[-1] == 1:
@@ -105,9 +57,11 @@ def w2_gaussian_squared_table(
 def gaussian_geodesic_stack(
     means_0: np.ndarray, covs_0: np.ndarray, means_1: np.ndarray, covs_1: np.ndarray, times: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``gaussian_geodesic(a_i, b_i, t, allow_commuting_fallback=True)``, with its
-    errors, for n pairs (means (n, d), covariances (n, d, d) per side) at T times:
-    means (T, n, d), covariances (T, n, d, d). In 1D the std interpolates linearly."""
+    """Displacement interpolation of n Gaussian pairs (means (n, d), covariances
+    (n, d, d) per side) at T times in [0, 1]: means (T, n, d), covariances (T, n, d, d).
+    The covariance is C0^(-1/2) ((1-t) C0 + t (C0^(1/2) C1 C0^(1/2))^(1/2))^2 C0^(-1/2);
+    a singular C0 that commutes with C1 takes ((1-t) C0^(1/2) + t C1^(1/2))^2, the
+    same geodesic, and one that does not is rejected. In 1D the std interpolates linearly."""
     times = np.asarray(times, dtype=float)
     if times.min() < -1e-12 or times.max() > 1.0 + 1e-12:
         raise ValueError("geodesic time must lie in [0, 1]")
@@ -136,6 +90,23 @@ def gaussian_geodesic_stack(
         cov = inv_root0 @ mix @ mix @ inv_root0
         covs[:, ~singular] = project_psd_stack(cov)
     return means, covs
+
+
+def w2_gaussian_squared(a: GaussianMeasure, b: GaussianMeasure) -> float:
+    """Squared Wasserstein-2 distance between Gaussians: ``w2_gaussian_squared_table`` of one pair."""
+    return float(w2_gaussian_squared_table(a.mean, a.covariance, b.mean[None], b.covariance[None])[0])
+
+
+def w2_gaussian(a: GaussianMeasure, b: GaussianMeasure) -> float:
+    """Wasserstein-2 distance between Gaussians, closed form."""
+    return float(np.sqrt(w2_gaussian_squared(a, b)))
+
+
+def gaussian_geodesic(a: GaussianMeasure, b: GaussianMeasure, t: float) -> GaussianMeasure:
+    """Displacement interpolation between two Gaussians at time t in [0, 1]:
+    ``gaussian_geodesic_stack`` of one pair at one time."""
+    means, covs = gaussian_geodesic_stack(a.mean[None], a.covariance[None], b.mean[None], b.covariance[None], np.array([t]))
+    return GaussianMeasure(means[0, 0], covs[0, 0])
 
 
 def biased_covariance(samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -170,15 +141,7 @@ class GaussianCouplingBlocks:
     k: int
     n_snapshots: int
     matrix: np.ndarray  # ((k+N)d, (k+N)d)
-    fixed_mask: np.ndarray  # boolean, marks the data diagonal blocks
     diagnostics: SdpDiagnostics
-
-    def data_block(self, i: int) -> np.ndarray:
-        """Fixed covariance block of snapshot i."""
-        if not 0 <= i < self.n_snapshots:
-            raise IndexError("snapshot index out of range")
-        lo = (self.k + i) * self.d
-        return self.matrix[lo : lo + self.d, lo : lo + self.d]
 
     def parameter_covariance(self) -> np.ndarray:
         """Top-left (k d) x (k d) block: the law of the curve parameters."""
@@ -205,13 +168,6 @@ class GaussianCurve:
 
     def gaussian_at(self, t: float) -> GaussianMeasure:
         return GaussianMeasure(self.mean(t), project_psd(self.covariance(t)))
-
-    def min_eigenvalue_on_grid(self, n_points: int = 101) -> float:
-        """Smallest eigenvalue of the covariance over an even time grid in [0, 1]."""
-        worst = np.inf
-        for t in np.linspace(0.0, 1.0, n_points):
-            worst = min(worst, float(np.linalg.eigvalsh(self.covariance(t)).min()))
-        return worst
 
 
 def _objective_matrix(timestamps: np.ndarray, lambdas: np.ndarray, curve: CurveClass, d: int) -> np.ndarray:
@@ -341,7 +297,7 @@ def fit_gaussian_sdp(
 
     objective = float(np.sum(weight * x))
     diag = SdpDiagnostics(it, primal, dual, objective, rho)
-    blocks = GaussianCouplingBlocks(d, k, n, x, fixed_mask, diag)
+    blocks = GaussianCouplingBlocks(d, k, n, x, diag)
 
     if means is not None:
         points = [(t, np.atleast_1d(np.asarray(m, dtype=float)), lam) for t, m, lam in zip(timestamps, means, lambdas)]

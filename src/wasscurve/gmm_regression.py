@@ -27,7 +27,7 @@ from .mm_sinkhorn import (
     extract_param_coupling,
     sinkhorn_solve,
 )
-from .two_marginal import exact_transport_lp, two_marginal_w2_exact
+from .two_marginal import exact_transport_lp
 
 logger = logging.getLogger(__name__)
 
@@ -166,29 +166,3 @@ def mixture_marginal_at(coupling: ParamCoupling, atoms: AtomSet, t: float) -> Ga
     geo_means, geo_covs = gaussian_geodesic_stack(means[first], covs[first], means[second], covs[second], np.array([t]))
     masses = w[first, second]
     return GaussianMixture(tuple(map(GaussianMeasure, geo_means[0], geo_covs[0])), masses / masses.sum())
-
-
-def discretized_mixture_w2(mu: GaussianMixture, nu: GaussianMixture, n_points: int = 400, n_std: float = 5.0) -> float:
-    """Squared W2 between 1D mixtures estimated by fine-grid exact transport.
-
-    Both mixtures are discretized onto one shared grid covering every atom's
-    mean plus/minus n_std standard deviations; the exact 1D monotone coupling
-    is then used. Serves as the reference in the W2 <= WM comparison.
-    """
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("grid discretization implemented for 1D mixtures")
-    spans = []
-    for mix in (mu, nu):
-        for atom in mix.atoms:
-            s = float(np.sqrt(atom.covariance[0, 0]))
-            spans.append((float(atom.mean[0]) - n_std * s, float(atom.mean[0]) + n_std * s))
-    lo = min(s[0] for s in spans)
-    hi = max(s[1] for s in spans)
-    grid = SupportGrid(np.linspace(lo, hi, n_points)[:, None])
-    x = grid.points[:, 0]
-    mm = []
-    for mix in (mu, nu):
-        dens = mix.pdf_1d(x)
-        mm.append(DiscreteMeasure(grid, dens / dens.sum()))
-    cost, _ = two_marginal_w2_exact(mm[0], mm[1])
-    return float(cost)

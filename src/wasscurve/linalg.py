@@ -1,13 +1,11 @@
-"""Dense symmetric-matrix kernels: eigendecomposition, PSD square root, PSD projection.
+"""Dense symmetric-matrix kernels: PSD projection, and PSD square roots over stacks.
 
-Inputs are plain square ndarrays; every routine validates symmetry to 1e-12
-relative before touching the spectrum; bitwise-symmetric input (every ADMM
-step's) passes as it is. Backed by LAPACK via numpy.linalg.eigh, which is
-unconditionally stable for symmetric input at the matrix orders used here (a
-few hundred at most).
+``project_psd`` validates its square input's symmetry to 1e-12 relative;
+bitwise-symmetric input (every ADMM step's) passes as it is. The ``*_stack``
+routines, over stacks (..., d, d), symmetrize rather than validate. Backed by
+LAPACK via numpy.linalg.eigh, which is unconditionally stable for symmetric
+input at the matrix orders used here (a few hundred at most).
 """
-
-from typing import Tuple
 
 import numpy as np
 
@@ -27,31 +25,6 @@ def _as_symmetric(a: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def sym_eig(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Returns (w, V) with a = V @ diag(w) @ V.T; columns of V are eigenvectors.
-    """
-    m = _as_symmetric(a)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root B with B @ B = a.
-
-    Eigenvalues within -1e-10 * lambda_max of zero are clipped to zero;
-    anything more negative is rejected as not PSD.
-    """
-    w, v = sym_eig(a)
-    lam_max = max(w[0], 0.0)
-    if w[-1] < -PSD_EIG_TOL * lam_max - 1e-300:
-        raise ValueError("matrix is not positive semi-definite")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return (root + root.T) / 2
-
-
 def project_psd(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero.
 
@@ -68,19 +41,6 @@ def project_psd(a: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2
 
 
-def inv_sqrtm_pd(a: np.ndarray) -> np.ndarray:
-    """Inverse symmetric square root of a strictly positive definite matrix."""
-    w, v = sym_eig(a)
-    if w[-1] <= PSD_EIG_TOL * max(w[0], 1e-300):
-        raise ValueError("matrix is singular or nearly so; inverse square root undefined")
-    out = (v / np.sqrt(w)) @ v.T
-    return (out + out.T) / 2
-
-
-# The routines above over stacks (..., d, d) of symmetric matrices, symmetrized
-# rather than validated.
-
-
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2
 
@@ -90,7 +50,8 @@ def _from_eig(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_psd_stack(a: np.ndarray) -> np.ndarray:
-    """``sqrtm_psd`` of every matrix of a stack."""
+    """Symmetric PSD square root B, B @ B = A, of every matrix A of a stack. Eigenvalues
+    within -1e-10 * lambda_max of zero are clipped to zero; lower ones are rejected."""
     w, v = np.linalg.eigh(_symmetrized(a))
     if np.any(w[..., 0] < -PSD_EIG_TOL * np.maximum(w[..., -1], 0.0) - 1e-300):
         raise ValueError("matrix is not positive semi-definite")
@@ -98,7 +59,8 @@ def sqrtm_psd_stack(a: np.ndarray) -> np.ndarray:
 
 
 def inv_sqrtm_pd_stack(a: np.ndarray) -> np.ndarray:
-    """``inv_sqrtm_pd`` of every matrix of a stack."""
+    """Inverse symmetric square root of every matrix of a stack; each must be
+    positive definite, with its smallest eigenvalue above 1e-10 * lambda_max."""
     w, v = np.linalg.eigh(_symmetrized(a))
     if np.any(w[..., 0] <= PSD_EIG_TOL * np.maximum(w[..., -1], 1e-300)):
         raise ValueError("matrix is singular or nearly so; inverse square root undefined")
@@ -106,7 +68,7 @@ def inv_sqrtm_pd_stack(a: np.ndarray) -> np.ndarray:
 
 
 def project_psd_stack(a: np.ndarray) -> np.ndarray:
-    """``project_psd`` of every matrix of a stack."""
+    """``project_psd`` of every matrix of a stack, without its validation."""
     m = _symmetrized(a)
     w, v = np.linalg.eigh(m)
     return _symmetrized(m - (v * np.minimum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2))

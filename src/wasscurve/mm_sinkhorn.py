@@ -246,15 +246,21 @@ def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_
     return _Finish(log_a, log_m, residual, partial(transport_objective_from_logs, kernels, log_a, log_m))
 
 
-def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, m: np.ndarray, targets: np.ndarray) -> _Finish:
-    """Finish from the exp sweep's own state: potentials a and exact factor sums m = K a.
+def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np.ndarray) -> _Finish:
+    """Finish from the exp sweep's potentials a, returned as log a.
 
+    The residual and the objective are measured on exp(log a), which can differ
+    from a in the last bit, with their own factor sums m = K exp(log a).
     marginal_j = a_j * (w_j K_j) with w_j = exp(sum_i log m_i - log m_j), so
-    nothing of shape (N, P, |X|) is formed. Factor sums below the normal
-    float range (where log m loses precision) or a w_j that overflows send
-    the finish to the log-space recomputation instead.
+    nothing of shape (N, P, |X|) is formed. Factor sums below the normal float
+    range (where log m loses precision) or a w_j that overflows send the finish
+    to the log-space recomputation instead.
     """
     log_a = _with_log_zeros(a)
+    a = np.exp(log_a)
+    m = np.empty((a.shape[0], op.shape[1]))
+    for j in range(a.shape[0]):
+        op.m(j, a[j], m[j])()
     if m.min() >= _NORMAL_MIN:
         log_m = np.log(m)
         log_total = log_m.sum(axis=0)
@@ -584,9 +590,9 @@ def sinkhorn_solve(
     log_t = _with_log_zeros(targets)
 
     def finish_now() -> _Finish:
-        # the sweeps keep a and m = K a (or their logs) exact, so the finish reads them
+        # the log sweeps keep log a and log m = log K a exact, so the finish reads them
         if work is not None:
-            return _finish_exp(kernels, work.op, work.a, work.m, targets)
+            return _finish_exp(kernels, work.op, work.a, targets)
         return _finish_log(kernels, log_a, targets, log_m)
 
     history: List[float] = []

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's factored code paths:
 dense tensors are materialized entry by entry, and linear programs are solved
-by scipy's HiGHS on the full variable set.
+by scipy's HiGHS on the full variable set, at the feasibility tolerances of
+``exact_transport_lp`` (1e-10) rather than HiGHS's default 1e-7.
 """
 
 import csv
@@ -14,16 +15,20 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
-from wasscurve.gaussian_regression import _objective_matrix, gaussian_geodesic, w2_gaussian, w2_gaussian_squared
+from wasscurve.gaussian_regression import _objective_matrix
 from wasscurve.linalg import SYM_TOL
 from wasscurve.measures import (
     DiscreteMeasure,
+    GaussianMeasure,
     SnapshotDataset,
     SupportGrid,
     normalize_timestamps,
 )
 from wasscurve.kernels import kernels_from_costs, param_tuple_stack
 from wasscurve.mm_sinkhorn import SolverError
+from wasscurve.two_marginal import two_marginal_w2_exact
+
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def dense_coupling_tensor(kernels, log_potentials):
@@ -133,7 +138,7 @@ def multimarginal_lp(cost_arrays, lambdas, targets):
         shape=(n * x, n_vars),
     )
     b_eq = targets.ravel()
-    res = linprog(total_cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(total_cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise RuntimeError(f"oracle LP failed: {res.message}")
     return float(res.fun), res.x.reshape(shape)
@@ -151,7 +156,8 @@ def transport_lp(cost, p, q):
         rows.extend([n + j] * n)
         cols.extend(range(j, n * m, m))
     a_eq = csr_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    res = linprog(np.asarray(cost, dtype=float).ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
+    res = linprog(np.asarray(cost, dtype=float).ravel(), A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None),
+                  method="highs", options=_LP_OPTIONS)
     if not res.success:
         raise RuntimeError(f"oracle transport LP failed: {res.message}")
     return float(res.fun), res.x.reshape(n, m)
@@ -162,6 +168,32 @@ def gaussian_pdf_measure(grid_points, mean, std):
     x = np.asarray(grid_points, dtype=float).ravel()
     w = np.exp(-0.5 * ((x - mean) / std) ** 2)
     return w / w.sum()
+
+
+def discretized_mixture_w2(mu, nu, n_points=400, n_std=5.0):
+    """Squared W2 between 1D mixtures estimated by fine-grid exact transport.
+
+    Both mixtures are discretized onto one shared grid covering every atom's
+    mean plus/minus n_std standard deviations; the exact 1D monotone coupling
+    is then used. Serves as the reference in the W2 <= WM comparison.
+    """
+    if mu.dim != 1 or nu.dim != 1:
+        raise ValueError("grid discretization implemented for 1D mixtures")
+    spans = []
+    for mix in (mu, nu):
+        for atom in mix.atoms:
+            s = float(np.sqrt(atom.covariance[0, 0]))
+            spans.append((float(atom.mean[0]) - n_std * s, float(atom.mean[0]) + n_std * s))
+    lo = min(s[0] for s in spans)
+    hi = max(s[1] for s in spans)
+    grid = SupportGrid(np.linspace(lo, hi, n_points)[:, None])
+    x = grid.points[:, 0]
+    mm = []
+    for mix in (mu, nu):
+        dens = mix.pdf_1d(x)
+        mm.append(DiscreteMeasure(grid, dens / dens.sum()))
+    cost, _ = two_marginal_w2_exact(mm[0], mm[1])
+    return float(cost)
 
 
 _POTENTIAL_LO = 1e-150
@@ -199,9 +231,71 @@ def reference_sweep_exp(kern, a, m, targets):
 
 
 # ---------------------------------------------------------------------------
-# The per-pair Gaussian-W2 cost tables, kept as written before the batched
-# closed forms: one closed-form call per atom pair, geodesic point and target.
+# The per-pair Gaussian closed forms and cost tables, kept as written before the
+# batched closed forms: square roots by their own eigendecompositions, and one
+# closed-form call per atom pair, geodesic point and target.
 # ---------------------------------------------------------------------------
+
+
+def _sym_eig(a):
+    """Eigenvalues (descending) and orthonormal eigenvectors of the symmetrized matrix a."""
+    w, v = np.linalg.eigh((a + a.T) / 2)
+    return w[::-1], v[:, ::-1]
+
+
+def sqrtm_psd(a):
+    """Symmetric PSD square root B with B @ B = a; eigenvalues within
+    -1e-10 * lambda_max of zero are clipped to zero, lower ones rejected."""
+    w, v = _sym_eig(a)
+    if w[-1] < -1e-10 * max(w[0], 0.0) - 1e-300:
+        raise ValueError("matrix is not positive semi-definite")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (root + root.T) / 2
+
+
+def inv_sqrtm_pd(a):
+    """Inverse symmetric square root of a strictly positive definite matrix."""
+    w, v = _sym_eig(a)
+    if w[-1] <= 1e-10 * max(w[0], 1e-300):
+        raise ValueError("matrix is singular or nearly so; inverse square root undefined")
+    out = (v / np.sqrt(w)) @ v.T
+    return (out + out.T) / 2
+
+
+def w2_gaussian_squared(a, b):
+    """Squared Wasserstein-2 distance between Gaussians: mean term plus the Bures term."""
+    c0, c1 = a.covariance, b.covariance
+    root0 = sqrtm_psd(c0)
+    middle = sqrtm_psd(root0 @ c1 @ root0)
+    bures = float(np.trace(c0) + np.trace(c1) - 2.0 * np.trace(middle))
+    return float(np.sum((a.mean - b.mean) ** 2)) + max(bures, 0.0)
+
+
+def w2_gaussian(a, b):
+    return float(np.sqrt(w2_gaussian_squared(a, b)))
+
+
+def gaussian_geodesic(a, b, t):
+    """McCann interpolant between two Gaussians at time t in [0, 1]. A singular
+    first covariance that commutes with the second interpolates the square roots."""
+    if t < -1e-12 or t > 1.0 + 1e-12:
+        raise ValueError("geodesic time must lie in [0, 1]")
+    t = min(max(float(t), 0.0), 1.0)
+    mean = (1.0 - t) * a.mean + t * b.mean
+    c0, c1 = a.covariance, b.covariance
+    evals = np.linalg.eigvalsh(c0)
+    if evals.min() <= 1e-12 * max(evals.max(), 1e-300):
+        comm = c0 @ c1 - c1 @ c0
+        scale = max(np.abs(c0).max() * max(np.abs(c1).max(), 1.0), 1.0)
+        if np.abs(comm).max() > 1e-10 * scale:
+            raise ValueError("singular first covariance and non-commuting pair; geodesic undefined here")
+        mix = (1.0 - t) * sqrtm_psd(c0) + t * sqrtm_psd(c1)
+        return GaussianMeasure(mean, mix @ mix)
+    root0 = sqrtm_psd(c0)
+    inv_root0 = inv_sqrtm_pd(c0)
+    mix = (1.0 - t) * c0 + t * sqrtm_psd(root0 @ c1 @ root0)
+    cov = inv_root0 @ mix @ mix @ inv_root0
+    return GaussianMeasure(mean, _project_psd_reference((cov + cov.T) / 2))
 
 
 def pairwise_w2_matrix(atoms_a, atoms_b):
@@ -221,7 +315,7 @@ def geodesic_cost_table(atoms, timestamps):
     for i, t in enumerate(timestamps):
         for j in range(k):
             for l in range(k):
-                g = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], float(t), allow_commuting_fallback=True)
+                g = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], float(t))
                 for m in range(k):
                     table[i, j * k + l, m] = w2_gaussian_squared(g, atoms.atoms[m])
     return table

@@ -35,7 +35,6 @@ from wasscurve.gaussian_regression import (
 )
 from wasscurve.gmm_regression import (
     AtomSet,
-    discretized_mixture_w2,
     fit_mixture_curve,
     geodesic_cost_table,
     wm_distance,
@@ -285,7 +284,7 @@ def test_criterion_6_wm_metric_suite():
         mu = wc.GaussianMixture((a1, a2), [0.8, 0.2])
         nu = wc.GaussianMixture((a1, a2), [0.2, 0.8])
         wm, _ = wm_distance(mu, nu)
-        w2 = float(np.sqrt(discretized_mixture_w2(mu, nu, n_points=400)))
+        w2 = float(np.sqrt(oracles.discretized_mixture_w2(mu, nu, n_points=400)))
         print(f"  crossing mixtures: W2={w2:.4f} < WM={wm:.4f}")
         assert w2 <= wm + 1e-9
         assert w2 < wm - 1e-3  # strict for crossing mixtures

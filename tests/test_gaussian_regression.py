@@ -119,24 +119,30 @@ class TestGaussianGeodesic:
                     ds = w2_gaussian(gaussian_geodesic(a, b, s), gaussian_geodesic(a, b, t))
                     assert ds == pytest.approx((t - s) * total, abs=1e-6)
 
-    def test_singular_start_rejected_without_fallback(self):
-        a = GaussianMeasure(np.array([0.0]), np.array([[0.0]]))
-        b = g1d(0.0, 1.0)
-        with pytest.raises(ValueError, match="singular"):
-            gaussian_geodesic(a, b, 0.5)
-
     def test_commuting_fallback(self):
         a = GaussianMeasure(np.array([0.0]), np.array([[0.0]]))
         b = g1d(0.0, 1.0)
-        mid = gaussian_geodesic(a, b, 0.5, allow_commuting_fallback=True)
+        mid = gaussian_geodesic(a, b, 0.5)
         assert np.sqrt(mid.covariance[0, 0]) == pytest.approx(0.5, abs=1e-12)
+        # a singular start that commutes with the end (d = 2), and a zero-variance start in 1-D,
+        # against the per-pair reference
+        pairs = [
+            (GaussianMeasure(np.array([0.0, 1.0]), np.diag([2.0, 0.0])),
+             GaussianMeasure(np.array([1.0, -1.0]), np.diag([0.5, 3.0]))),
+            (GaussianMeasure(np.array([1.5]), np.array([[0.0]])), g1d(-0.5, 2.0)),
+        ]
+        for start, end in pairs:
+            for t in (0.0, 0.3, 0.5, 1.0):
+                got, expected = gaussian_geodesic(start, end, t), oracles.gaussian_geodesic(start, end, t)
+                np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-14)
 
     def test_noncommuting_singular_rejected(self):
         a = GaussianMeasure(np.zeros(2), np.diag([1.0, 0.0]))
         rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
         b = GaussianMeasure(np.zeros(2), rot @ np.diag([2.0, 0.5]) @ rot.T)
         with pytest.raises(ValueError, match="non-commuting"):
-            gaussian_geodesic(a, b, 0.5, allow_commuting_fallback=True)
+            gaussian_geodesic(a, b, 0.5)
 
     def test_time_domain_enforced(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -176,14 +182,15 @@ class TestFitGaussianSdp:
         data = ou_data(6)
         blocks, _ = fit_gaussian_sdp(data, LINEAR)
         for i, (_, _, c) in enumerate(data):
-            np.testing.assert_array_equal(blocks.data_block(i), c)
+            lo = (blocks.k + i) * blocks.d
+            np.testing.assert_array_equal(blocks.matrix[lo : lo + blocks.d, lo : lo + blocks.d], c)
 
     def test_matrix_psd_within_tolerance(self):
         data = ou_data(8)
         blocks, curve = fit_gaussian_sdp(data, LINEAR)
         evals = np.linalg.eigvalsh(blocks.matrix)
         assert evals.min() >= -1e-5
-        assert curve.min_eigenvalue_on_grid(101) >= -1e-8
+        assert min(np.linalg.eigvalsh(curve.covariance(t)).min() for t in np.linspace(0.0, 1.0, 101)) >= -1e-8
 
     def test_rotation_invariance_of_objective(self):
         rng = np.random.default_rng(31)

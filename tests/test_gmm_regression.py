@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from wasscurve.gaussian_regression import gaussian_geodesic, w2_gaussian, w2_gaussian_squared_table
+from wasscurve.gaussian_regression import w2_gaussian_squared_table
 from wasscurve.gmm_regression import (
     AtomSet,
     _stacked,
-    discretized_mixture_w2,
     fit_mixture_curve,
     geodesic_cost_table,
     mixture_marginal_at,
@@ -71,7 +70,7 @@ class TestBatchedCostTables:
         table = np.sqrt(squared_w2_table(atoms, atoms))
         for i in range(4):
             for j in range(4):
-                assert table[i, j] == pytest.approx(w2_gaussian(atoms[i], atoms[j]), abs=1e-9)
+                assert table[i, j] == pytest.approx(oracles.w2_gaussian(atoms[i], atoms[j]), abs=1e-9)
         assert np.all(np.diag(table) == 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -105,13 +104,13 @@ class TestBatchedCostTables:
         pairs = [(j, l) for j in range(3) for l in range(3) if w[j, l] > 0]
         assert len(mixture.atoms) == len(pairs)
         for comp, (j, l) in zip(mixture.atoms, pairs):
-            expected = gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], 0.35, allow_commuting_fallback=True)
+            expected = oracles.gaussian_geodesic(atoms.atoms[j], atoms.atoms[l], 0.35)
             np.testing.assert_allclose(comp.mean, expected.mean, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(comp.covariance, expected.covariance, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(mixture.atom_weights, coupling.weights[coupling.weights > 0] / coupling.weights.sum(), rtol=1e-15)
 
     def test_singular_commuting_pair(self):
-        # a singular first covariance takes the commuting fallback of gaussian_geodesic
+        # a singular first covariance takes the commuting fallback of the geodesic
         atoms = AtomSet.from_atoms([
             GaussianMeasure(np.array([0.0, 1.0]), np.diag([1.0, 0.0])),
             GaussianMeasure(np.array([2.0, -1.0]), np.diag([0.5, 2.0])),
@@ -145,7 +144,7 @@ class TestWmDistance:
         a = GaussianMeasure.from_std_1d(-1.0, 0.5)
         b = GaussianMeasure.from_std_1d(2.0, 1.5)
         value, plan = wm_distance(GaussianMixture((a,), [1.0]), GaussianMixture((b,), [1.0]))
-        assert value == pytest.approx(w2_gaussian(a, b), abs=1e-9)
+        assert value == pytest.approx(oracles.w2_gaussian(a, b), abs=1e-9)
         assert plan[0, 0] == pytest.approx(1.0)
 
     def test_two_atom_crossed_weights_exhaustive(self):
@@ -155,9 +154,9 @@ class TestWmDistance:
         value, _ = wm_distance(mu, nu)
         # feasible couplings form a one-parameter family: w11 = s in [0, 0.2],
         # w12 = 0.8 - s, w21 = 0.2 - s, w22 = s; same-atom routes cost zero
-        c11 = w2_gaussian(a1, a1) ** 2
-        c22 = w2_gaussian(a2, a2) ** 2
-        c12 = w2_gaussian(a1, a2) ** 2
+        c11 = oracles.w2_gaussian(a1, a1) ** 2
+        c22 = oracles.w2_gaussian(a2, a2) ** 2
+        c12 = oracles.w2_gaussian(a1, a2) ** 2
         best = min(
             s * c11 + (0.8 - s) * c12 + (0.2 - s) * c12 + s * c22
             for s in np.linspace(0.0, 0.2, 2001)
@@ -188,7 +187,7 @@ class TestWmDistance:
             wb /= wb.sum()
             mu, nu = atoms.mixture(wa), atoms.mixture(wb)
             wm, _ = wm_distance(mu, nu)
-            w2 = np.sqrt(discretized_mixture_w2(mu, nu))
+            w2 = np.sqrt(oracles.discretized_mixture_w2(mu, nu))
             assert w2 <= wm + 1e-6
 
     def test_w2_strictly_below_wm_for_crossing_mixtures(self):
@@ -196,7 +195,7 @@ class TestWmDistance:
         mu = GaussianMixture((a1, a2), [0.8, 0.2])
         nu = GaussianMixture((a1, a2), [0.2, 0.8])
         wm, _ = wm_distance(mu, nu)
-        w2 = np.sqrt(discretized_mixture_w2(mu, nu))
+        w2 = np.sqrt(oracles.discretized_mixture_w2(mu, nu))
         assert w2 < wm * 0.999
 
 

@@ -1,4 +1,4 @@
-"""Symmetric-matrix kernel contracts: eigendecomposition, square root, PSD projection."""
+"""Symmetric-matrix kernel contracts: PSD projection, and square roots over stacks."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wasscurve.linalg import _as_symmetric, inv_sqrtm_pd, project_psd, sqrtm_psd, sym_eig
+from wasscurve.linalg import _as_symmetric, inv_sqrtm_pd_stack, project_psd, sqrtm_psd_stack
 
 
 def random_psd(rng, n):
@@ -14,66 +14,34 @@ def random_psd(rng, n):
     return g.T @ g
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-
-    def test_hand_2x2(self):
-        w, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-
-    def test_diagonal_with_negative(self):
-        w, v = sym_eig(np.diag([5.0, -1.0]))
-        np.testing.assert_allclose(w, [5.0, -1.0])
-        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 11):
-            a = random_psd(rng, n) - 2.0 * np.eye(n)
-            w, v = sym_eig(a)
-            assert np.all(np.diff(w) <= 1e-12)  # descending
-            err = np.linalg.norm(a - (v * w) @ v.T) / np.linalg.norm(a)
-            assert err <= 1e-9
-            assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
-
-    def test_trace_and_determinant_match(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = random_psd(rng, 4) - np.eye(4)
-            w, _ = sym_eig(a)
-            assert np.sum(w) == pytest.approx(np.trace(a), rel=1e-9, abs=1e-12)
-            assert np.prod(w) == pytest.approx(np.linalg.det(a), rel=1e-9, abs=1e-9)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestSqrtmPsd:
+    """sqrtm_psd_stack on single matrices and on stacks of them."""
+
     def test_diagonal(self):
-        np.testing.assert_allclose(sqrtm_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        np.testing.assert_allclose(sqrtm_psd_stack(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(sqrtm_psd(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(sqrtm_psd_stack(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_hand_square(self):
-        # [[2,1],[1,2]] squared is [[5,4],[4,5]]
-        b = sqrtm_psd(np.array([[5.0, 4.0], [4.0, 5.0]]))
-        np.testing.assert_allclose(b, [[2.0, 1.0], [1.0, 2.0]], atol=1e-10)
+        # [[2,1],[1,2]] squared is [[5,4],[4,5]]; diag(4, 9) and [[5,4],[4,5]] as one stack
+        b = sqrtm_psd_stack(np.array([[[5.0, 4.0], [4.0, 5.0]], [[4.0, 0.0], [0.0, 9.0]]]))
+        np.testing.assert_allclose(b, [[[2.0, 1.0], [1.0, 2.0]], [[2.0, 0.0], [0.0, 3.0]]], atol=1e-10)
 
     def test_square_recovers_input(self):
         rng = np.random.default_rng(5)
         for n in (2, 4, 8):
-            a = random_psd(rng, n)
-            b = sqrtm_psd(a)
-            assert np.linalg.norm(b @ b - a) <= 1e-8 * np.linalg.norm(a)
-            assert np.linalg.eigvalsh(b).min() >= -1e-12
+            a = np.stack([random_psd(rng, n) for _ in range(3)])
+            b = sqrtm_psd_stack(a)
+            for a_i, b_i in zip(a, b):
+                assert np.linalg.norm(b_i @ b_i - a_i) <= 1e-8 * np.linalg.norm(a_i)
+                assert np.linalg.eigvalsh(b_i).min() >= -1e-12
 
     def test_rejects_negative_definite(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
-            sqrtm_psd(np.diag([1.0, -0.5]))
+            sqrtm_psd_stack(np.diag([1.0, -0.5]))
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            sqrtm_psd_stack(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
 
 
 class TestProjectPsd:
@@ -109,15 +77,21 @@ class TestProjectPsd:
 
 
 class TestInvSqrtmPd:
+    """inv_sqrtm_pd_stack on single matrices and on stacks of them."""
+
     def test_inverse_square_root(self):
         rng = np.random.default_rng(9)
-        a = random_psd(rng, 3) + 0.5 * np.eye(3)
-        b = inv_sqrtm_pd(a)
-        np.testing.assert_allclose(b @ a @ b, np.eye(3), atol=1e-10)
+        a = np.stack([random_psd(rng, 3) + 0.5 * np.eye(3) for _ in range(3)])
+        b = inv_sqrtm_pd_stack(a)
+        for a_i, b_i in zip(a, b):
+            np.testing.assert_allclose(b_i @ a_i @ b_i, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(inv_sqrtm_pd_stack(np.diag([4.0, 0.25])), np.diag([0.5, 2.0]), atol=1e-14)
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
-            inv_sqrtm_pd(np.diag([1.0, 0.0]))
+            inv_sqrtm_pd_stack(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="singular"):
+            inv_sqrtm_pd_stack(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
 
 
 def _symmetric_matrices(bound):
@@ -144,14 +118,12 @@ class TestSymmetryCheck:
     @pytest.mark.parametrize("scale", [1.0, 1e6])  # relative to the largest entry, or to 1 below it
     def test_asymmetry_above_the_tolerance_raises(self, scale):
         m = np.array([[2.0, 1.0], [1.0 + 1e-11, 3.0]]) * scale
-        for routine in (sym_eig, sqrtm_psd, inv_sqrtm_pd, project_psd):
-            with pytest.raises(ValueError, match="not symmetric"):
-                routine(m)
+        with pytest.raises(ValueError, match="not symmetric"):
+            project_psd(m)
 
     def test_empty_matrix_raises(self):
-        for routine in (sym_eig, sqrtm_psd, inv_sqrtm_pd, project_psd):
-            with pytest.raises(ValueError):
-                routine(np.zeros((0, 0)))
+        with pytest.raises(ValueError):
+            project_psd(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("low, up", [(1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0), (-0.0, 0.0)])
     def test_asymmetry_within_the_tolerance_is_symmetrized(self, low, up):
