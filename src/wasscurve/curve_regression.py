@@ -131,8 +131,6 @@ def marginal_at(result: RegressionResult, t: float, output_grid: SupportGrid) ->
     Times outside [0, 1] are allowed (flow extrapolation) but flagged with an
     ExtrapolationWarning.
     """
-    if len(output_grid) == 0:
-        raise ValueError("output grid must be nonempty")
     if t < 0.0 or t > 1.0:
         warnings.warn(f"marginal requested at t={t} outside [0, 1]", ExtrapolationWarning)
     positions = result.curve.evaluate(result.coupling.param_stack, t)  # (P, d)

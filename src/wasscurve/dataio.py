@@ -251,9 +251,11 @@ def _reject_constant(name: str):
 def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[Tuple[float, float, np.ndarray]]]:
     """Gaussian-mixture dataset from JSON: (basis, [(t, lambda, weights)]).
 
-    Every value is finite, every basis atom a valid Gaussian, each snapshot's
-    weights (one >= 0 per atom) sum to 1 and the lambdas are positive and sum
-    to 1, within WEIGHT_TOL; anything else raises SchemaError naming the file.
+    Every value is finite, every basis atom a valid Gaussian (a flat mean)
+    of one shared dimension, no timestamp is listed twice, each
+    snapshot's weights (one >= 0 per atom) sum to 1 and the lambdas are
+    positive and sum to 1, within WEIGHT_TOL; anything else raises
+    SchemaError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -273,7 +275,11 @@ def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[T
     flat = [x.ravel() for pair in arrays for x in pair] + [w.ravel() for _, _, w in rows] + [row[:2] for row in rows]
     if not np.isfinite(np.concatenate(flat)).all():
         raise SchemaError(f"{path}: mixture values must be finite numbers")
-    for i, (_, lam, w) in enumerate(rows):
+    seen = set()
+    for i, (t, lam, w) in enumerate(rows):
+        if t in seen:
+            raise SchemaError(f"{path}: timestamp t={t!r} is listed twice")
+        seen.add(t)
         if w.shape != (len(arrays),):
             raise SchemaError(f"{path}: snapshot {i} needs one weight per basis atom ({len(arrays)}), got shape {w.shape}")
         if (w < 0).any():
@@ -289,8 +295,10 @@ def load_mixture_dataset(path: str) -> Tuple[Tuple[GaussianMeasure, ...], List[T
     for j, (mean, cov) in enumerate(arrays):
         try:
             basis.append(GaussianMeasure(mean, cov))
-        except ValueError as exc:  # a covariance of the wrong shape, asymmetric or not PSD
+        except ValueError as exc:  # a nested mean, or a covariance of the wrong shape, asymmetric or not PSD
             raise SchemaError(f"{path}: basis atom {j}: {exc}") from None
+        if basis[j].dim != basis[0].dim:
+            raise SchemaError(f"{path}: basis atom {j} has dimension {basis[j].dim}, atom 0 has {basis[0].dim}")
     return tuple(basis), rows
 
 

@@ -139,7 +139,6 @@ class GaussianCouplingBlocks:
 
     d: int
     k: int
-    n_snapshots: int
     matrix: np.ndarray  # ((k+N)d, (k+N)d)
     diagnostics: SdpDiagnostics
 
@@ -297,7 +296,7 @@ def fit_gaussian_sdp(
 
     objective = float(np.sum(weight * x))
     diag = SdpDiagnostics(it, primal, dual, objective, rho)
-    blocks = GaussianCouplingBlocks(d, k, n, x, diag)
+    blocks = GaussianCouplingBlocks(d, k, x, diag)
 
     if means is not None:
         points = [(t, np.atleast_1d(np.asarray(m, dtype=float)), lam) for t, m, lam in zip(timestamps, means, lambdas)]

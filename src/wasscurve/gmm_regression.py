@@ -17,8 +17,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .gaussian_regression import gaussian_geodesic_stack, w2_gaussian_squared_table
-from .kernels import kernels_from_costs
-from .measures import DiscreteMeasure, GaussianMeasure, GaussianMixture, SnapshotDataset, SupportGrid
+from .kernels import _rates, kernels_from_costs
+from .measures import DiscreteMeasure, GaussianMeasure, GaussianMixture, SnapshotDataset, SupportGrid, check_coordinate_scale
 from .mm_sinkhorn import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -98,6 +98,22 @@ def geodesic_cost_table(atoms: AtomSet, timestamps: np.ndarray) -> np.ndarray:
     return w2_gaussian_squared_table(geo_means, geo_covs, means, covs)
 
 
+def _check_atom_scale(atoms: AtomSet, rates: np.ndarray) -> None:
+    """check_coordinate_scale for the geodesic-to-atom costs, before any is formed.
+
+    A geodesic point's mean lies in the box of the atoms' means, and its
+    covariance trace is at most the larger of its ends' (the trace is the
+    second moment about the mean, convex along the displacement
+    interpolation), so each W2^2 is at most the box's squared diagonal plus
+    twice the largest trace: the box gets one more axis of extent
+    sqrt(2 max trace).
+    """
+    means, covs = _stacked(atoms.atoms)
+    with np.errstate(over="ignore"):
+        spread = np.sqrt(2.0 * np.trace(covs, axis1=1, axis2=2).max())
+    check_coordinate_scale(np.append(means.min(axis=0), 0.0), np.append(means.max(axis=0), spread), rates)
+
+
 def fit_mixture_curve(
     dataset: Sequence[Tuple[float, float, np.ndarray]],
     atoms: AtomSet,
@@ -127,6 +143,7 @@ def fit_mixture_curve(
     grid = atoms.index_grid
     measures = tuple(DiscreteMeasure(grid, r[2]) for r in rows)
     snap = SnapshotDataset(timestamps, measures, lambdas, 1.0, 1.0)
+    _check_atom_scale(atoms, _rates(lambdas, epsilon))
     costs = geodesic_cost_table(atoms, timestamps)
     kernels = kernels_from_costs(costs, lambdas, epsilon, (grid, grid))
     state = sinkhorn_solve(kernels, snap, tol=tol, max_iter=max_iter)

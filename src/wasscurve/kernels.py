@@ -53,10 +53,6 @@ class _KernelSet:
         return self.shifts.shape[0]
 
     @property
-    def n_param_tuples(self) -> int:
-        return int(np.prod(self.param_shape))
-
-    @property
     def param_shape(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.parameter_grids)
 
@@ -103,8 +99,10 @@ class CostKernelSet(_KernelSet):
         return (self.shifts[i] - self.log_kernels[i]) * (self.epsilon / self.lambdas[i])
 
     def weighted_cost(self, i: int) -> np.ndarray:
-        """lambda_i * c_i, the term snapshot i contributes to the transport objective."""
-        return (self.shifts[i] - self.log_kernels[i]) * self.epsilon
+        """lambda_i * c_i, the term snapshot i contributes to the transport objective; one (P, |X|) array."""
+        out = np.subtract(self.shifts[i], self.log_kernels[i])
+        out *= self.epsilon
+        return out
 
     def exp_operator(self) -> "_DenseExp":
         return _DenseExp(np.exp(self.log_kernels), self.weighted_cost)
@@ -154,8 +152,10 @@ class FactoredKernelSet(_KernelSet):
         return _sq_distances(self.curve.evaluate(self.param_stack, self.timestamps[i]), self.support)
 
     def weighted_cost(self, i: int) -> np.ndarray:
-        """lambda_i * c_i, the term snapshot i contributes to the transport objective."""
-        return self.lambdas[i] * self.cost(i)
+        """lambda_i * c_i, the term snapshot i contributes to the transport objective; one (P, |X|) array."""
+        out = self.cost(i)
+        out *= self.lambdas[i]
+        return out
 
     def exp_operator(self) -> "_FactoredExp":
         return _FactoredExp(self)

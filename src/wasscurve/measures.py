@@ -324,6 +324,8 @@ class GaussianMeasure:
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
         c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        if m.ndim != 1:
+            raise ValueError(f"mean must be a flat vector, got shape {m.shape}")
         if c.shape != (m.shape[0], m.shape[0]):
             raise ValueError("covariance must be d x d for a d-vector mean")
         scale = max(np.abs(c).max(), 1.0)

@@ -16,13 +16,14 @@ are those of its kernels, so the exp domain never needs dense products.
 
 A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
 the final marginal residual (marginal_j = a_j * (w_j K_j), with
-w_j = prod_{i != j} m_i formed from log m), the transport objective
+w_j = prod_{i != j} m_i), the transport objective
 sum_i w_i . ((K_i o lambda_i c_i) a_i) and, through the log sums stored on the
-returned state, the parameter coupling prod_i m_i. After an exp-domain solve
-this takes one (P, |X|) temporary per snapshot on dense kernels, none on
-factored ones, and no (N, P, |X|) array; the finish recomputes the sums in
-log space only when one falls below the normal float range or a w_j
-overflows. A log-domain solve hands over the log sums its sweeps maintain.
+returned state, the parameter coupling prod_i m_i. Every log w_j is the sum
+of the log m_i before j plus the sum of those after it (``_log_weights``), so
+nothing cancels. Log-space passes reduce one snapshot at a time in one
+(P, |X|) work array, so neither domain forms an (N, P, |X|) temporary; an
+exp-domain finish recomputes the sums in log space only when one falls below
+the normal float range or a w_j overflows.
 
 While sweeps contract slowly, Anderson acceleration extrapolates their
 log-potentials, keeping an extrapolation only when it raises the dual
@@ -34,7 +35,8 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -148,28 +150,27 @@ def _log_kernel_sums(log_k: np.ndarray, log_s: np.ndarray, axis: int, buf: np.nd
 
 def _log_factor_sums(log_kernels: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     """log m_i(p) = log sum_y K_i[p, y] a_i[y], for all snapshots; shape (N, P)."""
-    terms = log_kernels + log_a[:, None, :]
-    return _logsumexp(terms, 2, terms)
+    buf = np.empty(log_kernels.shape[1:])
+    return np.array([_log_kernel_sums(log_k, log_a_i, 1, buf) for log_k, log_a_i in zip(log_kernels, log_a)])
 
 
-def _log_weights_without(log_total: np.ndarray, log_m_j: np.ndarray) -> np.ndarray:
-    """log w_j = log prod_{i != j} m_i, from log_total = sum_i log m_i; shape (P,).
+def _log_weights(log_m: np.ndarray) -> Iterator[np.ndarray]:
+    """log w_j = sum_{i != j} log m_i for j = 0, 1, ..., each of shape (P,): the sum of
+    the rows before j plus the sum of the rows after it, so nothing cancels and a -inf
+    entry stays -inf. The rows after j are summed when the iteration starts, those before
+    j when w_j is asked for: a sweep that rewrites row j first gets w_{j+1} of its new
+    rows, in O(NP) per sweep, as the exp sweep does."""
+    suffix = np.zeros_like(log_m)  # suffix[j] = sum_{i > j} log m_i
+    np.cumsum(log_m[:0:-1], axis=0, out=suffix[-2::-1])
+    prefix = np.zeros(log_m.shape[1])
+    for j in range(log_m.shape[0]):
+        yield prefix + suffix[j]
+        prefix += log_m[j]
 
-    Where m_j is zero the difference is -inf - (-inf); it is taken as -inf,
-    since no coupling mass sits on that parameter tuple.
-    """
-    with np.errstate(invalid="ignore"):
-        log_w = log_total - log_m_j
-    log_w[np.isnan(log_w)] = -np.inf
-    return log_w
 
-
-def _log_marginal(log_kernels: np.ndarray, log_m: np.ndarray, log_a: np.ndarray, j: int) -> np.ndarray:
-    """log P_{y_j}(Gamma) from cached factor sums; shape (|X|,). log w_j sums the other
-    log m_i: the total minus log m_j cancels, by 1e-14 at log sums of a few hundred."""
-    log_w = np.delete(log_m, j, axis=0).sum(axis=0)
-    terms = log_kernels[j] + log_w[:, None]
-    return _logsumexp(terms, 0, terms) + log_a[j]
+def _log_projection(log_k: np.ndarray, log_w: np.ndarray, log_a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Snapshot j's log marginal log P_{y_j}(Gamma) = log a_j + log (K_j^T w_j); ``buf`` as log K_j."""
+    return _log_kernel_sums(log_k, log_w[:, None], 0, buf) + log_a
 
 
 def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
@@ -181,8 +182,10 @@ def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
     n = state.kernels.n_snapshots
     if not -n <= j < n:
         raise IndexError(f"snapshot index {j} out of range for {n} snapshots")
-    j = j % n
-    return np.exp(_log_marginal(state.kernels.log_kernels, state.log_factor_sums, state.log_potentials, j))
+    j %= n
+    log_k = state.kernels.log_kernels[j]
+    log_w = next(islice(_log_weights(state.log_factor_sums), j, None))
+    return np.exp(_log_projection(log_k, log_w, state.log_potentials[j], np.empty(log_k.shape)))
 
 
 def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
@@ -203,22 +206,20 @@ def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: 
 
     ``log_m`` are the log factor sums of ``log_a`` (``_log_factor_sums``).
     """
-    log_total = log_m.sum(axis=0)  # (P,)
+    buf = np.empty(kernels.log_kernels.shape[1:])
     obj = 0.0
-    for i in range(kernels.n_snapshots):
-        log_w = _log_weights_without(log_total, log_m[i])
-        log_pair = log_w[:, None] + kernels.log_kernels[i] + log_a[i][None, :]
-        obj += float(np.sum(np.exp(log_pair) * kernels.weighted_cost(i)))
+    for i, log_w in enumerate(_log_weights(log_m)):
+        np.add(log_w[:, None], kernels.log_kernels[i], out=buf)
+        buf += log_a[i]
+        np.exp(buf, out=buf)
+        buf *= kernels.weighted_cost(i)
+        obj += float(buf.sum())
     return obj
 
 
 def _transport_objective_exp(op: _ExpOperator, a: np.ndarray, log_m: np.ndarray) -> float:
     """<c, Gamma> = sum_i w_i . ((K_i o lambda_i c_i) a_i) from exp-domain kernels and potentials."""
-    log_total = log_m.sum(axis=0)
-    obj = 0.0
-    for i in range(a.shape[0]):
-        obj += op.transport_term(i, np.exp(_log_weights_without(log_total, log_m[i])), a[i])
-    return obj
+    return sum(op.transport_term(i, np.exp(log_w), a[i]) for i, log_w in enumerate(_log_weights(log_m)))
 
 
 class _Finish(NamedTuple):
@@ -234,9 +235,10 @@ class _Finish(NamedTuple):
 
 def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> float:
     """Max L1 marginal violation, in log space; ``log_m`` as in transport_objective_from_logs."""
+    buf = np.empty(log_kern.shape[1:])
     violations = [
-        np.abs(np.exp(_log_marginal(log_kern, log_m, log_a, j)) - targets[j]).sum()
-        for j in range(log_kern.shape[0])
+        np.abs(np.exp(_log_projection(log_k, log_w, log_a_j, buf)) - t).sum()
+        for log_k, log_w, log_a_j, t in zip(log_kern, _log_weights(log_m), log_a, targets)
     ]
     return float(np.max(violations))  # np.max keeps a NaN, where max() could drop it
 
@@ -251,7 +253,7 @@ def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np
 
     The residual and the objective are measured on exp(log a), which can differ
     from a in the last bit, with their own factor sums m = K exp(log a).
-    marginal_j = a_j * (w_j K_j) with w_j = exp(sum_i log m_i - log m_j), so
+    marginal_j = a_j * (w_j K_j) with w_j = exp(sum_{i != j} log m_i), so
     nothing of shape (N, P, |X|) is formed. Factor sums below the normal float
     range (where log m loses precision) or a w_j that overflows send the finish
     to the log-space recomputation instead.
@@ -263,12 +265,11 @@ def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np
         op.m(j, a[j], m[j])()
     if m.min() >= _NORMAL_MIN:
         log_m = np.log(m)
-        log_total = log_m.sum(axis=0)
         phi = np.empty(a.shape[1])
         violations = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(a.shape[0]):
-                op.phi(j, np.exp(_log_weights_without(log_total, log_m[j])), phi)()
+            for j, log_w in enumerate(_log_weights(log_m)):
+                op.phi(j, np.exp(log_w), phi)()
                 violations.append(np.abs(a[j] * phi - targets[j]).sum())
         residual = float(np.max(violations))
         if np.isfinite(residual):
@@ -538,10 +539,9 @@ def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
 def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
     """One full log-domain sweep; updates log_a and log_m in place and returns the residual."""
     residual = 0.0
-    for j in range(log_kern.shape[0]):
-        log_w = _log_weights_without(log_m.sum(axis=0), log_m[j])
-        terms = log_kern[j] + log_w[:, None]
-        log_phi = _logsumexp(terms, 0, terms)
+    buf = np.empty(log_kern.shape[1:])
+    for j, log_w in enumerate(_log_weights(log_m)):
+        log_phi = _log_kernel_sums(log_kern[j], log_w[:, None], 0, buf)
         current = np.exp(log_phi + log_a[j])
         residual = max(residual, float(np.abs(current - targets[j]).sum()))
         positive = targets[j] > 0
@@ -551,7 +551,7 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
                 "epsilon too small for the cost scale or kernel disconnected"
             )
         log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
-        log_m[j] = _log_kernel_sums(log_kern[j], log_a[j][None, :], 1, terms)
+        log_m[j] = _log_kernel_sums(log_kern[j], log_a[j], 1, buf)
     return residual
 
 
@@ -628,7 +628,7 @@ def sinkhorn_solve(
                 log_m += np.log1p(ratio)
     else:
         finish, iters, ok = finish_now(), max_iter, False
-    work = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
+    work = buf = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
     accel.report()
     if not np.isfinite(finish.residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")

@@ -91,7 +91,6 @@ def dense_param_marginal(gamma):
 def dense_objective(kernels, gamma):
     """<c, Gamma> summed entry by entry over the dense tensor."""
     n = kernels.n_snapshots
-    p, x = kernels.n_param_tuples, kernels.n_support
     total = 0.0
     for i in range(n):
         weighted = kernels.weighted_cost(i)  # (P, X): lambda_i * c_i

@@ -574,6 +574,10 @@ MALFORMED_INPUTS = [
     (["invariant", "--input", "{input}", "--domain=-5e160:5e160", "--boxes", "20"], HUGE_SAMPLES, 4,
      "coordinate scale too large: squared distances reach inf"),
     (["regress", "--input", "{input}"], HUGE_SAMPLES, 4, "coordinate scale too large"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[-3.0]", "[1e200]"), 4,
+     "coordinate scale too large: squared distances reach inf"),
+    (["gmm", "--input", "{input}"], MIXTURE_TOY.replace("[[0.16000000000000003]]", "[[1e300]]"), 4,
+     "coordinate scale too large: squared distances reach 2e+300, and the costs formed from them (5e+300)"),
     (["distance", "--input-a", "{input}", "--input-b", "{input}"], "t,x1\n0,1e160\n0,-2e160\n", 4,
      "pass 1e+300; rescale the data"),
     (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),

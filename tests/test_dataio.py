@@ -274,3 +274,29 @@ def test_dataio_imports_only_measures():
         if alias.name.startswith("wasscurve")
     ]
     assert from_package == [".measures"]
+
+
+def _mixture_toy_with(edit):
+    doc = dataio.generate_mixture_toy()
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_mixture_toy_with(lambda d: d["snapshots"][1].update(t=0.1)), "timestamp t=0.1 is listed twice"),
+        (_mixture_toy_with(lambda d: d["basis"][0].update(mean=[[-3.0]])),
+         "basis atom 0: mean must be a flat vector, got shape (1, 1)"),
+        (_mixture_toy_with(lambda d: d["basis"][2].update(mean=[1.0, 0.0], covariance=[[0.2, 0.0], [0.0, 0.2]])),
+         "basis atom 2 has dimension 2, atom 0 has 1"),
+    ],
+    ids=["repeated t", "nested mean", "mixed dimensions"],
+)
+@pytest.mark.filterwarnings("error")
+def test_malformed_mixture_names_the_file(tmp_path, text, message):
+    path = tmp_path / "mixture.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as got:
+        dataio.load_mixture_dataset(str(path))
+    assert str(got.value) == f"{path}: {message}"

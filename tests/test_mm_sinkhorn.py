@@ -1,6 +1,7 @@
 """Engine tests: kernels, factored projections, scaling sweeps, two-marginal transport."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from contextlib import ExitStack
@@ -15,7 +16,9 @@ from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.kernels import (
     CostKernelSet,
     FactoredKernelSet,
+    _curve_costs,
     _DenseExp,
+    _kernels_in_place,
     build_kernels,
     kernels_from_costs,
     param_tuple_stack,
@@ -498,6 +501,22 @@ class TestFinish:
         assert peak - after_sweep[-1] < 0.5 * tensor_bytes
         self._assert_matches_log_recomputation(state, ds)
 
+    def test_log_domain_solve_allocates_no_kernel_tensor(self):
+        # a dense solve that starts in the log domain stays below half of one
+        # (N, P, |X|) array above its kernels: each log-space pass works in
+        # (P, |X|) arrays, one snapshot at a time
+        ds, kernels = random_instance(np.random.default_rng(41), n_snapshots=8, n_support=50, param_sizes=(8, 8, 8), epsilon=1.5e-3)
+        assert isinstance(kernels, CostKernelSet) and kernels.min_log_kernel < -600.0
+        tracemalloc.start()
+        try:
+            state = sinkhorn_solve(kernels, ds, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.converged and state.used_log_domain
+        assert peak < 0.5 * kernels.log_kernels.nbytes
+        self._assert_matches_log_recomputation(state, ds)
+
     def test_underflowing_factor_sums_finish_in_log_space(self):
         # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1];
         # the finish recomputes the factor sums in log space instead of taking log 0
@@ -543,6 +562,12 @@ class TestFactoredKernels:
     def _assert_matches_dense(ds, grids, epsilon):
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
         assert isinstance(kernels, FactoredKernelSet)
+        # shifts and min_log_kernel are those of build_kernels' dense path, bit for bit (the
+        # oracle's curve points, an einsum, can differ from the library's in the last bit)
+        built = _kernels_in_place(_curve_costs(LINEAR, ds.timestamps, param_tuple_stack(grids), ds.grid.points),
+                                  ds.lambdas, epsilon, grids)
+        assert kernels.shifts.tobytes() == built.shifts.tobytes()
+        assert kernels.min_log_kernel == built.min_log_kernel
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
@@ -594,7 +619,7 @@ class TestFactoredKernels:
         kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), epsilon)
         assert kernels.min_log_kernel == pytest.approx(-590.0)
         assert np.log(kernels.factor_a.max()) == pytest.approx({1.0: 318.6, 3.0: 433.65}[spread])
-        tensor_bytes = len(ds) * kernels.n_param_tuples * kernels.n_support * 8
+        tensor_bytes = len(ds) * math.prod(kernels.param_shape) * kernels.n_support * 8
         tracemalloc.start()
         try:
             state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
@@ -973,6 +998,51 @@ class TestLogSumExp:
         from wasscurve.mm_sinkhorn import _logsumexp
 
         assert _logsumexp(np.full(4, -np.inf)) == -np.inf
+
+
+class TestLogWeights:
+    """log w_j = sum_{i != j} log m_i, as ``_log_weights`` forms it for every log-space pass."""
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(0.5, 2.0, (6, 40))
+        rows[2] = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.5e4, 1e4, 40)
+        return rows
+
+    @staticmethod
+    def _assert_within_ulps(got, rows, j):
+        expected = np.array([math.fsum(np.delete(column, j)) for column in rows.T])
+        assert (np.abs(got - expected) <= 4 * np.spacing(np.abs(expected))).all()
+
+    def test_large_row_does_not_cancel(self):
+        from wasscurve.mm_sinkhorn import _log_weights
+
+        rows = self._rows()
+        for j, log_w in enumerate(_log_weights(rows)):
+            self._assert_within_ulps(log_w, rows, j)
+
+    def test_rows_rewritten_during_the_pass(self):
+        # a sweep rewrites row j before it asks for w_{j+1}: w_j sums the new rows before j and the old ones after it
+        from wasscurve.mm_sinkhorn import _log_weights
+
+        rows = self._rows()
+        new = 1.5 * rows[::-1]
+        live = rows.copy()
+        for j, log_w in enumerate(_log_weights(live)):
+            self._assert_within_ulps(log_w, np.concatenate([new[:j], rows[j:]]), j)
+            live[j] = new[j]
+
+    def test_minus_inf_row_gives_minus_inf(self):
+        from wasscurve.mm_sinkhorn import _log_weights
+
+        rows = self._rows()
+        rows[4, :10] = -np.inf
+        with np.errstate(invalid="raise"):
+            weights = np.array(list(_log_weights(rows)))
+        assert not np.isnan(weights).any()
+        assert np.isneginf(np.delete(weights, 4, axis=0)[:, :10]).all()
+        assert np.isfinite(weights[4]).all() and np.isfinite(weights[:, 10:]).all()
 
 
 class TestTwoMarginal:
