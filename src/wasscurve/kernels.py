@@ -9,8 +9,9 @@ cost that is a sum of pairwise terms, so its FactoredKernelSet holds three
 (n, n) factors per snapshot, O(N |X|^2) in all, whose product is the
 kernel itself, and builds the dense logs only on first use. ``exp_operator()``
 gives the two products a Sinkhorn sweep needs, phi_j = K_j^T w and
-m_j = K_j a_j: bound ndarray.dot calls on the dense kernels, or two matrix
-products per snapshot on the factors.
+m_j = K_j a_j: bound ndarray.dot calls on the dense kernels' exponentials
+(a second (N, P, |X|) array, held while a solve runs in the exp domain), or
+two matrix products per snapshot on the factors.
 """
 
 import math
@@ -90,10 +91,6 @@ class CostKernelSet(_KernelSet):
     def n_support(self) -> int:
         return self.log_kernels.shape[2]
 
-    @property
-    def min_log_kernel(self) -> float:
-        return float(self.log_kernels.min())
-
     def cost(self, i: int) -> np.ndarray:
         """Raw squared-distance cost array c_i of shape (P, |X|) for snapshot i."""
         return (self.shifts[i] - self.log_kernels[i]) * (self.epsilon / self.lambdas[i])
@@ -121,14 +118,13 @@ class FactoredKernelSet(_KernelSet):
     overflow where every kernel entry is in range (a solve then leaves the
     exp domain on its first sweep). The factors are built from coordinate
     differences, so they do not depend on where the grids lie. Memory is
-    O(N |X|^2); the dense ``log_kernels`` of the log-domain path are built
-    on first use.
+    O(N |X|^2); the dense ``log_kernels``, needed only once a solve leaves
+    the exp domain, are built on first use, memory permitting.
     """
 
     factor_a: np.ndarray  # (N, n0, n1)
     factor_b: np.ndarray  # (N, n0, |X|)
     factor_c: np.ndarray  # (N, n1, |X|)
-    min_log_kernel: float  # smallest entry of log_kernels
     curve: CurveClass
     timestamps: np.ndarray  # (N,)
     support: np.ndarray  # (|X|, 1)
@@ -143,7 +139,9 @@ class FactoredKernelSet(_KernelSet):
 
     @cached_property
     def log_kernels(self) -> np.ndarray:
-        """The dense (N, P, |X|) log kernels, as build_kernels' dense path makes them."""
+        """The dense (N, P, |X|) log kernels, as build_kernels' dense path makes them; a
+        ValueError, before any allocation, when they exceed the machine's physical memory."""
+        _check_memory(len(self.timestamps) * math.prod(self.param_shape) * self.n_support * 8, "the dense log kernels")
         costs = _curve_costs(self.curve, self.timestamps, self.param_stack, self.support)
         return _to_log_kernels(costs, self.lambdas / self.epsilon, self.shifts)
 
@@ -244,8 +242,9 @@ def build_kernels(
     into one buffer of squared distances that then becomes the log kernels
     in place. Each snapshot's cost is shifted by its minimum before
     exponentiation, so kernel entries lie in (0, 1]. Costs that overflow
-    (``check_coordinate_scale``) and a dense buffer larger than the machine's
-    physical memory are ValueErrors, raised before any allocation.
+    (``check_coordinate_scale``) and dense logs that, with their exponentials,
+    exceed the machine's physical memory are ValueErrors, raised before any
+    allocation.
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -258,16 +257,20 @@ def build_kernels(
     _check_cost_scale(support, grids, coefficients, _rates(np.asarray(dataset.lambdas, dtype=float), epsilon))
     # a negative coefficient (t > 1) would give factors above 1
     factored = dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0
-    if not factored:
-        need = len(dataset) * math.prod(len(g) for g in grids) * len(support) * 8  # the (N, P, |X|) buffer
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(f"the dense kernels need {need / 2**30:.1f} GiB, more than this machine's "
-                             f"{have / 2**30:.1f} GiB of memory; use coarser grids")
+    if not factored:  # the (N, P, |X|) logs and, for the exp-domain sweeps, their exponentials
+        _check_memory(2 * len(dataset) * math.prod(len(g) for g in grids) * len(support) * 8, "the dense kernels")
     stack = param_tuple_stack(grids)  # (P, k, d)
     if factored:
         return _factored_kernels(dataset, curve, grids, stack, coefficients, epsilon)
     return _kernels_in_place(_curve_costs(curve, dataset.timestamps, stack, support), dataset.lambdas, epsilon, grids)
+
+
+def _check_memory(need: int, what: str) -> None:
+    """ValueError when ``need`` bytes of ``what`` exceed the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} need {need / 2**30:.1f} GiB, more than this machine's "
+                         f"{have / 2**30:.1f} GiB of memory; use coarser grids")
 
 
 def _check_cost_scale(
@@ -290,11 +293,10 @@ def _factored_kernels(
     coefficients: np.ndarray,
     epsilon: float,
 ) -> FactoredKernelSet:
-    """FactoredKernelSet of a linear 1-D cost, with the shifts and smallest log entry of the dense kernels.
+    """FactoredKernelSet of a linear 1-D cost, with the shifts of the dense kernels.
 
-    min_y c_i(p, y) is at a support point next to the curve point, and
-    max_y at an end of the support; both are computed with the dense
-    build's arithmetic, so shifts and min_log_kernel match it bit for bit.
+    min_y c_i(p, y) is at a support point next to the curve point, computed
+    with the dense build's arithmetic, so the shifts match it bit for bit.
     """
     lambdas = np.asarray(dataset.lambdas, dtype=float)
     rates = _rates(lambdas, epsilon)
@@ -302,12 +304,10 @@ def _factored_kernels(
     ys = np.sort(support[:, 0])
     last = len(ys) - 1
     lo = np.empty(len(dataset))
-    hi = np.empty(len(dataset))
     for i, t in enumerate(dataset.timestamps):
         phi = curve.evaluate(stack, t)[:, 0]
         near = np.searchsorted(ys, phi)
         lo[i] = min(np.square(phi - ys[np.clip(near + k, 0, last)]).min() for k in (-1, 0))
-        hi[i] = max(np.square(phi - ys[k]).max() for k in (0, last))
     shifts = lambdas * lo / epsilon
     d0 = _sq_distances(grids[0].points, support)  # (n0, |X|)
     d1 = _sq_distances(grids[1].points, support)  # (n1, |X|)
@@ -328,7 +328,6 @@ def _factored_kernels(
         factor_a=factor(rc01, d01, d01.max(), offsets),
         factor_b=factor(-rc0, d0, d0.min()),
         factor_c=factor(-rc1, d1, d1.min()),
-        min_log_kernel=float(np.min(hi * -rates + shifts)),
         curve=curve,
         timestamps=np.asarray(dataset.timestamps, dtype=float),
         support=support,

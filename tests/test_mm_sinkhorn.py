@@ -61,6 +61,15 @@ def random_instance(rng, n_snapshots=3, n_support=3, param_sizes=(2, 2), epsilon
     return ds, kernels
 
 
+def log_domain_solve(kernels, ds, **kwargs):
+    """sinkhorn_solve with every sweep in the log domain: no potential is in
+    range, so the first exp sweep is redone there."""
+    import wasscurve.mm_sinkhorn as engine
+
+    with mock.patch.object(engine, "_POTENTIAL_HI", 0.0):
+        return sinkhorn_solve(kernels, ds, **kwargs)
+
+
 class TestBuildKernels:
     def test_max_entry_is_one_at_min_cost(self):
         ds, kernels = random_instance(np.random.default_rng(0))
@@ -135,7 +144,6 @@ class TestBuildKernels:
         (QUADRATIC, 1e160, 0.1),  # the same on the dense path
         (LINEAR, 1e149, 1e-3),  # squared distances below 1e300, but lambda c / epsilon above
     ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_costs_that_overflow(self, curve, scale, epsilon):
         ds, _ = random_instance(np.random.default_rng(1))
         grids = [grid_1d([-scale, scale])] * curve.n_params
@@ -245,20 +253,60 @@ class TestSinkhornSolve:
             assert state.objective <= previous + 1e-9
             previous = state.objective
 
-    def test_log_and_exp_domains_agree(self, monkeypatch):
-        import wasscurve.mm_sinkhorn as engine
+    def test_log_and_exp_domains_agree(self):
         from wasscurve.mm_sinkhorn import transport_objective_from_logs
 
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
         state = sinkhorn_solve(kernels, ds, tol=1e-11)
         assert not state.used_log_domain
-        monkeypatch.setattr(engine, "_EXP_SAFE_LOG", np.inf)  # every sweep in the log domain
-        log_state = sinkhorn_solve(kernels, ds, tol=1e-11)
+        log_state = log_domain_solve(kernels, ds, tol=1e-11)
         assert log_state.used_log_domain
         assert log_state.converged and log_state.marginal_residual <= 1e-11
         log_a = log_state.log_potentials
         log_obj = transport_objective_from_logs(kernels, log_a, _log_factor_sums(kernels.log_kernels, log_a))
         np.testing.assert_allclose(log_obj, state.objective, rtol=1e-8)
+
+    @staticmethod
+    def _low_kernel_instance(seed, kind, n_snapshots, n_support, smallest):
+        """An instance whose smallest log kernel entry is ``smallest``, with a factored,
+        a dense linear or a dense quadratic kernel set."""
+        rng = np.random.default_rng(seed)
+        grid = grid_1d(np.sort(rng.uniform(0, 1, n_support)))
+        rows = rng.random((n_snapshots, n_support)) + 0.05
+        ts = np.sort(rng.uniform(0, 1, n_snapshots))
+        ts[0], ts[-1] = 0.0, 1.0
+        ds = dataset_from_weights(ts, rows / rows.sum(axis=1, keepdims=True), grid)
+        curve = QUADRATIC if kind == "quadratic" else LINEAR
+        grids = [grid_1d(np.sort(rng.uniform(-0.5, 1.5, 4))) for _ in range(curve.n_params)]
+        build = oracles.dense_curve_kernels if kind == "dense linear" else build_kernels
+        kernels = build(ds, curve, grids, build(ds, curve, grids, 1.0).log_kernels.min() / smallest)
+        assert isinstance(kernels, FactoredKernelSet) == (kind == "factored")
+        return ds, kernels
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["factored", "dense linear", "quadratic"]),
+        n_snapshots=st.integers(2, 5),
+        n_support=st.integers(3, 8),
+        smallest=st.floats(-1500.0, -600.0),
+    )
+    def test_low_kernels_match_the_log_domain(self, seed, kind, n_snapshots, n_support, smallest):
+        # kernel entries far below exp(-600) no longer send a solve to the log
+        # domain before its first sweep; it leaves the exp domain only when a
+        # sweep does, and reaches the log-domain solve's fixed point either way
+        ds, kernels = self._low_kernel_instance(seed, kind, n_snapshots, n_support, smallest)
+        state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
+        ref = log_domain_solve(kernels, ds, tol=1e-10, max_iter=20000)
+        assert state.converged and ref.converged and ref.used_log_domain
+        np.testing.assert_allclose(state.objective, ref.objective, rtol=1e-8)
+        np.testing.assert_allclose(extract_param_coupling(state).weights, extract_param_coupling(ref).weights, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["factored", "dense linear", "quadratic"])
+    def test_low_kernels_start_in_the_exp_domain(self, kind):
+        ds, kernels = self._low_kernel_instance(7, kind, 4, 6, -1000.0)
+        state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
+        assert state.converged and not state.used_log_domain
 
     def test_mid_run_switch_to_log_domain(self):
         # kernels start exp-representable, but matching the second target
@@ -469,8 +517,7 @@ class TestFinish:
 
     def test_pure_log_phase(self):
         ds, kernels = random_instance(np.random.default_rng(31), n_snapshots=4, n_support=5, param_sizes=(4, 4), epsilon=2e-4)
-        assert kernels.log_kernels.min() < -600.0  # the exp phase is skipped
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = log_domain_solve(kernels, ds, tol=1e-9)
         assert state.used_log_domain and state.converged
         self._assert_matches_log_recomputation(state, ds)
 
@@ -501,15 +548,26 @@ class TestFinish:
         assert peak - after_sweep[-1] < 0.5 * tensor_bytes
         self._assert_matches_log_recomputation(state, ds)
 
-    def test_log_domain_solve_allocates_no_kernel_tensor(self):
-        # a dense solve that starts in the log domain stays below half of one
-        # (N, P, |X|) array above its kernels: each log-space pass works in
-        # (P, |X|) arrays, one snapshot at a time
+    def test_log_domain_solve_allocates_no_kernel_tensor(self, monkeypatch):
+        # from its first log-domain sweep on, when the exponentials are freed, a
+        # dense solve stays below half of one (N, P, |X|) array above its
+        # kernels: each log-space pass works in (P, |X|) arrays, one snapshot at a time
+        import wasscurve.mm_sinkhorn as engine
+
         ds, kernels = random_instance(np.random.default_rng(41), n_snapshots=8, n_support=50, param_sizes=(8, 8, 8), epsilon=1.5e-3)
-        assert isinstance(kernels, CostKernelSet) and kernels.min_log_kernel < -600.0
+        assert isinstance(kernels, CostKernelSet)
+        sweep, log_sweeps = engine._sweep_log, []
+
+        def mark_then_sweep(*args):
+            if not log_sweeps:
+                tracemalloc.reset_peak()
+            log_sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(engine, "_sweep_log", mark_then_sweep)
         tracemalloc.start()
         try:
-            state = sinkhorn_solve(kernels, ds, tol=1e-9)
+            state = log_domain_solve(kernels, ds, tol=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,12 +620,11 @@ class TestFactoredKernels:
     def _assert_matches_dense(ds, grids, epsilon):
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
         assert isinstance(kernels, FactoredKernelSet)
-        # shifts and min_log_kernel are those of build_kernels' dense path, bit for bit (the
-        # oracle's curve points, an einsum, can differ from the library's in the last bit)
+        # the shifts are those of build_kernels' dense path, bit for bit (the oracle's
+        # curve points, an einsum, can differ from the library's in the last bit)
         built = _kernels_in_place(_curve_costs(LINEAR, ds.timestamps, param_tuple_stack(grids), ds.grid.points),
                                   ds.lambdas, epsilon, grids)
         assert kernels.shifts.tobytes() == built.shifts.tobytes()
-        assert kernels.min_log_kernel == built.min_log_kernel
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
@@ -601,8 +658,23 @@ class TestFactoredKernels:
         pgrid = grid_1d(np.linspace(0, 0.2, 30))
         ds = dataset_from_weights([0.0, 0.4, 1.0], np.full((3, 30), 1 / 30), grid, [0.2, 0.3, 0.5])
         kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 9e-4)
-        assert isinstance(kernels, FactoredKernelSet) and kernels.min_log_kernel >= -600.0
+        assert isinstance(kernels, FactoredKernelSet) and kernels.log_kernels.min() >= -600.0
         assert self._assert_matches_dense(ds, (pgrid, pgrid), 9e-4).used_log_domain
+
+    def test_dense_logs_are_checked_against_physical_memory(self, monkeypatch):
+        # factor_a overflows, so the solve leaves the exp domain on its first
+        # sweep; its 0.56 GiB of dense logs are refused before they are allocated
+        import os
+
+        grid = grid_1d(np.linspace(0, 1, 400))
+        ds = dataset_from_weights([0.0, 0.5, 1.0], np.full((3, 400), 1 / 400), grid)
+        pgrid = grid_1d(np.linspace(-0.5, 1.5, 250))
+        kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 1e-4)
+        assert isinstance(kernels, FactoredKernelSet) and np.isinf(kernels.factor_a).any()
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**29 // 4096}.__getitem__)
+        with pytest.raises(ValueError, match=r"the dense log kernels need 0\.6 GiB, more than this machine's 0\.5 GiB"):
+            sinkhorn_solve(kernels, ds)
+        assert "log_kernels" not in vars(kernels)
 
     @pytest.mark.parametrize("spread", [1.0, 3.0])
     def test_wide_parameter_grids_near_exp_limit(self, spread):
@@ -617,7 +689,7 @@ class TestFactoredKernels:
         pgrid = grid_1d(np.linspace(-spread, 1 + spread, 20))
         epsilon = (1 + spread) ** 2 * 0.25 / 590
         kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), epsilon)
-        assert kernels.min_log_kernel == pytest.approx(-590.0)
+        assert oracles.dense_curve_kernels(ds, LINEAR, (pgrid, pgrid), epsilon).log_kernels.min() == pytest.approx(-590.0)
         assert np.log(kernels.factor_a.max()) == pytest.approx({1.0: 318.6, 3.0: 433.65}[spread])
         tensor_bytes = len(ds) * math.prod(kernels.param_shape) * kernels.n_support * 8
         tracemalloc.start()
@@ -630,16 +702,15 @@ class TestFactoredKernels:
         assert peak < tensor_bytes
         assert not self._assert_matches_dense(ds, (pgrid, pgrid), epsilon).used_log_domain
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_factor_a_reaches_the_dense_objective(self):
         # factor_a, the one factor above 1, can overflow where the kernels are
-        # in the exp domain: here its largest log is 1.53 times -min_log_kernel.
-        # The solve then leaves the exp domain on its first sweep (the dense one
-        # does not) and still reaches the dense oracle's objective
+        # in the exp domain: here its largest log is 1.53 times minus the
+        # smallest log kernel. The solve then leaves the exp domain on its first
+        # sweep (the dense one does not) and still reaches the dense oracle's objective
         ds, grids = self._instance(412, 4, 5, (2, 5), 0.0, 3.0)
-        epsilon = -build_kernels(ds, LINEAR, grids, 1.0).min_log_kernel / 590
+        epsilon = -build_kernels(ds, LINEAR, grids, 1.0).log_kernels.min() / 590
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
-        assert kernels.min_log_kernel == pytest.approx(-590.0) and np.isinf(kernels.factor_a).any()
+        assert kernels.log_kernels.min() == pytest.approx(-590.0) and np.isinf(kernels.factor_a).any()
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
@@ -686,12 +757,11 @@ class TestOverrelaxation:
     def _solve(kernels, ds, plain, log_domain, **kwargs):
         import wasscurve.mm_sinkhorn as engine
 
+        solve = log_domain_solve if log_domain else sinkhorn_solve
         with ExitStack() as stack:
             if plain:  # no residual ratio counts as slow
                 stack.enter_context(mock.patch.object(engine, "_SLOW_RATIO", np.inf))
-            if log_domain:
-                stack.enter_context(mock.patch.object(engine, "_EXP_SAFE_LOG", np.inf))
-            return sinkhorn_solve(kernels, ds, **kwargs)
+            return solve(kernels, ds, **kwargs)
 
     @staticmethod
     def _instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets):
@@ -1140,7 +1210,6 @@ class TestTwoMarginal:
         np.testing.assert_allclose(plan.sum(axis=0), nu.weights, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_costs_that_overflow_are_rejected(self, dim):
         def pair(scale):
             pad = [[0.0] * (dim - 1)] * 2
