@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .curves import CurveClass
-from .measures import SnapshotDataset, SupportGrid, check_coordinate_scale
+from .measures import SnapshotDataset, SupportGrid, check_coordinate_scale, nearest_index
 
 
 def param_tuple_stack(grids: Sequence[SupportGrid]) -> np.ndarray:
@@ -295,19 +295,17 @@ def _factored_kernels(
 ) -> FactoredKernelSet:
     """FactoredKernelSet of a linear 1-D cost, with the shifts of the dense kernels.
 
-    min_y c_i(p, y) is at a support point next to the curve point, computed
-    with the dense build's arithmetic, so the shifts match it bit for bit.
+    min_y c_i(p, y) is at the support point nearest to the curve point
+    (``nearest_index``), computed with the dense build's arithmetic, so the
+    shifts match it bit for bit.
     """
     lambdas = np.asarray(dataset.lambdas, dtype=float)
     rates = _rates(lambdas, epsilon)
     support = dataset.grid.points
-    ys = np.sort(support[:, 0])
-    last = len(ys) - 1
     lo = np.empty(len(dataset))
     for i, t in enumerate(dataset.timestamps):
-        phi = curve.evaluate(stack, t)[:, 0]
-        near = np.searchsorted(ys, phi)
-        lo[i] = min(np.square(phi - ys[np.clip(near + k, 0, last)]).min() for k in (-1, 0))
+        phi = curve.evaluate(stack, t)
+        lo[i] = np.square(phi - support[nearest_index(phi, dataset.grid)]).min()
     shifts = lambdas * lo / epsilon
     d0 = _sq_distances(grids[0].points, support)  # (n0, |X|)
     d1 = _sq_distances(grids[1].points, support)  # (n1, |X|)

@@ -15,14 +15,16 @@ in the log domain, on the dense log kernels (built on first use for a
 factored set), and the solve stays there. A factored set's products are
 those of its kernels, so the exp domain never needs dense products.
 
-A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold:
-the final marginal residual (marginal_j = a_j * (w_j K_j), with
-w_j = prod_{i != j} m_i), the transport objective
-sum_i w_i . ((K_i o lambda_i c_i) a_i) and, through the log sums stored on the
-returned state, the parameter coupling prod_i m_i. Every log w_j is the sum
-of the log m_i before j plus the sum of those after it (``_log_weights``), so
-nothing cancels. Log-space passes reduce one snapshot at a time in one
-(P, |X|) work array, so neither domain forms an (N, P, |X|) temporary; an
+A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold,
+in one pass over the snapshots: the weights w_j = prod_{i != j} m_i of
+snapshot j give both its marginal a_j * (w_j K_j), and so its share of the
+marginal residual, and its objective term w_j . ((K_j o lambda_j c_j) a_j).
+Through the log sums stored on the returned state they also give the
+parameter coupling prod_i m_i. Every log w_j is the sum of the log m_i
+before j plus the sum of those after it (``_log_weights``), so nothing
+cancels. Log-space passes reduce one snapshot at a time in one (P, |X|) work
+array, so neither domain forms an (N, P, |X|) temporary; a log-space finish
+exponentiates each snapshot's plan w_j K_j a_j once (``_log_plan``). An
 exp-domain finish recomputes the sums in log space only when one falls below
 the normal float range or a w_j overflows.
 
@@ -35,9 +37,9 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -168,9 +170,21 @@ def _log_weights(log_m: np.ndarray) -> Iterator[np.ndarray]:
         prefix += log_m[j]
 
 
-def _log_projection(log_k: np.ndarray, log_w: np.ndarray, log_a: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Snapshot j's log marginal log P_{y_j}(Gamma) = log a_j + log (K_j^T w_j); ``buf`` as log K_j."""
-    return _log_kernel_sums(log_k, log_w[:, None], 0, buf) + log_a
+def _log_plan(log_k: np.ndarray, log_w: np.ndarray, log_a: np.ndarray, buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Snapshot j's plan w_j[p] K_j[p, y] a_j[y] from its logs, exponentiated once.
+
+    ``buf`` (log K_j's shape) receives the plan divided by its column maxima
+    scale[y] (1 for a column that is all zero). Returns snapshot j's marginal,
+    the plan's column sums, and scale.
+    """
+    np.add(log_k, log_w[:, None], out=buf)
+    buf += log_a
+    top = buf.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    buf -= top
+    np.exp(buf, out=buf)
+    scale = np.exp(top)
+    return buf.sum(axis=0) * scale, scale
 
 
 def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
@@ -185,7 +199,7 @@ def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
     j %= n
     log_k = state.kernels.log_kernels[j]
     log_w = next(islice(_log_weights(state.log_factor_sums), j, None))
-    return np.exp(_log_projection(log_k, log_w, state.log_potentials[j], np.empty(log_k.shape)))
+    return _log_plan(log_k, log_w, state.log_potentials[j], np.empty(log_k.shape))[0]
 
 
 def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
@@ -201,62 +215,40 @@ def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     return ParamCoupling(state.kernels.parameter_grids, weights / total)
 
 
-def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: np.ndarray) -> float:
-    """<c, Gamma> computed kernel-wise, without materializing the coupling.
-
-    ``log_m`` are the log factor sums of ``log_a`` (``_log_factor_sums``).
-    """
-    buf = np.empty(kernels.log_kernels.shape[1:])
-    obj = 0.0
-    for i, log_w in enumerate(_log_weights(log_m)):
-        np.add(log_w[:, None], kernels.log_kernels[i], out=buf)
-        buf += log_a[i]
-        np.exp(buf, out=buf)
-        buf *= kernels.weighted_cost(i)
-        obj += float(buf.sum())
-    return obj
-
-
-def _transport_objective_exp(op: _ExpOperator, a: np.ndarray, log_m: np.ndarray) -> float:
-    """<c, Gamma> = sum_i w_i . ((K_i o lambda_i c_i) a_i) from exp-domain kernels and potentials."""
-    return sum(op.transport_term(i, np.exp(log_w), a[i]) for i, log_w in enumerate(_log_weights(log_m)))
-
-
 class _Finish(NamedTuple):
     """The end state of a solve: potentials, their log factor sums, the
-    marginal residual, and the objective, evaluated once the residual passed
-    its checks."""
+    marginal residual and the objective."""
 
     log_a: np.ndarray
     log_m: np.ndarray
     residual: float
-    objective: Callable[[], float]
-
-
-def _final_residual(log_kern: np.ndarray, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> float:
-    """Max L1 marginal violation, in log space; ``log_m`` as in transport_objective_from_logs."""
-    buf = np.empty(log_kern.shape[1:])
-    violations = [
-        np.abs(np.exp(_log_projection(log_k, log_w, log_a_j, buf)) - t).sum()
-        for log_k, log_w, log_a_j, t in zip(log_kern, _log_weights(log_m), log_a, targets)
-    ]
-    return float(np.max(violations))  # np.max keeps a NaN, where max() could drop it
+    objective: float
 
 
 def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> _Finish:
-    residual = _final_residual(kernels.log_kernels, log_a, targets, log_m)
-    return _Finish(log_a, log_m, residual, partial(transport_objective_from_logs, kernels, log_a, log_m))
+    """Finish in log space, one snapshot at a time: each plan, exponentiated once in
+    one (P, |X|) work array (``_log_plan``), gives snapshot j's marginal violation and
+    its objective term sum_{p, y} plan[p, y] lambda_j c_j[p, y]."""
+    buf = np.empty(kernels.log_kernels.shape[1:])
+    violations, objective = [], 0.0
+    for j, log_w in enumerate(_log_weights(log_m)):
+        marginal, scale = _log_plan(kernels.log_kernels[j], log_w, log_a[j], buf)
+        violations.append(np.abs(marginal - targets[j]).sum())
+        buf *= kernels.weighted_cost(j)
+        objective += float(buf.sum(axis=0) @ scale)
+    return _Finish(log_a, log_m, float(np.max(violations)), objective)  # np.max keeps a NaN, where max() could drop it
 
 
 def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np.ndarray) -> _Finish:
     """Finish from the exp sweep's potentials a, returned as log a.
 
     The residual and the objective are measured on exp(log a), which can differ
-    from a in the last bit, with their own factor sums m = K exp(log a).
-    marginal_j = a_j * (w_j K_j) with w_j = exp(sum_{i != j} log m_i), so
+    from a in the last bit, with their own factor sums m = K exp(log a). For
+    each snapshot j, w_j = exp(sum_{i != j} log m_i) gives both its marginal
+    a_j * (w_j K_j) and its objective term w_j . ((K_j o lambda_j c_j) a_j), so
     nothing of shape (N, P, |X|) is formed. Factor sums below the normal float
-    range (where log m loses precision) or a w_j that overflows send the finish
-    to the log-space recomputation instead.
+    range (where log m loses precision) or a w_j that overflows (a non-finite
+    violation) send the finish to the log-space recomputation instead.
     """
     log_a = _with_log_zeros(a)
     a = np.exp(log_a)
@@ -266,14 +258,17 @@ def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np
     if m.min() >= _NORMAL_MIN:
         log_m = np.log(m)
         phi = np.empty(a.shape[1])
-        violations = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, log_w in enumerate(_log_weights(log_m)):
-                op.phi(j, np.exp(log_w), phi)()
+        violations, objective = [], 0.0
+        for j, log_w in enumerate(_log_weights(log_m)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(log_w)
+                op.phi(j, w, phi)()
                 violations.append(np.abs(a[j] * phi - targets[j]).sum())
-        residual = float(np.max(violations))
-        if np.isfinite(residual):
-            return _Finish(log_a, log_m, residual, partial(_transport_objective_exp, op, a, log_m))
+            if not np.isfinite(violations[-1]):
+                break
+            objective += op.transport_term(j, w, a[j])
+        else:
+            return _Finish(log_a, log_m, float(max(violations)), objective)
     return _finish_log(kernels, log_a, targets, _log_factor_sums(kernels.log_kernels, log_a))
 
 
@@ -624,11 +619,9 @@ def sinkhorn_solve(
                 log_m += np.log1p(ratio)
     else:
         finish, iters, ok = finish_now(), max_iter, False
-    work = buf = None  # the finish holds kern, a and m; free the sweep buffers before the objective's temporaries
     accel.report()
     if not np.isfinite(finish.residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")
-    objective = finish.objective()
     if not ok:
         logger.warning("sinkhorn stopped at max_iter=%d with residual %.3e", max_iter, finish.residual)
     return FactoredCoupling(
@@ -638,7 +631,7 @@ def sinkhorn_solve(
         iterations=iters,
         marginal_residual=finish.residual,
         residual_history=np.asarray(history),
-        objective=objective,
+        objective=finish.objective,
         used_log_domain=log_a is not None,
         log_factor_sums=finish.log_m,
         accelerated=accel.accelerated,

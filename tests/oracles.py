@@ -24,8 +24,8 @@ from wasscurve.measures import (
     SupportGrid,
     normalize_timestamps,
 )
-from wasscurve.kernels import kernels_from_costs, param_tuple_stack
-from wasscurve.mm_sinkhorn import SolverError
+from wasscurve.kernels import KernelSet, kernels_from_costs, param_tuple_stack
+from wasscurve.mm_sinkhorn import SolverError, _log_weights
 from wasscurve.two_marginal import two_marginal_w2_exact
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -97,6 +97,22 @@ def dense_objective(kernels, gamma):
         pair = dense_marginal_pair(gamma, i)
         total += float(np.sum(weighted * pair))
     return total
+
+
+def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: np.ndarray) -> float:
+    """<c, Gamma> computed kernel-wise, without materializing the coupling.
+
+    ``log_m`` are the log factor sums of ``log_a`` (``_log_factor_sums``).
+    """
+    buf = np.empty(kernels.log_kernels.shape[1:])
+    obj = 0.0
+    for i, log_w in enumerate(_log_weights(log_m)):
+        np.add(log_w[:, None], kernels.log_kernels[i], out=buf)
+        buf += log_a[i]
+        np.exp(buf, out=buf)
+        buf *= kernels.weighted_cost(i)
+        obj += float(buf.sum())
+    return obj
 
 
 def dense_marginal_pair(gamma, i):

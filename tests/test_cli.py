@@ -582,6 +582,9 @@ MALFORMED_INPUTS = [
      "pass 1e+300; rescale the data"),
     (["regress", "--input", "{samples}", "--curve", "linear", "--grid", "x2=0:1:3"], None, 4, "--grid x2"),
     (["distance", "--input-a", "{samples}", "--input-b", "{samples}", "--grid", "x0=0:1:3"], None, 4, "--grid x0"),
+    (["invariant", "--input", "{samples}", "--boxes", "0"], None, 4, "need at least one box"),
+    (["regress", "--input", "{samples}", "--grid=0:1"], None, 4, "spec must be LO:HI:N (got '0:1')"),
+    (["gaussian", "--input", "{input}"], "t,x1\n0,0.1\n0,0.4\n0,0.9\n", 4, "timestamps must reach past 0"),
 ] + [
     ([command, *(["--input-a", "{samples}", "--input-b"] if command == "distance" else ["--input"]), "{samples}",
       flag, value], None, 2, f"unrecognized arguments: {flag}")

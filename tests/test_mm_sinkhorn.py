@@ -254,8 +254,6 @@ class TestSinkhornSolve:
             previous = state.objective
 
     def test_log_and_exp_domains_agree(self):
-        from wasscurve.mm_sinkhorn import transport_objective_from_logs
-
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
         state = sinkhorn_solve(kernels, ds, tol=1e-11)
         assert not state.used_log_domain
@@ -263,7 +261,7 @@ class TestSinkhornSolve:
         assert log_state.used_log_domain
         assert log_state.converged and log_state.marginal_residual <= 1e-11
         log_a = log_state.log_potentials
-        log_obj = transport_objective_from_logs(kernels, log_a, _log_factor_sums(kernels.log_kernels, log_a))
+        log_obj = oracles.transport_objective_from_logs(kernels, log_a, _log_factor_sums(kernels.log_kernels, log_a))
         np.testing.assert_allclose(log_obj, state.objective, rtol=1e-8)
 
     @staticmethod
@@ -459,15 +457,13 @@ class TestFinish:
 
     @staticmethod
     def _assert_matches_log_recomputation(state, ds):
-        from wasscurve.mm_sinkhorn import transport_objective_from_logs
-
         kernels, log_a = state.kernels, state.log_potentials
         assert state.log_factor_sums is not None
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
         marginals = oracles.dense_coupling_marginals(kernels, log_a)
         residual = np.abs(marginals - ds.target_matrix()).sum(axis=1).max()
         np.testing.assert_allclose(state.marginal_residual, residual, rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(state.objective, transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-10)
+        np.testing.assert_allclose(state.objective, oracles.transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # states stopped at max_iter
             cached = extract_param_coupling(state).weights
@@ -483,11 +479,15 @@ class TestFinish:
         epsilon=st.floats(0.01, 2.0),
         zero_targets=st.booleans(),
         tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
+        log_domain=st.booleans(),
     )
-    @example(seed=87540411, n_snapshots=1, n_support=2, param_sizes=(2, 2), epsilon=0.01, zero_targets=False, tol=1e-4)
+    @example(seed=87540411, n_snapshots=1, n_support=2, param_sizes=(2, 2), epsilon=0.01, zero_targets=False, tol=1e-4,
+             log_domain=False)
     # the sweep's own a reads a residual of 0.0 here; the returned exp(log a) reads 1.29e-14
-    @example(seed=2751098748, n_snapshots=1, n_support=2, param_sizes=(2, 2), epsilon=0.01, zero_targets=False, tol=1e-4)
-    def test_matches_log_recomputation(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, tol):
+    @example(seed=2751098748, n_snapshots=1, n_support=2, param_sizes=(2, 2), epsilon=0.01, zero_targets=False, tol=1e-4,
+             log_domain=False)
+    def test_matches_log_recomputation(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, tol,
+                                       log_domain):
         rng = np.random.default_rng(seed)
         grid = grid_1d(np.sort(rng.uniform(0, 1, n_support)))
         rows = rng.random((n_snapshots, n_support)) + 0.05
@@ -501,7 +501,8 @@ class TestFinish:
         param_grids = [grid_1d(np.sort(rng.uniform(-0.5, 1.5, k))) for k in param_sizes]
         curve = LINEAR if len(param_sizes) == 2 else QUADRATIC
         kernels = build_kernels(ds, curve, param_grids, epsilon)
-        state = sinkhorn_solve(kernels, ds, tol=tol, max_iter=3000)
+        state = (log_domain_solve if log_domain else sinkhorn_solve)(kernels, ds, tol=tol, max_iter=3000)
+        assert state.used_log_domain or not log_domain
         self._assert_matches_log_recomputation(state, ds)
 
     def test_mid_run_switch_to_log_domain(self):
