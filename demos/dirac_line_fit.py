@@ -26,7 +26,7 @@ def main():
         w = np.zeros(len(grid))
         w[int(np.argmin(np.abs(pts - v)))] = 1.0
         measures.append(wc.DiscreteMeasure(grid, w))
-    dataset = wc.SnapshotDataset(timestamps, tuple(measures), np.full(5, 0.2), 1.0, 1.0)
+    dataset = wc.SnapshotDataset(timestamps, tuple(measures), np.full(5, 0.2))
 
     params, residual = euclidean_regression_oracle(
         [(t, v, 0.2) for t, v in zip(timestamps, values)], wc.LINEAR

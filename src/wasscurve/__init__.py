@@ -46,7 +46,6 @@ from .measures import (
     SnapshotDataset,
     SupportGrid,
     measure_from_samples,
-    normalize_timestamps,
 )
 from .mm_sinkhorn import (
     FactoredCoupling,
@@ -115,7 +114,6 @@ __all__ = [
     "marginal_at",
     "measure_from_samples",
     "mixture_marginal_at",
-    "normalize_timestamps",
     "objective_true",
     "project_marginal",
     "project_psd",

@@ -102,12 +102,10 @@ def default_param_grids(dataset: SnapshotDataset, curve: CurveClass) -> List[Sup
 def fit(dataset: SnapshotDataset, curve: CurveClass, config: Optional[SolverConfig] = None) -> RegressionResult:
     """Fit a measure-valued curve law to the dataset's snapshots.
 
-    The dataset must be time-normalized (horizon 1) and carry at least three
-    snapshots; with two, any coupling between the endpoints gives zero cost.
+    The dataset must carry at least three snapshots; with two, any coupling
+    between the endpoints gives zero cost.
     """
     config = config or SolverConfig()
-    if dataset.horizon != 1.0 or dataset.timestamps[-1] > 1.0 + 1e-12:
-        raise ValueError("normalize timestamps to [0, 1] before fitting")
     if len(dataset) < 3:
         raise ValueError("curve regression needs at least 3 snapshots")
     grids = list(config.param_grids) if config.param_grids is not None else default_param_grids(dataset, curve)

@@ -31,7 +31,6 @@ from .measures import (
     check_coordinate_scale,
     measure_from_samples,
     nearest_index,
-    normalize_timestamps,
     sorted_unique,
 )
 
@@ -167,7 +166,8 @@ def load_snapshots(
     grid_points: int = DEFAULT_GRID_POINTS,
     lambdas: Optional[Dict[float, float]] = None,
 ) -> SnapshotDataset:
-    """Load a snapshot dataset from either CSV schema, time-normalized.
+    """Load a snapshot dataset from either CSV schema, its times divided by
+    the last one (``SnapshotDataset.from_snapshots``).
 
     Sample rows are quantized onto the grid (auto-built over the data range
     with grid_points per axis when not given); atom rows become weighted
@@ -196,9 +196,7 @@ def load_snapshots(
             acc = np.zeros(len(the_grid))
             np.add.at(acc, atom_idx[order[rows]], w)
             measures.append(DiscreteMeasure(the_grid, acc / total))
-    snapshots = zip(distinct, measures, snapshot_lambdas(lambdas, distinct))
-    dataset = SnapshotDataset.from_snapshots(snapshots)
-    return normalize_timestamps(dataset)
+    return SnapshotDataset.from_snapshots(zip(distinct, measures, snapshot_lambdas(lambdas, distinct)))
 
 
 def atom_weight_total(path: str, t: float, weights: np.ndarray) -> float:

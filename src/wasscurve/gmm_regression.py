@@ -142,7 +142,7 @@ def fit_mixture_curve(
         raise ValueError("timestamps must lie in [0, 1]")
     grid = atoms.index_grid
     measures = tuple(DiscreteMeasure(grid, r[2]) for r in rows)
-    snap = SnapshotDataset(timestamps, measures, lambdas, 1.0, 1.0)
+    snap = SnapshotDataset(timestamps, measures, lambdas)
     _check_atom_scale(atoms, _rates(lambdas, epsilon))
     costs = geodesic_cost_table(atoms, timestamps)
     kernels = kernels_from_costs(costs, lambdas, epsilon, (grid, grid))

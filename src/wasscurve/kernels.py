@@ -236,11 +236,11 @@ def build_kernels(
 ) -> KernelSet:
     """Assemble the Gibbs kernels for a curve-regression dataset.
 
-    Never the full (N+k)-way tensor: a line in one dimension, with
-    coefficients c0 = 1 - t and c1 = t in [0, 1] at every timestamp, gets a
-    FactoredKernelSet; otherwise the N arrays of shape (P, |X|) are written
-    into one buffer of squared distances that then becomes the log kernels
-    in place. Each snapshot's cost is shifted by its minimum before
+    Never the full (N+k)-way tensor: a line in one dimension, whose
+    coefficients c0 = 1 - t and c1 = t lie in [0, 1] as a dataset's times
+    do, gets a FactoredKernelSet; otherwise the N arrays of shape (P, |X|)
+    are written into one buffer of squared distances that then becomes the
+    log kernels in place. Each snapshot's cost is shifted by its minimum before
     exponentiation, so kernel entries lie in (0, 1]. Costs that overflow
     (``check_coordinate_scale``) and dense logs that, with their exponentials,
     exceed the machine's physical memory are ValueErrors, raised before any
@@ -255,8 +255,7 @@ def build_kernels(
     support = dataset.grid.points  # (|X|, d)
     coefficients = np.array([curve.coefficients(t) for t in dataset.timestamps])
     _check_cost_scale(support, grids, coefficients, _rates(np.asarray(dataset.lambdas, dtype=float), epsilon))
-    # a negative coefficient (t > 1) would give factors above 1
-    factored = dataset.dim == 1 and curve.kind == "linear" and coefficients.min() >= 0.0
+    factored = dataset.dim == 1 and curve.kind == "linear"
     if not factored:  # the (N, P, |X|) logs and, for the exp-domain sweeps, their exponentials
         _check_memory(2 * len(dataset) * math.prod(len(g) for g in grids) * len(support) * 8, "the dense kernels")
     stack = param_tuple_stack(grids)  # (P, k, d)

@@ -114,16 +114,14 @@ class DiscreteMeasure:
 class SnapshotDataset:
     """Time-stamped target measures with per-snapshot weights.
 
-    Snapshots are kept sorted by timestamp; all measures share one grid.
-    ``original_horizon`` records the horizon before any normalization, so a
-    coupling solved on normalized time can be rescaled back afterwards.
+    Snapshots are kept sorted by timestamp, and every timestamp lies in
+    [0, 1], the time interval of every fitted curve (up to 1e-12 past 1);
+    all measures share one grid.
     """
 
     timestamps: np.ndarray
     measures: Tuple[DiscreteMeasure, ...]
     lambdas: np.ndarray
-    horizon: float
-    original_horizon: float
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float).ravel()
@@ -133,12 +131,10 @@ class SnapshotDataset:
             raise ValueError("timestamps, measures, lambdas must align and be nonempty")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if ts[0] < 0:
-            raise ValueError(f"timestamps must lie within [0, horizon]; got t = {ts[0]:g} below the lower bound 0")
-        if ts[-1] > self.horizon + 1e-12:
-            raise ValueError("timestamps must lie within [0, horizon]")
+            raise ValueError(f"timestamps must lie within [0, 1]; got t = {ts[0]:g} below the lower bound 0")
+        if ts[-1] > 1.0 + 1e-12:
+            raise ValueError(f"timestamps must lie within [0, 1]; got t = {ts[-1]:g} above the upper bound 1")
         if np.any(lams <= 0):
             raise ValueError("snapshot weights must be positive")
         if abs(lams.sum() - 1.0) > WEIGHT_TOL:
@@ -158,9 +154,9 @@ class SnapshotDataset:
     ) -> "SnapshotDataset":
         """Build a dataset from (timestamp, measure[, weight]) tuples.
 
-        Tuples may be given in any order; they are sorted by timestamp.
-        Missing weights default to uniform 1/N. The horizon is the last
-        timestamp, or 1 when every timestamp is 0.
+        Tuples may be given in any order; they are sorted by timestamp, and
+        divided by the last one when it is positive, so that time runs on
+        [0, 1]. Missing weights default to uniform 1/N.
         """
         rows = []
         for snap in snapshots:
@@ -176,8 +172,9 @@ class SnapshotDataset:
             raise ValueError("give weights for all snapshots or none")
         else:
             lam_arr = np.array([float(l) for l in lams])
-        T = float(ts[-1]) if ts[-1] > 0 else 1.0  # all-at-zero data lives on [0, 1]
-        return cls(ts, tuple(r[1] for r in rows), lam_arr, T, T)
+        if ts[-1] > 0:
+            ts = ts / ts[-1]
+        return cls(ts, tuple(r[1] for r in rows), lam_arr)
 
     @property
     def grid(self) -> SupportGrid:
@@ -193,26 +190,6 @@ class SnapshotDataset:
     def target_matrix(self) -> np.ndarray:
         """Stacked snapshot weights, shape (N, |X|)."""
         return np.stack([m.weights for m in self.measures])
-
-
-def normalize_timestamps(dataset: SnapshotDataset) -> SnapshotDataset:
-    """Rescale timestamps to [0, 1], keeping measures and weights.
-
-    The pre-normalization horizon stays available as ``original_horizon`` so
-    that an optimal coupling of the normalized problem can be mapped back to
-    the original time units by scaling the parameter grids.
-    """
-    if dataset.horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if dataset.horizon == 1.0:
-        return dataset
-    return SnapshotDataset(
-        dataset.timestamps / dataset.horizon,
-        dataset.measures,
-        dataset.lambdas,
-        1.0,
-        dataset.original_horizon,
-    )
 
 
 def _nearest_index_scan(pts: np.ndarray, gp: np.ndarray) -> np.ndarray:

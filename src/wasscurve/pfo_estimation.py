@@ -109,7 +109,7 @@ def snapshots_from_map(
     timestamps = np.arange(n_snapshots) / (n_snapshots - 1)
     measures = [measure_from_samples(row, partition.centers) for row in paths]
     lambdas = np.full(n_snapshots, 1.0 / n_snapshots)
-    return SnapshotDataset(timestamps, tuple(measures), lambdas, 1.0, 1.0)
+    return SnapshotDataset(timestamps, tuple(measures), lambdas)
 
 
 def generate_logistic_rows(

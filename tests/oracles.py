@@ -17,13 +17,7 @@ from scipy.sparse import csr_matrix
 from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
 from wasscurve.gaussian_regression import _objective_matrix
 from wasscurve.linalg import SYM_TOL
-from wasscurve.measures import (
-    DiscreteMeasure,
-    GaussianMeasure,
-    SnapshotDataset,
-    SupportGrid,
-    normalize_timestamps,
-)
+from wasscurve.measures import DiscreteMeasure, GaussianMeasure, SnapshotDataset, SupportGrid
 from wasscurve.kernels import KernelSet, kernels_from_costs, param_tuple_stack
 from wasscurve.mm_sinkhorn import SolverError, _log_weights
 from wasscurve.two_marginal import two_marginal_w2_exact
@@ -443,7 +437,7 @@ def load_snapshots(
     grid_points: int = DEFAULT_GRID_POINTS,
     lambdas: Optional[Dict[float, float]] = None,
 ) -> SnapshotDataset:
-    """Load a snapshot dataset from either CSV schema, time-normalized.
+    """Load a snapshot dataset from either CSV schema, its times divided by the last one.
 
     Sample rows are quantized onto the grid (auto-built over the data range
     with grid_points per axis when not given); atom rows become weighted
@@ -484,8 +478,7 @@ def load_snapshots(
                 raise SchemaError(f"{path}: atom weights at t={t} sum to {total!r}, expected 1")
             lam = lambdas.get(t) if lambdas else None
             snapshots.append((t, DiscreteMeasure(the_grid, weights / total), lam))
-    dataset = SnapshotDataset.from_snapshots(snapshots)
-    return normalize_timestamps(dataset)
+    return SnapshotDataset.from_snapshots(snapshots)
 
 
 def sparse_entries(weights: np.ndarray, threshold: float) -> Tuple[List[list], float]:

@@ -98,7 +98,7 @@ def test_criterion_1_dirac_consistency():
             w = np.zeros(len(grid))
             w[int(np.argmin(np.abs(pts - v)))] = 1.0
             measures.append(DiscreteMeasure(grid, w))
-        ds = SnapshotDataset(ts, tuple(measures), np.full(5, 0.2), 1.0, 1.0)
+        ds = SnapshotDataset(ts, tuple(measures), np.full(5, 0.2))
 
         params, ls_residual = euclidean_regression_oracle(
             [(t, v, 0.2) for t, v in zip(ts, values)], wc.LINEAR
@@ -157,7 +157,7 @@ def _scaling_instance(n_snap, nx):
     rows = rng.random((n_snap, nx)) + 0.05
     rows /= rows.sum(axis=1, keepdims=True)
     measures = tuple(DiscreteMeasure(grid, w) for w in rows)
-    ds = SnapshotDataset(np.linspace(0, 1, n_snap), measures, np.full(n_snap, 1 / n_snap), 1.0, 1.0)
+    ds = SnapshotDataset(np.linspace(0, 1, n_snap), measures, np.full(n_snap, 1 / n_snap))
     return build_kernels(ds, wc.LINEAR, (grid, grid), 0.1), ds
 
 
@@ -389,7 +389,7 @@ def test_criterion_10_time_scaling():
                 scaled_costs[i] = (phi[:, None] - support[None, :]) ** 2
 
             measures = tuple(DiscreteMeasure(grid, w) for w in rows)
-            ds = SnapshotDataset(raw_ts / horizon, measures, lambdas, 1.0, 1.0)
+            ds = SnapshotDataset(raw_ts / horizon, measures, lambdas)
             kernels = build_kernels(ds, wc.LINEAR, (grid_1d(base * horizon),) * 2, 1.0)
             norm_costs = np.stack([kernels.cost(i) for i in range(3)])
 

@@ -136,7 +136,7 @@ class TestGenerators:
         dataio.write_sample_csv(str(p), dataio.generate_ou_rows())  # 20 x 1000 default
         ds = dataio.load_snapshots(str(p), grid_points=40)
         assert len(ds) == 20
-        assert ds.horizon == 1.0
+        assert ds.timestamps[-1] == 1.0
         assert len(ds.grid) == 40
 
 
@@ -374,7 +374,7 @@ class TestMainEntry:
         assert rc == 4
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["category"] == "precondition"
-        assert "[0, horizon]" in err["error"]["message"]
+        assert "[0, 1]" in err["error"]["message"]
         assert "lower bound 0" in err["error"]["message"]
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
@@ -747,17 +747,26 @@ class TestCommandDeclarations:
             cli.RunConfig(command="regress")
 
 
-def _readme_cli_section():
+def _readme_section(heading="## Command-line interface"):
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("## Command-line interface"):]
+    section = text[text.index(heading):]
     return section[: section.index("\n## ")]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    block = _readme_section("## Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["result"].converged
+    np.testing.assert_array_equal(scope["dataset"].timestamps, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert float(capsys.readouterr().out) == scope["result"].objective
 
 
 def _readme_flag_table():
     """The README's flag table: its command columns and {flag: {command: cell}}."""
-    lines = [line.strip() for line in _readme_cli_section().splitlines()]
+    lines = [line.strip() for line in _readme_section().splitlines()]
     start = next(i for i, line in enumerate(lines) if line.startswith("| flag |"))
     commands = [c.strip() for c in lines[start].strip("|").split("|")][1:-1]
     rows = {}
@@ -787,13 +796,13 @@ def test_readme_flag_table_matches_the_parser():
             else:  # words for a default that no flag text gives
                 assert default in (None, {}, ()), (command, flag)
     options = {s for p in subparsers.values() for a in p._actions for s in a.option_strings}
-    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_section()))
     assert mentioned <= options, sorted(mentioned - options)  # no prose about a flag that no command takes
 
 
 def _readme_examples():
     """The wasscurve command lines of the README's CLI section, without the program name."""
-    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_section().split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("wasscurve ")]
 

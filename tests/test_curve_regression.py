@@ -30,7 +30,7 @@ def dirac_dataset(timestamps, values, grid):
         w[int(np.argmin(np.abs(pts - v)))] = 1.0
         measures.append(DiscreteMeasure(grid, w))
     n = len(measures)
-    return SnapshotDataset(np.asarray(timestamps, dtype=float), tuple(measures), np.full(n, 1 / n), 1.0, 1.0)
+    return SnapshotDataset(np.asarray(timestamps, dtype=float), tuple(measures), np.full(n, 1 / n))
 
 
 class TestEuclideanOracle:
@@ -104,7 +104,7 @@ class TestFit:
         rows = rng.random((4, 5)) + 0.1
         rows /= rows.sum(axis=1, keepdims=True)
         measures = tuple(DiscreteMeasure(grid, w) for w in rows)
-        ds = SnapshotDataset(np.array([0.0, 0.3, 0.7, 1.0]), measures, np.full(4, 0.25), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([0.0, 0.3, 0.7, 1.0]), measures, np.full(4, 0.25))
         lin_grids = (grid, grid)
         diffs = np.unique(np.round(grid.points[:, 0][None, :] - grid.points[:, 0][:, None], 12))
         quad_grids = (grid, grid_1d(diffs), grid_1d([0.0]))
@@ -141,12 +141,11 @@ class TestFit:
     def test_requires_normalized_time_and_three_snapshots(self):
         grid = grid_1d([0.0, 1.0])
         m = DiscreteMeasure(grid, np.array([0.5, 0.5]))
-        two = SnapshotDataset(np.array([0.0, 1.0]), (m, m), np.array([0.5, 0.5]), 1.0, 1.0)
+        two = SnapshotDataset(np.array([0.0, 1.0]), (m, m), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="3 snapshots"):
             fit(two, LINEAR)
-        raw = SnapshotDataset(np.array([0.0, 1.0, 2.0]), (m, m, m), np.full(3, 1 / 3), 2.0, 2.0)
-        with pytest.raises(ValueError, match="normalize"):
-            fit(raw, LINEAR)
+        with pytest.raises(ValueError, match="above the upper bound 1"):
+            SnapshotDataset(np.array([0.0, 1.0, 2.0]), (m, m, m), np.full(3, 1 / 3))
 
 
 class TestDefaultParamGrids:
@@ -217,7 +216,7 @@ class TestObjectiveTrue:
         rows = rng.random((3, 9)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
         measures = tuple(DiscreteMeasure(grid, w) for w in rows)
-        ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3))
         result = fit(ds, LINEAR, SolverConfig(epsilon=0.05, tol=1e-10))
         spacing = 1.0 / 8.0
         assert objective_true(result, ds) <= result.objective + spacing**2
@@ -225,7 +224,7 @@ class TestObjectiveTrue:
     def test_single_snapshot_matches_exactly(self):
         grid = grid_1d([0.0, 0.5, 1.0])
         m = DiscreteMeasure(grid, np.array([0.2, 0.3, 0.5]))
-        ds = SnapshotDataset(np.array([1.0]), (m,), np.array([1.0]), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([1.0]), (m,), np.array([1.0]))
         from wasscurve.kernels import build_kernels
         from wasscurve.mm_sinkhorn import extract_param_coupling, sinkhorn_solve
         from wasscurve.curve_regression import RegressionResult

@@ -133,7 +133,6 @@ def _assert_same_load(path, **kwargs):
         return
     assert _bits(got.timestamps) == _bits(ref.timestamps)
     assert _bits(got.lambdas) == _bits(ref.lambdas)
-    assert (got.horizon, got.original_horizon) == (ref.horizon, ref.original_horizon)
     assert _bits(got.grid.points) == _bits(ref.grid.points)
     assert len(got) == len(ref)
     for m, m_ref in zip(got.measures, ref.measures):
@@ -142,12 +141,15 @@ def _assert_same_load(path, **kwargs):
 
 class TestAgainstRowLoader:
     @settings(max_examples=150, deadline=None)
-    @given(snapshot_files())
-    def test_well_formed_files_load_bit_equal(self, tmp_path_factory, case):
+    @given(snapshot_files(), st.lists(st.sampled_from([-5.0, -1.0, 0.0, 0.1, 1.0, 5.0]), min_size=1, max_size=4, unique=True))
+    def test_well_formed_files_load_bit_equal(self, tmp_path_factory, case, axis):
         path = _write(tmp_path_factory.mktemp("ok"), case[1])
         assert _call(dataio.read_snapshot_rows, path)[1] is None
         _assert_same_arrays(path)
         _assert_same_load(path, grid_points=4)
+        # an explicit grid that misses some atoms: those go to their nearest grid point
+        d = dataio.read_snapshot_rows(path)[3].shape[1]
+        _assert_same_load(path, grid=dataio.SupportGrid.tensor([np.array(axis)] * d))
 
     @settings(max_examples=150, deadline=None)
     @given(faulty_files())
@@ -175,13 +177,14 @@ class TestAgainstRowLoader:
         ts = rng.choice(TIMES[1:], size=n)
         xs = rng.integers(0, 6, size=n) / 5.0 + rng.choice([0.0, 0.013], size=n)  # some atoms off the grid
         if schema == "samples":
-            lines = ["t,x1"] + [f"{t!r},{x!r}" for t, x in zip(ts, xs)]
+            lines = ["t,x1"] + [f"{t!r},{x!r}" for t, x in zip(ts.tolist(), xs.tolist())]
         else:
-            w = np.array([1.0 / np.count_nonzero(ts == t) for t in ts])
-            lines = ["t,weight,x1"] + [f"{t!r},{wi!r},{x!r}" for t, wi, x in zip(ts, w, xs)]
+            w = [1.0 / int(np.count_nonzero(ts == t)) for t in ts]
+            lines = ["t,weight,x1"] + [f"{t!r},{wi!r},{x!r}" for t, wi, x in zip(ts.tolist(), w, xs.tolist())]
         path = _write(tmp_path, "\n".join(lines) + "\n")
         grid = dataio.SupportGrid(np.linspace(0.0, 1.0, 6)[:, None])
         lambdas = {0.25: 0.1, 0.5: 0.2, 1.0: 0.3, 3.0: 0.4}
+        assert _call(dataio.load_snapshots, path, grid=grid, lambdas=lambdas)[1] is None
         _assert_same_load(path, grid=grid, lambdas=lambdas)
 
     @pytest.mark.parametrize(
@@ -255,6 +258,21 @@ def test_write_json_rejects_non_finite_floats(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         dataio.write_json(str(path), {"objectives": {"fit_objective": value}})
     assert not path.exists()
+
+
+def test_failed_replace_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "result.json"
+    dataio.write_json(str(path), {"old": 1})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(dataio.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        dataio.write_json(str(path), {"new": 2})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
 
 
 def test_dataio_imports_only_measures():

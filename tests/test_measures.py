@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,7 +14,6 @@ from wasscurve.measures import (
     SupportGrid,
     measure_from_samples,
     nearest_index,
-    normalize_timestamps,
     quantize_to_grid,
     sorted_unique,
 )
@@ -105,40 +104,53 @@ class TestSnapshotDataset:
 
 
 class TestNormalizeTimestamps:
+    """``from_snapshots`` divides the sorted times by the last one when it is
+    positive; the constructor holds every dataset to [0, 1]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8, unique=True),
+        outside=st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=1.0 + 2e-12)),
+    )
+    @example(times=[0.0], outside=-1.0)  # all at 0: nothing to divide by
+    @example(times=[0.5, 0.0, 1.0], outside=2.0)  # unsorted, already ends at 1
+    @example(times=[0.75, 0.25], outside=1.5)  # the last time below 1
+    def test_divides_by_the_last_time(self, times, outside):
+        g = SupportGrid(np.array([0.0, 1.0]))
+        ts = np.sort(np.array(times))
+        expected = ts / ts[-1] if ts[-1] > 0 else ts
+        snapshots = [(t, uniform_measure(g)) for t in times]
+        if np.any(np.diff(expected) <= 0):  # the division rounded two times together
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SnapshotDataset.from_snapshots(snapshots)
+        else:
+            assert SnapshotDataset.from_snapshots(snapshots).timestamps.tobytes() == expected.tobytes()
+        bound = "lower bound 0" if outside < 0 else "upper bound 1"
+        with pytest.raises(ValueError, match=bound):
+            SnapshotDataset(np.array([outside]), (uniform_measure(g),), np.array([1.0]))
+
     def test_divides_by_horizon(self):
         g = SupportGrid(np.array([0.0, 1.0]))
         ds = SnapshotDataset.from_snapshots([(1.0, uniform_measure(g)), (2.0, uniform_measure(g)), (4.0, uniform_measure(g))])
-        out = normalize_timestamps(ds)
-        np.testing.assert_allclose(out.timestamps, [0.25, 0.5, 1.0])
-        assert out.horizon == 1.0
-        assert out.original_horizon == 4.0
+        np.testing.assert_array_equal(ds.timestamps, [0.25, 0.5, 1.0])
 
     def test_identity_when_already_unit(self):
         g = SupportGrid(np.array([0.0, 1.0]))
         ds = SnapshotDataset.from_snapshots([(0.0, uniform_measure(g)), (1.0, uniform_measure(g))])
-        out = normalize_timestamps(ds)
-        np.testing.assert_array_equal(out.timestamps, ds.timestamps)
+        np.testing.assert_array_equal(ds.timestamps, [0.0, 1.0])
 
     def test_twenty_equal_steps_unchanged(self):
-        # snapshots from t=0.1 to t=1 in equal steps already live on horizon 1
+        # snapshots from t=0.1 to t=1 in equal steps already end at 1
         g = SupportGrid(np.array([0.0, 1.0]))
         ts = np.linspace(0.1, 1.0, 20)
         ds = SnapshotDataset.from_snapshots([(t, uniform_measure(g)) for t in ts])
-        out = normalize_timestamps(ds)
-        np.testing.assert_array_equal(out.timestamps, ts)
+        np.testing.assert_array_equal(ds.timestamps, ts)
 
     def test_idempotent(self):
         g = SupportGrid(np.array([0.0, 1.0]))
-        ds = SnapshotDataset.from_snapshots([(1.0, uniform_measure(g)), (3.0, uniform_measure(g))])
-        once = normalize_timestamps(ds)
-        twice = normalize_timestamps(once)
+        once = SnapshotDataset.from_snapshots([(1.0, uniform_measure(g)), (3.0, uniform_measure(g))])
+        twice = SnapshotDataset.from_snapshots(zip(once.timestamps, once.measures))
         np.testing.assert_array_equal(once.timestamps, twice.timestamps)
-        assert twice.original_horizon == 3.0
-
-    def test_rejects_nonpositive_horizon(self):
-        g = SupportGrid(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            SnapshotDataset(np.array([0.0]), (uniform_measure(g),), np.array([1.0]), 0.0, 0.0)
 
 
 class TestMeasureFromSamples:

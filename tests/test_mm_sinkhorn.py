@@ -45,7 +45,7 @@ def dataset_from_weights(timestamps, weight_rows, grid, lambdas=None):
     measures = tuple(DiscreteMeasure(grid, w) for w in weight_rows)
     n = len(measures)
     lams = np.asarray(lambdas) if lambdas is not None else np.full(n, 1.0 / n)
-    return SnapshotDataset(np.asarray(timestamps, dtype=float), measures, lams, 1.0, 1.0)
+    return SnapshotDataset(np.asarray(timestamps, dtype=float), measures, lams)
 
 
 def random_instance(rng, n_snapshots=3, n_support=3, param_sizes=(2, 2), epsilon=0.5):
@@ -202,7 +202,7 @@ class TestSinkhornSolve:
     def test_single_snapshot_matches_after_one_sweep(self):
         grid = grid_1d([0.0, 0.5, 1.0])
         target = np.array([0.2, 0.3, 0.5])
-        ds = SnapshotDataset(np.array([1.0]), (DiscreteMeasure(grid, target),), np.array([1.0]), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([1.0]), (DiscreteMeasure(grid, target),), np.array([1.0]))
         kernels = build_kernels(ds, LINEAR, [grid, grid], 0.5)
         state = sinkhorn_solve(kernels, ds, tol=1e-12)
         assert state.converged and state.iterations <= 2
@@ -318,7 +318,7 @@ class TestSinkhornSolve:
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 1.0, pg)
         assert kernels.log_kernels.min() >= -600.0  # exp phase is attempted
         m0 = DiscreteMeasure(grid, np.array([0.5, 0.5]))
-        ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]))
         state = sinkhorn_solve(kernels, ds, tol=1e-9)
         assert state.used_log_domain
         assert state.converged
@@ -511,7 +511,7 @@ class TestFinish:
         pg = (grid_1d([0.0]), grid_1d([0.0]))
         kernels = kernels_from_costs(np.array([[[0.0, 800.0]], [[800.0, 0.0]]]), np.array([0.5, 0.5]), 1.0, pg)
         m0 = DiscreteMeasure(grid, np.array([0.5, 0.5]))
-        ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]))
         state = sinkhorn_solve(kernels, ds, tol=1e-9)
         assert state.used_log_domain and state.converged
         self._assert_matches_log_recomputation(state, ds)
@@ -595,6 +595,27 @@ class TestFinish:
             log_a = np.log(a)
         np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
         assert np.isfinite(finish.log_m).all()
+
+    def test_overflowing_weights_finish_in_log_space(self):
+        # every factor sum is a normal float, but w_2 = m_0 m_1 is about 1e310:
+        # the finish leaves the exp loop at snapshot 2 and starts over in log space
+        from wasscurve.mm_sinkhorn import _finish_exp
+
+        pg = (grid_1d([0.0, 1.0]), grid_1d([0.0]))
+        costs = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [0.5, 0.0]], [[0.0, 1.5], [3.0, 0.0]]])
+        kernels = kernels_from_costs(costs, np.full(3, 1 / 3), 0.5, pg)
+        a = np.array([[1e155, 2e155], [3e155, 1e155], [1e-305, 3e-305]])
+        m = np.einsum("npx,nx->np", np.exp(kernels.log_kernels), a)
+        with np.errstate(over="ignore"):
+            assert m.min() >= np.finfo(float).tiny and np.isinf(m[0] * m[1]).all()
+        targets = np.array([[0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
+        finish = _finish_exp(kernels, kernels.exp_operator(), a, targets)
+        log_a = np.log(a)
+        log_m = _log_factor_sums(kernels.log_kernels, log_a)
+        np.testing.assert_allclose(finish.log_m, log_m, rtol=1e-14)
+        objective = oracles.transport_objective_from_logs(kernels, log_a, log_m)
+        assert np.isfinite(objective)
+        np.testing.assert_allclose(finish.objective, objective, rtol=1e-12)
 
 
 class TestFactoredKernels:
@@ -716,19 +737,6 @@ class TestFactoredKernels:
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
         np.testing.assert_allclose(state.objective, ref.objective, rtol=1e-10)
-
-    def test_negative_coefficients_stay_dense(self):
-        # t > 1 on an unnormalized horizon gives c0 = 1 - t < 0, for which the
-        # factors would exceed 1
-        grid = grid_1d(np.linspace(0, 1, 6))
-        measures = tuple(DiscreteMeasure(grid, np.full(6, 1 / 6)) for _ in range(3))
-        ds = SnapshotDataset(np.array([0.0, 1.0, 2.0]), measures, np.full(3, 1 / 3), 2.0, 2.0)
-        pgrid = grid_1d(np.linspace(-0.5, 1.5, 7))
-        kernels = build_kernels(ds, LINEAR, (pgrid, pgrid), 0.1)
-        assert isinstance(kernels, CostKernelSet)
-        dense = oracles.dense_curve_kernels(ds, LINEAR, (pgrid, pgrid), 0.1)
-        np.testing.assert_allclose(kernels.log_kernels, dense.log_kernels, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kernels.shifts, dense.shifts, rtol=1e-12)
 
     def test_holds_no_dense_tensor(self):
         # N=6, |X|=80 as in the logistic benchmark: 24.6 MB of dense log kernels
@@ -951,7 +959,7 @@ class TestExtractParamCoupling:
         # N=1 with a Dirac target: mass gathers on the zero-cost parameter tuple
         grid = grid_1d([0.0, 0.5, 1.0])
         target = np.array([0.0, 0.0, 1.0])  # Dirac at 1.0 observed at t=1
-        ds = SnapshotDataset(np.array([1.0]), (DiscreteMeasure(grid, target),), np.array([1.0]), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([1.0]), (DiscreteMeasure(grid, target),), np.array([1.0]))
         previous = 0.0
         for eps in (0.3, 0.1, 0.03, 0.01):
             kernels = build_kernels(ds, LINEAR, (grid, grid), eps)

@@ -162,7 +162,7 @@ class TestEstimateTransition:
         grid = SupportGrid(np.array([0.25, 0.75])[:, None])
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         measures = tuple(DiscreteMeasure(grid, w) for w in rows)
-        ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3), 1.0, 1.0)
+        ds = SnapshotDataset(np.array([0.0, 0.5, 1.0]), measures, np.full(3, 1 / 3))
         tm = estimate_transition(ds, SolverConfig(epsilon=0.01))
         assert tm.fit.objective > 0.01  # any line misses the middle swap
 
