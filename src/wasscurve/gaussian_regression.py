@@ -255,28 +255,37 @@ def fit_gaussian_sdp(
         raise ValueError(f"data scale too large for the SDP: covariance entries reach {scale:.3g}, "
                          "and the residual norms overflow; rescale the data")
 
-    # x + u, the projection's input, stays bitwise symmetric: x is symmetrized, z comes
-    # out of project_psd symmetrized, and u is their sums and differences, halved or doubled
+    # x + u, the projection's input, stays bitwise symmetric with no per-step (x + x.T) / 2:
+    # z comes out of project_psd symmetrized, weight / rho is symmetric, the fixed data values
+    # are symmetrized once, here, and u is sums and differences of x and z, halved or doubled.
+    # A per-step symmetrization would give the same bits, except that entries above about
+    # 8.9e307 would become inf (v + v overflows); they stay finite. x, u and the norms'
+    # differences live in arrays allocated once; project_psd returns a new z.
     fixed_idx = np.flatnonzero(fixed_mask)
-    fixed_flat = fixed_values.ravel()[fixed_idx]
+    fixed_flat = ((fixed_values + fixed_values.T) / 2).ravel()[fixed_idx]
+    x = np.empty_like(z)
+    x_flat = x.reshape(-1)
+    xu = np.empty_like(z)
+    diff = np.empty_like(z)
+    diff_flat = diff.reshape(-1)
     primal = dual = np.inf
     it = 0
     rho = 1.0  # proximal weight, rescaled adaptively; the diagnostics report its final value
     step = weight / rho
     for it in range(1, max_iter + 1):
-        x = z - u - step
-        x.flat[fixed_idx] = fixed_flat
-        x = (x + x.T) / 2
+        np.subtract(z, u, out=x)
+        x -= step
+        x_flat[fixed_idx] = fixed_flat
         z_prev = z
-        xu = x + u  # bitwise u + x: float addition commutes exactly
+        np.add(x, u, out=xu)  # bitwise u + x: float addition commutes exactly
         z = project_psd(xu)
-        u = xu - z
-        # Frobenius norms the way np.linalg.norm takes them (ravel "K", dot, sqrt), without its wrapper
-        r = (x - z).ravel("K")
-        primal = math.sqrt(r.dot(r))
-        r = (z - z_prev).ravel("K")
-        dual = rho * math.sqrt(r.dot(r))
-        r = z.ravel("K")
+        np.subtract(xu, z, out=u)
+        # Frobenius norms the way np.linalg.norm takes them (flat dot, sqrt), without its wrapper
+        np.subtract(x, z, out=diff)
+        primal = math.sqrt(diff_flat.dot(diff_flat))
+        np.subtract(z, z_prev, out=diff)
+        dual = rho * math.sqrt(diff_flat.dot(diff_flat))
+        r = z.reshape(-1)
         scale = tol * (1.0 + math.sqrt(r.dot(r)))
         if primal <= scale and dual <= scale:
             break

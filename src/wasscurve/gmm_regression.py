@@ -138,8 +138,6 @@ def fit_mixture_curve(
     rows = sorted(((float(t), float(lam), np.asarray(p, dtype=float)) for t, lam, p in dataset), key=lambda r: r[0])
     timestamps = np.array([r[0] for r in rows])
     lambdas = np.array([r[1] for r in rows])
-    if np.any(timestamps < -1e-12) or np.any(timestamps > 1 + 1e-12):
-        raise ValueError("timestamps must lie in [0, 1]")
     grid = atoms.index_grid
     measures = tuple(DiscreteMeasure(grid, r[2]) for r in rows)
     snap = SnapshotDataset(timestamps, measures, lambdas)

@@ -296,15 +296,22 @@ def _factored_kernels(
 
     min_y c_i(p, y) is at the support point nearest to the curve point
     (``nearest_index``), computed with the dense build's arithmetic, so the
-    shifts match it bit for bit.
+    shifts match it bit for bit. When both parameter grids are the support,
+    the curve point of tuple (x_j, x_j) is phi[j * (|X| + 1)]; if one of those
+    equals x_j exactly, the minimum is 0.0 and the scan is skipped.
     """
     lambdas = np.asarray(dataset.lambdas, dtype=float)
     rates = _rates(lambdas, epsilon)
     support = dataset.grid.points
+    on_support = all(np.array_equal(g.points, support) for g in grids)
+    diagonal = slice(None, None, len(support) + 1)
     lo = np.empty(len(dataset))
     for i, t in enumerate(dataset.timestamps):
         phi = curve.evaluate(stack, t)
-        lo[i] = np.square(phi - support[nearest_index(phi, dataset.grid)]).min()
+        if on_support and (phi[diagonal] == support).all(axis=1).any():
+            lo[i] = 0.0
+        else:
+            lo[i] = np.square(phi - support[nearest_index(phi, dataset.grid)]).min()
     shifts = lambdas * lo / epsilon
     d0 = _sq_distances(grids[0].points, support)  # (n0, |X|)
     d1 = _sq_distances(grids[1].points, support)  # (n1, |X|)

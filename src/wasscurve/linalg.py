@@ -1,10 +1,12 @@
 """Dense symmetric-matrix kernels: PSD projection, and PSD square roots over stacks.
 
 ``project_psd`` validates its square input's symmetry to 1e-12 relative;
-bitwise-symmetric input (every ADMM step's) passes as it is. The ``*_stack``
-routines, over stacks (..., d, d), symmetrize rather than validate. Backed by
-LAPACK via numpy.linalg.eigh, which is unconditionally stable for symmetric
-input at the matrix orders used here (a few hundred at most).
+bitwise-symmetric input (every ADMM step's) passes as it is. Past ``eigh``
+it does a few small array operations, so a call costs little more than the ``eigh``.
+The ``*_stack`` routines, over stacks (..., d, d), symmetrize rather than
+validate. Backed by LAPACK via numpy.linalg.eigh, which is unconditionally
+stable for symmetric input at the matrix orders used here (a few hundred at
+most).
 """
 
 import numpy as np
@@ -29,16 +31,20 @@ def project_psd(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero.
 
     Subtracts the negative eigenpairs from the symmetrized input, which costs
-    one product over those pairs only. The result is a new array, never ``a``.
+    one product over those pairs only, and symmetrizes the difference. The
+    result is a new array, never ``a``.
     """
     m = _as_symmetric(a)
     w, v = np.linalg.eigh(m)  # ascending: the negative eigenvalues come first
     if w[0] >= 0:
         return m.copy()  # m may be the caller's own array
-    n_neg = int(np.searchsorted(w, 0.0))
+    n_neg = int(w.searchsorted(0.0))
     v_neg = v[:, :n_neg]
-    out = m - (v_neg * w[:n_neg]) @ v_neg.T
-    return (out + out.T) / 2
+    out = (v_neg * w[:n_neg]) @ v_neg.T
+    np.subtract(m, out, out=out)
+    out = out + out.T
+    out *= 0.5  # bitwise (out + out.T) / 2
+    return out
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:

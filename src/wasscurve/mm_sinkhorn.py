@@ -162,8 +162,9 @@ def _log_weights(log_m: np.ndarray) -> Iterator[np.ndarray]:
     entry stays -inf. The rows after j are summed when the iteration starts, those before
     j when w_j is asked for: a sweep that rewrites row j first gets w_{j+1} of its new
     rows, in O(NP) per sweep, as the exp sweep does."""
-    suffix = np.zeros_like(log_m)  # suffix[j] = sum_{i > j} log m_i
-    np.cumsum(log_m[:0:-1], axis=0, out=suffix[-2::-1])
+    suffix = np.zeros_like(log_m)  # suffix[j] = sum_{i > j} log m_i, row by row
+    for j in range(len(log_m) - 2, -1, -1):
+        np.add(suffix[j + 1], log_m[j + 1], out=suffix[j])
     prefix = np.zeros(log_m.shape[1])
     for j in range(log_m.shape[0]):
         yield prefix + suffix[j]

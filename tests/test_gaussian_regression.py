@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wasscurve import gaussian_regression
+from wasscurve import cli, gaussian_regression
 from wasscurve.curves import LINEAR, QUADRATIC
 from wasscurve.gaussian_regression import (
     _nnls_two_columns,
@@ -242,14 +242,19 @@ class TestFitGaussianSdp:
             fit_gaussian_sdp(ou_data(), LINEAR, max_iter=3)
 
 
-def random_gaussian_data(seed, d, n):
-    """n snapshots at random times in [0, 1], random weights summing to 1, random positive definite covariances."""
+def random_gaussian_data(seed, d, n, asymmetry=0.0):
+    """n snapshots at random times in [0, 1], random weights summing to 1, random positive definite covariances;
+    each entry then moves by up to ``asymmetry`` times the largest one, so that, for d > 1, they are symmetric
+    only to that tolerance."""
     rng = np.random.default_rng(seed)
     lams = rng.uniform(0.1, 1.0, n)
     out = []
     for t, lam in zip(rng.uniform(0.0, 1.0, n), lams / lams.sum()):
         g = rng.standard_normal((d, d))
-        out.append((t, lam, g @ g.T + 0.1 * np.eye(d)))
+        cov = g @ g.T + 0.1 * np.eye(d)
+        if asymmetry:
+            cov += asymmetry * np.abs(cov).max() * rng.uniform(-1.0, 1.0, (d, d))
+        out.append((t, lam, cov))
     return out
 
 
@@ -265,9 +270,10 @@ class TestAdmmLoop:
         curve=st.sampled_from([LINEAR, QUADRATIC]),
         n=st.integers(1, 6),
         tol=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]),
+        asymmetry=st.sampled_from([0.0, 1e-13]),  # GaussianMeasure accepts 1e-12 relative
     )
-    def test_bit_equal_to_the_reference_loop(self, seed, d, curve, n, tol):
-        data = random_gaussian_data(seed, d, n)
+    def test_bit_equal_to_the_reference_loop(self, seed, d, curve, n, tol, asymmetry):
+        data = random_gaussian_data(seed, d, n, asymmetry)
         try:
             matrix, iterations, primal, dual, rho = oracles.gaussian_sdp_admm(data, curve, tol, self.MAX_ITER)
         except SolverError:
@@ -279,10 +285,32 @@ class TestAdmmLoop:
         diag = blocks.diagnostics
         assert (diag.iterations, diag.primal_residual, diag.dual_residual, diag.rho) == (iterations, primal, dual, rho)
 
+    def test_bit_equal_on_the_benchmark_instance(self, tmp_path, monkeypatch):
+        # perfbench's gaussian workload: generate ou --particles 1000, then gaussian --curve quadratic --tol 3e-6
+        calls = []
+
+        def recording(data, curve, **kwargs):
+            blocks, gcurve = fit_gaussian_sdp(data, curve, **kwargs)
+            calls.append((data, curve, kwargs, blocks))
+            return blocks, gcurve
+
+        samples = str(tmp_path / "samples.csv")
+        assert cli.main(["generate", "ou", "--particles", "1000", "--seed", "0", "--output", samples]) == 0
+        monkeypatch.setattr(cli, "fit_gaussian_sdp", recording)
+        argv = ["gaussian", "--curve", "quadratic", "--tol", "3e-6", "--input", samples, "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        (data, curve, kwargs, blocks), = calls
+        matrix, iterations, primal, dual, rho = oracles.gaussian_sdp_admm(data, curve, kwargs["tol"], kwargs["max_iter"])
+        assert iterations == 3162
+        assert np.array_equal(blocks.matrix, matrix)
+        diag = blocks.diagnostics
+        assert (diag.iterations, diag.primal_residual, diag.dual_residual, diag.rho) == (iterations, primal, dual, rho)
+
     @pytest.mark.parametrize("data, curve", [
         (ou_data(8), QUADRATIC),
         (random_gaussian_data(5, 2, 4), LINEAR),
-    ], ids=["ou-quadratic", "2d-linear"])
+        (random_gaussian_data(5, 2, 4, 1e-13), LINEAR),
+    ], ids=["ou-quadratic", "2d-linear", "2d-linear-asymmetric"])
     def test_every_projection_input_is_bitwise_symmetric(self, monkeypatch, data, curve):
         inputs = []
 

@@ -23,7 +23,7 @@ from wasscurve.kernels import (
     kernels_from_costs,
     param_tuple_stack,
 )
-from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid
+from wasscurve.measures import DiscreteMeasure, SnapshotDataset, SupportGrid, nearest_index
 from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     SolverError,
@@ -639,14 +639,19 @@ class TestFactoredKernels:
         return ds, grids
 
     @staticmethod
-    def _assert_matches_dense(ds, grids, epsilon):
+    def _assert_shifts_match_dense(ds, grids, epsilon):
+        """The factored set's shifts are those of build_kernels' dense path, bit for bit (the
+        oracle's curve points, an einsum, can differ from the library's in the last bit)."""
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
         assert isinstance(kernels, FactoredKernelSet)
-        # the shifts are those of build_kernels' dense path, bit for bit (the oracle's
-        # curve points, an einsum, can differ from the library's in the last bit)
         built = _kernels_in_place(_curve_costs(LINEAR, ds.timestamps, param_tuple_stack(grids), ds.grid.points),
                                   ds.lambdas, epsilon, grids)
         assert kernels.shifts.tobytes() == built.shifts.tobytes()
+        return kernels
+
+    @staticmethod
+    def _assert_matches_dense(ds, grids, epsilon):
+        kernels = TestFactoredKernels._assert_shifts_match_dense(ds, grids, epsilon)
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
         state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
@@ -671,6 +676,53 @@ class TestFactoredKernels:
     def test_matches_dense_solve(self, seed, n_snapshots, n_support, param_sizes, epsilon, origin):
         ds, grids = self._instance(seed, n_snapshots, n_support, param_sizes, origin)
         self._assert_matches_dense(ds, grids, epsilon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        times=st.sets(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.0]), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+        n_support=st.integers(1, 45),
+        epsilon=st.floats(np.log(0.03), np.log(1.0)).map(np.exp),
+        origin=st.sampled_from([0.0, -40.0, 1000.0]),
+    )
+    def test_shifts_on_the_support_grids(self, seed, times, n_support, epsilon, origin):
+        # parameter grids that are the support: a curve point of a tuple (x_j, x_j) that lands
+        # on x_j exactly gives the shift 0.0 without the scan; where 1 - t rounds (t = 0.2, 0.3,
+        # 1/3), (1 - t) x_j + t x_j can miss x_j by a last bit, and a snapshot whose every such
+        # point misses still gets the scan's shift
+        rng = np.random.default_rng(seed)
+        grid = grid_1d(origin + np.sort(rng.uniform(0, 1, n_support)))
+        rows = rng.random((len(times), n_support)) + 0.05
+        ds = dataset_from_weights(sorted(times), rows / rows.sum(axis=1, keepdims=True), grid)
+        self._assert_shifts_match_dense(ds, (grid, grid), epsilon)
+
+    def test_support_grids_scan_where_no_diagonal_point_lands(self, monkeypatch):
+        from wasscurve import kernels as kernels_module
+
+        times = np.array([0.2, 0.3])
+        candidates = np.random.default_rng(3).uniform(-1.0, 1.0, 400)
+        stack = np.stack([candidates, candidates], axis=1)[:, :, None]
+        misses = np.logical_and.reduce([LINEAR.evaluate(stack, t)[:, 0] != candidates for t in times])
+        grid = grid_1d(np.sort(candidates[misses][:6]))
+        scans = []
+        monkeypatch.setattr(kernels_module, "nearest_index", lambda *a: scans.append(1) or nearest_index(*a))
+        ds = dataset_from_weights(times, np.full((2, 6), 1 / 6), grid)
+        kernels = self._assert_shifts_match_dense(ds, (grid, grid), 0.1)
+        assert len(scans) == 2 and (kernels.shifts > 0).all()
+
+    def test_support_grids_skip_the_scan(self, monkeypatch):
+        # (1 - t) x + t x is x exactly at t = 0, 1/2 and 1: every shift is 0.0 and no snapshot scans
+        from wasscurve import kernels as kernels_module
+
+        def no_scan(points, grid):
+            raise AssertionError("nearest_index was called")
+
+        monkeypatch.setattr(kernels_module, "nearest_index", no_scan)
+        grid = grid_1d(np.linspace(-1.0, 3.0, 12))
+        ds = dataset_from_weights([0.0, 0.5, 1.0], np.full((3, 12), 1 / 12), grid)
+        kernels = build_kernels(ds, LINEAR, (grid, grid), 0.1)
+        assert kernels.shifts.tobytes() == np.zeros(3).tobytes()
 
     def test_log_domain_fallback(self):
         # exp-representable kernels (smallest log entry -556), but the target
@@ -1122,6 +1174,28 @@ class TestLogWeights:
         assert not np.isnan(weights).any()
         assert np.isneginf(np.delete(weights, 4, axis=0)[:, :10]).all()
         assert np.isfinite(weights[4]).all() and np.isfinite(weights[:, 10:]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        p=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_bit_equal_to_the_reversed_cumsum(self, n, p, data):
+        # the suffix sums sum_{i > j} log m_i of a reversed np.cumsum over the rows
+        from wasscurve.mm_sinkhorn import _log_weights
+
+        entry = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([-np.inf, -0.0, 0.0]))
+        rows = np.array(data.draw(st.lists(entry, min_size=n * p, max_size=n * p))).reshape(n, p)
+        for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            rows[j] = -np.inf
+        suffix = np.zeros_like(rows)
+        np.cumsum(rows[:0:-1], axis=0, out=suffix[-2::-1])
+        expected, prefix = [], np.zeros(p)
+        for j in range(n):
+            expected.append(prefix + suffix[j])
+            prefix += rows[j]
+        assert np.array(list(_log_weights(rows))).tobytes() == np.array(expected).tobytes()
 
 
 class TestTwoMarginal:
