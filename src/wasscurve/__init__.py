@@ -52,7 +52,6 @@ from .mm_sinkhorn import (
     ParamCoupling,
     SolverError,
     extract_param_coupling,
-    project_marginal,
     sinkhorn_solve,
 )
 from .pfo_estimation import (
@@ -115,7 +114,6 @@ __all__ = [
     "measure_from_samples",
     "mixture_marginal_at",
     "objective_true",
-    "project_marginal",
     "project_psd",
     "sinkhorn_solve",
     "snapshots_from_map",

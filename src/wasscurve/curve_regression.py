@@ -110,7 +110,7 @@ def fit(dataset: SnapshotDataset, curve: CurveClass, config: Optional[SolverConf
         raise ValueError("curve regression needs at least 3 snapshots")
     grids = list(config.param_grids) if config.param_grids is not None else default_param_grids(dataset, curve)
     kernels = build_kernels(dataset, curve, grids, config.epsilon)
-    state = sinkhorn_solve(kernels, dataset, tol=config.tol, max_iter=config.max_iter)
+    state = sinkhorn_solve(kernels, dataset.target_matrix(), tol=config.tol, max_iter=config.max_iter)
     return RegressionResult(
         coupling=extract_param_coupling(state),
         curve=curve,

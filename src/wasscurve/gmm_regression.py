@@ -144,7 +144,7 @@ def fit_mixture_curve(
     _check_atom_scale(atoms, _rates(lambdas, epsilon))
     costs = geodesic_cost_table(atoms, timestamps)
     kernels = kernels_from_costs(costs, lambdas, epsilon, (grid, grid))
-    state = sinkhorn_solve(kernels, snap, tol=tol, max_iter=max_iter)
+    state = sinkhorn_solve(kernels, snap.target_matrix(), tol=tol, max_iter=max_iter)
     return MixtureFitResult(
         coupling=extract_param_coupling(state),
         objective=state.objective,

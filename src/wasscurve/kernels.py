@@ -96,10 +96,14 @@ class CostKernelSet(_KernelSet):
         return (self.shifts[i] - self.log_kernels[i]) * (self.epsilon / self.lambdas[i])
 
     def weighted_cost(self, i: int) -> np.ndarray:
-        """lambda_i * c_i, the term snapshot i contributes to the transport objective; one (P, |X|) array."""
+        """lambda_i * c_i, the term snapshot i contributes to the transport objective; one (P, |X|) array.
+
+        A forbidden pair (cost +inf) reads the largest float, so that it adds 0,
+        not NaN, where the plan puts no mass on it.
+        """
         out = np.subtract(self.shifts[i], self.log_kernels[i])
         out *= self.epsilon
-        return out
+        return np.minimum(out, np.finfo(float).max, out=out)
 
     def exp_operator(self) -> "_DenseExp":
         return _DenseExp(np.exp(self.log_kernels), self.weighted_cost)
@@ -184,7 +188,11 @@ def kernels_from_costs(
     epsilon: float,
     parameter_grids: Sequence[SupportGrid],
 ) -> CostKernelSet:
-    """Build a kernel set from explicit per-snapshot cost arrays (N, P, |X|)."""
+    """Build a kernel set from explicit per-snapshot cost arrays (N, P, |X|).
+
+    A cost of +inf marks a forbidden pair: its kernel entry is 0, and it adds
+    nothing to the objective.
+    """
     return _kernels_in_place(np.array(costs, dtype=float), lambdas, epsilon, parameter_grids)
 
 
@@ -311,7 +319,7 @@ def _factored_kernels(
         if on_support and (phi[diagonal] == support).all(axis=1).any():
             lo[i] = 0.0
         else:
-            lo[i] = np.square(phi - support[nearest_index(phi, dataset.grid)]).min()
+            lo[i] = np.square(phi - support[nearest_index(phi, dataset.grid)]).sum(axis=1).min()
     shifts = lambdas * lo / epsilon
     d0 = _sq_distances(grids[0].points, support)  # (n0, |X|)
     d1 = _sq_distances(grids[1].points, support)  # (n1, |X|)

@@ -31,6 +31,11 @@ the normal float range or a w_j overflows.
 While sweeps contract slowly, Anderson acceleration extrapolates their
 log-potentials, keeping an extrapolation only when it raises the dual
 objective above the plain sweep's (``_Anderson``).
+
+The engine reads the targets as an (N, |X|) array and nothing else of a
+dataset, so any star of leaves on one support is a problem it solves.
+Two-marginal transport (``two_marginal.two_marginal_w2``) is the two-leaf
+star whose first leaf's kernel is the identity.
 """
 
 import logging
@@ -38,13 +43,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .kernels import KernelSet, _ExpOperator, param_tuple_stack
-from .measures import SnapshotDataset, SupportGrid
+from .measures import SupportGrid
 
 logger = logging.getLogger(__name__)
 
@@ -186,21 +190,6 @@ def _log_plan(log_k: np.ndarray, log_w: np.ndarray, log_a: np.ndarray, buf: np.n
     np.exp(buf, out=buf)
     scale = np.exp(top)
     return buf.sum(axis=0) * scale, scale
-
-
-def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
-    """Marginal of the implicit coupling on snapshot j's support, shape (|X|,).
-
-    Matches the brute-force sum over the dense tensor; computed factored in
-    O(N * P * |X|).
-    """
-    n = state.kernels.n_snapshots
-    if not -n <= j < n:
-        raise IndexError(f"snapshot index {j} out of range for {n} snapshots")
-    j %= n
-    log_k = state.kernels.log_kernels[j]
-    log_w = next(islice(_log_weights(state.log_factor_sums), j, None))
-    return _log_plan(log_k, log_w, state.log_potentials[j], np.empty(log_k.shape))[0]
 
 
 def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
@@ -553,13 +542,14 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
 
 def sinkhorn_solve(
     kernels: KernelSet,
-    dataset: SnapshotDataset,
+    targets: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FactoredCoupling:
     """Run multiplicative scaling sweeps until every marginal matches its target.
 
-    Sweeps cycle snapshots in ascending timestamp order, updating
+    ``targets`` holds the target marginal p_j of each snapshot as row j,
+    shape (N, |X|). Sweeps cycle snapshots in ascending order, updating
     a_j <- a_j * p_j / P_{y_j}(Gamma), in the exp domain until one leaves
     its range and in the log domain from then on; while they contract
     slowly, each is followed by an Anderson extrapolation of the
@@ -571,9 +561,8 @@ def sinkhorn_solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    targets = dataset.target_matrix()
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
-        raise ValueError("dataset does not match kernel shapes")
+        raise ValueError("targets do not match kernel shapes")
     positive = targets > 0
     # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
     work, log_a, log_m = _exp_start(kernels.exp_operator(), targets), None, None
@@ -642,7 +631,7 @@ def sinkhorn_solve(
 
 def benchmark_sweep_seconds(
     kernels: KernelSet,
-    dataset: SnapshotDataset,
+    targets: np.ndarray,
     n_sweeps: int = 20,
     repeats: int = 3,
 ) -> float:
@@ -656,7 +645,6 @@ def benchmark_sweep_seconds(
     sweep. Its buffers are built before the clock starts; the sweeps' results
     are not used.
     """
-    targets = dataset.target_matrix()
     op = kernels.exp_operator()
     best = np.inf
     for _ in range(repeats):

@@ -1,28 +1,17 @@
 """Two-marginal transport (the classical case), entropic and exact paths.
 
-The entropic path runs log-domain scaling with the Anderson acceleration of
-``mm_sinkhorn``; the exact path is the 1D monotone coupling or, on small
-supports, a linear program.
+The entropic path is the multi-marginal engine, ``sinkhorn_solve``, on a
+two-leaf star whose first leaf's kernel is the identity; the exact path is
+the 1D monotone coupling or, on small supports, a linear program.
 """
 
-import logging
 from typing import Tuple
 
 import numpy as np
 
-from .kernels import _sq_distances
+from .kernels import _check_memory, _kernels_in_place, _sq_distances
 from .measures import DiscreteMeasure, SupportGrid, check_coordinate_scale, sorted_unique
-from .mm_sinkhorn import (
-    DEFAULT_MAX_ITER,
-    SolverError,
-    _Anderson,
-    _log_kernel_sums,
-    _log_sums_ratio,
-    _mass_change,
-    _with_log_zeros,
-)
-
-logger = logging.getLogger(__name__)
+from .mm_sinkhorn import DEFAULT_MAX_ITER, SolverError, sinkhorn_solve
 
 _LP_MAX_SUPPORT = 64
 
@@ -50,57 +39,35 @@ def two_marginal_w2(
 ) -> Tuple[float, np.ndarray]:
     """Entropic transport cost <c, plan> (entropy term excluded) and the plan.
 
-    Log-domain scaling throughout, accelerated as in ``sinkhorn_solve``
-    (dual objective <p, log u> + <q, log v> - sum u K v). The returned value
-    is the transport term of a feasible plan, so it upper-bounds the exact
-    discrete squared Wasserstein cost and approaches it from above as
-    epsilon shrinks.
+    ``sinkhorn_solve`` on a two-leaf star over mu's points, both leaves
+    padded to max(n, m) columns whose targets are 0: leaf 0 has the cost of
+    x = y (0 on the diagonal, +inf elsewhere), so its kernel is the
+    identity, and leaf 1 the squared distance to nu's points. A sweep is
+    then u = p / (K v), v = q / (K^T u), accelerated and moved to the log
+    domain as the engine's sweeps are, and with weights (1, 1) the engine's
+    objective is <c, plan>. That is the transport term of a feasible plan,
+    so it upper-bounds the exact discrete squared Wasserstein cost and
+    approaches it from above as epsilon shrinks. The kernels' logs and
+    exponentials, 4 n max(n, m) floats, are a ValueError, raised before any
+    allocation, when they exceed the machine's physical memory.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _check_pair(mu, nu, 1.0 / epsilon)
-    cost = _sq_distances(mu.grid.points, nu.grid.points)
-    log_k = -(cost - cost.min()) / epsilon
-    p, q = mu.weights, nu.weights
-    log_p = _with_log_zeros(p)
-    log_q = _with_log_zeros(q)
-    log_u = np.zeros(len(p))
-    log_v = np.zeros(len(q))
-    buf = np.empty_like(log_k)
-    log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)  # log (K v)
-    # the iterate is (log u, log v) at positive weights, as one vector
-    live = np.concatenate([p, q]) > 0
-    weights = np.concatenate([p, q])[live]
-    accel = _Anderson(weights, "two-marginal iterations")
-    err = np.inf
-    for it in range(max_iter):
-        with np.errstate(invalid="ignore"):
-            log_u = log_p - log_rows
-            log_u[np.isnan(log_u)] = -np.inf
-            log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
-            log_v[np.isnan(log_v)] = -np.inf
-        # the row sums of the plan are u * (K v), and log (K v) is what the
-        # next u update needs; the columns match exactly
-        log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)
-        rows = np.exp(log_u + log_rows)
-        err = float(np.abs(rows - p).sum())
-        if err <= tol:
-            break
-        if accel.record(np.concatenate([log_u, log_v])[live], err):
-            x = accel.propose()
-            step = np.zeros(live.size)
-            step[live] = x - accel.g
-            with np.errstate(over="ignore", invalid="ignore"):
-                grow = np.expm1(step)
-                ratio = _log_sums_ratio(log_k, log_v, log_rows, grow[len(p):], buf)  # of K v
-                if accel.keep(x, _mass_change(rows, np.stack([grow[: len(p)], ratio]))):
-                    log_v = log_v + step[len(p):]
-                    log_rows = log_rows + np.log1p(ratio)
-    else:
-        logger.warning("two-marginal sinkhorn stopped at max_iter with residual %.3e", err)
-    accel.report()
-    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
-    return float(np.sum(plan * cost)), plan
+    n, m = len(mu.grid), len(nu.grid)
+    width = max(n, m)
+    _check_memory(2 * 2 * n * width * 8, "the two-marginal kernels")
+    costs = np.full((2, n, width), np.inf)
+    np.fill_diagonal(costs[0], 0.0)
+    _sq_distances(mu.grid.points, nu.grid.points, costs[1, :, :m])
+    targets = np.zeros((2, width))
+    targets[0, :n], targets[1, :m] = mu.weights, nu.weights
+    kernels = _kernels_in_place(costs, np.ones(2), epsilon, (mu.grid,))
+    state = sinkhorn_solve(kernels, targets, tol, max_iter)
+    log_a = state.log_potentials
+    plan = np.add(log_a[0, :n, None], kernels.log_kernels[1, :, :m])
+    plan += log_a[1, :m]
+    return state.objective, np.exp(plan, out=plan)
 
 
 def _monotone_coupling_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:

@@ -8,6 +8,7 @@ by scipy's HiGHS on the full variable set, at the feasibility tolerances of
 
 import csv
 import math
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,8 +19,19 @@ from wasscurve.dataio import DEFAULT_GRID_POINTS, SchemaError
 from wasscurve.gaussian_regression import _objective_matrix
 from wasscurve.linalg import SYM_TOL
 from wasscurve.measures import DiscreteMeasure, GaussianMeasure, SnapshotDataset, SupportGrid
-from wasscurve.kernels import KernelSet, kernels_from_costs, param_tuple_stack
-from wasscurve.mm_sinkhorn import SolverError, _log_weights
+from wasscurve.kernels import KernelSet, _sq_distances, kernels_from_costs, param_tuple_stack
+from wasscurve.mm_sinkhorn import (
+    DEFAULT_MAX_ITER,
+    FactoredCoupling,
+    SolverError,
+    _Anderson,
+    _log_kernel_sums,
+    _log_plan,
+    _log_sums_ratio,
+    _log_weights,
+    _mass_change,
+    _with_log_zeros,
+)
 from wasscurve.two_marginal import two_marginal_w2_exact
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -107,6 +119,71 @@ def transport_objective_from_logs(kernels: KernelSet, log_a: np.ndarray, log_m: 
         buf *= kernels.weighted_cost(i)
         obj += float(buf.sum())
     return obj
+
+
+def project_marginal(state: FactoredCoupling, j: int) -> np.ndarray:
+    """Marginal of the implicit coupling on snapshot j's support, shape (|X|,).
+
+    Matches the brute-force sum over the dense tensor; computed factored in
+    O(N * P * |X|) from the state's dense log kernels and log factor sums.
+    """
+    n = state.kernels.n_snapshots
+    if not -n <= j < n:
+        raise IndexError(f"snapshot index {j} out of range for {n} snapshots")
+    j %= n
+    log_k = state.kernels.log_kernels[j]
+    log_w = next(islice(_log_weights(state.log_factor_sums), j, None))
+    return _log_plan(log_k, log_w, state.log_potentials[j], np.empty(log_k.shape))[0]
+
+
+def two_marginal_sinkhorn(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float, tol: float = 1e-9, max_iter: int = DEFAULT_MAX_ITER
+) -> Tuple[float, np.ndarray]:
+    """Entropic two-marginal transport by its own log-domain loop: <c, plan> and the plan.
+
+    ``two_marginal_w2`` as it was before it ran on the multi-marginal engine,
+    kept as written: u = p / (K v) and v = q / (K^T u) in log space from the
+    first iteration, with the engine's Anderson acceleration and safeguard on
+    (log u, log v), stopping when the row sums of the plan are within tol.
+    """
+    cost = _sq_distances(mu.grid.points, nu.grid.points)
+    log_k = -(cost - cost.min()) / epsilon
+    p, q = mu.weights, nu.weights
+    log_p = _with_log_zeros(p)
+    log_q = _with_log_zeros(q)
+    log_u = np.zeros(len(p))
+    log_v = np.zeros(len(q))
+    buf = np.empty_like(log_k)
+    log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)  # log (K v)
+    # the iterate is (log u, log v) at positive weights, as one vector
+    live = np.concatenate([p, q]) > 0
+    weights = np.concatenate([p, q])[live]
+    accel = _Anderson(weights, "two-marginal iterations")
+    for _ in range(max_iter):
+        with np.errstate(invalid="ignore"):
+            log_u = log_p - log_rows
+            log_u[np.isnan(log_u)] = -np.inf
+            log_v = log_q - _log_kernel_sums(log_k, log_u[:, None], 0, buf)
+            log_v[np.isnan(log_v)] = -np.inf
+        # the row sums of the plan are u * (K v), and log (K v) is what the
+        # next u update needs; the columns match exactly
+        log_rows = _log_kernel_sums(log_k, log_v[None, :], 1, buf)
+        rows = np.exp(log_u + log_rows)
+        err = float(np.abs(rows - p).sum())
+        if err <= tol:
+            break
+        if accel.record(np.concatenate([log_u, log_v])[live], err):
+            x = accel.propose()
+            step = np.zeros(live.size)
+            step[live] = x - accel.g
+            with np.errstate(over="ignore", invalid="ignore"):
+                grow = np.expm1(step)
+                ratio = _log_sums_ratio(log_k, log_v, log_rows, grow[len(p):], buf)  # of K v
+                if accel.keep(x, _mass_change(rows, np.stack([grow[: len(p)], ratio]))):
+                    log_v = log_v + step[len(p):]
+                    log_rows = log_rows + np.log1p(ratio)
+    plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
+    return float(np.sum(plan * cost)), plan
 
 
 def dense_marginal_pair(gamma, i):

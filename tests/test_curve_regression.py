@@ -230,7 +230,7 @@ class TestObjectiveTrue:
         from wasscurve.curve_regression import RegressionResult
 
         kernels = build_kernels(ds, LINEAR, (grid, grid), 1e-3)
-        state = sinkhorn_solve(kernels, ds, tol=1e-12)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-12)
         result = RegressionResult(
             extract_param_coupling(state), LINEAR, state.objective, state.iterations,
             state.marginal_residual, 1e-3, state.converged, state,

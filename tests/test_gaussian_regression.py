@@ -89,7 +89,7 @@ class TestW2Gaussian:
         with caplog.at_level("INFO"):
             _, plan = two_marginal_w2(mu, nu, epsilon=0.01 * closed, tol=1e-9)
         assert "max_iter" not in caplog.text
-        assert "two-marginal iterations: " in caplog.text and " extrapolations kept, " in caplog.text
+        assert "sinkhorn sweeps: " in caplog.text and " extrapolations kept, " in caplog.text
         assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-9
         assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-9
 

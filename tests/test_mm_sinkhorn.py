@@ -18,6 +18,7 @@ from wasscurve.kernels import (
     FactoredKernelSet,
     _curve_costs,
     _DenseExp,
+    _factored_kernels,
     _kernels_in_place,
     build_kernels,
     kernels_from_costs,
@@ -29,7 +30,6 @@ from wasscurve.mm_sinkhorn import (
     SolverError,
     _log_factor_sums,
     extract_param_coupling,
-    project_marginal,
     sinkhorn_solve,
 )
 from wasscurve.two_marginal import exact_transport_lp, two_marginal_w2, two_marginal_w2_exact
@@ -61,13 +61,13 @@ def random_instance(rng, n_snapshots=3, n_support=3, param_sizes=(2, 2), epsilon
     return ds, kernels
 
 
-def log_domain_solve(kernels, ds, **kwargs):
+def log_domain_solve(kernels, targets, **kwargs):
     """sinkhorn_solve with every sweep in the log domain: no potential is in
     range, so the first exp sweep is redone there."""
     import wasscurve.mm_sinkhorn as engine
 
     with mock.patch.object(engine, "_POTENTIAL_HI", 0.0):
-        return sinkhorn_solve(kernels, ds, **kwargs)
+        return sinkhorn_solve(kernels, targets, **kwargs)
 
 
 class TestBuildKernels:
@@ -162,7 +162,7 @@ class TestProjections:
         log_a = np.zeros((n, x))
         state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         for j in range(n):
-            np.testing.assert_allclose(project_marginal(state, j), 4 * x ** (n - 1), rtol=1e-12)
+            np.testing.assert_allclose(oracles.project_marginal(state, j), 4 * x ** (n - 1), rtol=1e-12)
 
     def test_single_atom_grids(self):
         param_grids = (grid_1d([0.3]), grid_1d([0.6]))
@@ -172,7 +172,7 @@ class TestProjections:
         state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         k = np.exp(kernels.log_kernels)
         expected = k[0, 0, 0] * 0.7 * k[1, 0, 0] * 0.9
-        assert project_marginal(state, 0)[0] == pytest.approx(expected, rel=1e-12)
+        assert oracles.project_marginal(state, 0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dense_tensor_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -184,7 +184,7 @@ class TestProjections:
             gamma = oracles.dense_coupling_tensor(kernels, log_a)
             for j in range(3):
                 dense = oracles.dense_marginal(gamma, j)
-                np.testing.assert_allclose(project_marginal(state, j), dense, rtol=1e-10)
+                np.testing.assert_allclose(oracles.project_marginal(state, j), dense, rtol=1e-10)
             np.testing.assert_allclose(
                 extract_param_coupling(state).weights.ravel(),
                 oracles.dense_param_marginal(gamma).ravel(),
@@ -193,9 +193,9 @@ class TestProjections:
 
     def test_index_out_of_range(self):
         ds, kernels = random_instance(np.random.default_rng(2))
-        state = sinkhorn_solve(kernels, ds)
+        state = sinkhorn_solve(kernels, ds.target_matrix())
         with pytest.raises(IndexError):
-            project_marginal(state, 5)
+            oracles.project_marginal(state, 5)
 
 
 class TestSinkhornSolve:
@@ -204,22 +204,22 @@ class TestSinkhornSolve:
         target = np.array([0.2, 0.3, 0.5])
         ds = SnapshotDataset(np.array([1.0]), (DiscreteMeasure(grid, target),), np.array([1.0]))
         kernels = build_kernels(ds, LINEAR, [grid, grid], 0.5)
-        state = sinkhorn_solve(kernels, ds, tol=1e-12)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-12)
         assert state.converged and state.iterations <= 2
-        np.testing.assert_allclose(project_marginal(state, 0), target, atol=1e-12)
+        np.testing.assert_allclose(oracles.project_marginal(state, 0), target, atol=1e-12)
 
     def test_feasibility_at_convergence(self):
         ds, kernels = random_instance(np.random.default_rng(3), n_snapshots=4, n_support=4, param_sizes=(3, 3))
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
         assert state.converged
         for j in range(4):
-            err = np.abs(project_marginal(state, j) - ds.measures[j].weights).sum()
+            err = np.abs(oracles.project_marginal(state, j) - ds.measures[j].weights).sum()
             assert err <= 1e-9
 
     def test_residual_history_monotone_after_first_sweep(self):
         for seed in (0, 1, 2):
             ds, kernels = random_instance(np.random.default_rng(seed), n_snapshots=3, n_support=4, param_sizes=(3, 3), epsilon=0.4)
-            state = sinkhorn_solve(kernels, ds, tol=1e-10)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10)
             hist = state.residual_history
             assert np.all(np.diff(hist[1:]) <= 1e-12)
 
@@ -232,7 +232,7 @@ class TestSinkhornSolve:
         lp_value = None
         for eps in (1.0, 0.3, 0.1, 0.03, 3e-3, 1e-3):
             kernels = build_kernels(ds, LINEAR, pg, eps)
-            state = sinkhorn_solve(kernels, ds, tol=1e-10)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10)
             objectives.append(state.objective)
             if lp_value is None:
                 costs = np.stack([kernels.cost(i) for i in range(3)])
@@ -249,15 +249,15 @@ class TestSinkhornSolve:
         previous = np.inf
         for eps in (1.0, 0.3, 0.1, 0.03):
             kernels = build_kernels(ds, LINEAR, (grid, grid), eps)
-            state = sinkhorn_solve(kernels, ds, tol=1e-10)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10)
             assert state.objective <= previous + 1e-9
             previous = state.objective
 
     def test_log_and_exp_domains_agree(self):
         ds, kernels = random_instance(np.random.default_rng(5), epsilon=0.05)
-        state = sinkhorn_solve(kernels, ds, tol=1e-11)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-11)
         assert not state.used_log_domain
-        log_state = log_domain_solve(kernels, ds, tol=1e-11)
+        log_state = log_domain_solve(kernels, ds.target_matrix(), tol=1e-11)
         assert log_state.used_log_domain
         assert log_state.converged and log_state.marginal_residual <= 1e-11
         log_a = log_state.log_potentials
@@ -294,8 +294,8 @@ class TestSinkhornSolve:
         # domain before its first sweep; it leaves the exp domain only when a
         # sweep does, and reaches the log-domain solve's fixed point either way
         ds, kernels = self._low_kernel_instance(seed, kind, n_snapshots, n_support, smallest)
-        state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
-        ref = log_domain_solve(kernels, ds, tol=1e-10, max_iter=20000)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=20000)
+        ref = log_domain_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=20000)
         assert state.converged and ref.converged and ref.used_log_domain
         np.testing.assert_allclose(state.objective, ref.objective, rtol=1e-8)
         np.testing.assert_allclose(extract_param_coupling(state).weights, extract_param_coupling(ref).weights, rtol=0, atol=1e-8)
@@ -303,7 +303,7 @@ class TestSinkhornSolve:
     @pytest.mark.parametrize("kind", ["factored", "dense linear", "quadratic"])
     def test_low_kernels_start_in_the_exp_domain(self, kind):
         ds, kernels = self._low_kernel_instance(7, kind, 4, 6, -1000.0)
-        state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=20000)
         assert state.converged and not state.used_log_domain
 
     def test_mid_run_switch_to_log_domain(self):
@@ -319,18 +319,18 @@ class TestSinkhornSolve:
         assert kernels.log_kernels.min() >= -600.0  # exp phase is attempted
         m0 = DiscreteMeasure(grid, np.array([0.5, 0.5]))
         ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]))
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
         assert state.used_log_domain
         assert state.converged
         for j in range(2):
-            assert np.abs(project_marginal(state, j) - 0.5).max() <= 1e-9
+            assert np.abs(oracles.project_marginal(state, j) - 0.5).max() <= 1e-9
 
     def test_very_small_epsilon_uses_log_domain(self):
         grid = grid_1d([0.0, 0.5, 1.0])
         diracs = np.eye(3)
         ds = dataset_from_weights([0.0, 0.5, 1.0], diracs, grid)
         kernels = build_kernels(ds, LINEAR, (grid, grid), 1e-4)
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
         assert state.used_log_domain
         assert state.converged
         assert np.isfinite(state.objective)
@@ -338,7 +338,7 @@ class TestSinkhornSolve:
     def test_rejects_bad_tol(self):
         ds, kernels = random_instance(np.random.default_rng(6))
         with pytest.raises(ValueError, match="tol"):
-            sinkhorn_solve(kernels, ds, tol=0.0)
+            sinkhorn_solve(kernels, ds.target_matrix(), tol=0.0)
 
     def test_zero_projection_at_positive_target_raises(self):
         # an infinite cost column: no parameter tuple reaches support point 1, whose target is positive
@@ -347,7 +347,7 @@ class TestSinkhornSolve:
         kernels = kernels_from_costs(costs, np.full(2, 0.5), 1.0, (grid_1d([0.0]), grid_1d([0.0, 1.0])))
         ds = dataset_from_weights([0.0, 1.0], np.full((2, 2), 0.5), grid_1d([0.0, 1.0]))
         with pytest.raises(SolverError, match="zero marginal projection where the target is positive"):
-            sinkhorn_solve(kernels, ds)
+            sinkhorn_solve(kernels, ds.target_matrix())
 
 
 class TestExpSweep:
@@ -501,7 +501,7 @@ class TestFinish:
         param_grids = [grid_1d(np.sort(rng.uniform(-0.5, 1.5, k))) for k in param_sizes]
         curve = LINEAR if len(param_sizes) == 2 else QUADRATIC
         kernels = build_kernels(ds, curve, param_grids, epsilon)
-        state = (log_domain_solve if log_domain else sinkhorn_solve)(kernels, ds, tol=tol, max_iter=3000)
+        state = (log_domain_solve if log_domain else sinkhorn_solve)(kernels, ds.target_matrix(), tol=tol, max_iter=3000)
         assert state.used_log_domain or not log_domain
         self._assert_matches_log_recomputation(state, ds)
 
@@ -512,13 +512,13 @@ class TestFinish:
         kernels = kernels_from_costs(np.array([[[0.0, 800.0]], [[800.0, 0.0]]]), np.array([0.5, 0.5]), 1.0, pg)
         m0 = DiscreteMeasure(grid, np.array([0.5, 0.5]))
         ds = SnapshotDataset(np.array([0.0, 1.0]), (m0, m0), np.array([0.5, 0.5]))
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
         assert state.used_log_domain and state.converged
         self._assert_matches_log_recomputation(state, ds)
 
     def test_pure_log_phase(self):
         ds, kernels = random_instance(np.random.default_rng(31), n_snapshots=4, n_support=5, param_sizes=(4, 4), epsilon=2e-4)
-        state = log_domain_solve(kernels, ds, tol=1e-9)
+        state = log_domain_solve(kernels, ds.target_matrix(), tol=1e-9)
         assert state.used_log_domain and state.converged
         self._assert_matches_log_recomputation(state, ds)
 
@@ -541,7 +541,7 @@ class TestFinish:
         monkeypatch.setattr(engine, "_sweep_exp_numpy", sweep_then_mark)
         tracemalloc.start()
         try:
-            state = sinkhorn_solve(kernels, ds, tol=1e-9)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,13 +568,33 @@ class TestFinish:
         monkeypatch.setattr(engine, "_sweep_log", mark_then_sweep)
         tracemalloc.start()
         try:
-            state = log_domain_solve(kernels, ds, tol=1e-9)
+            state = log_domain_solve(kernels, ds.target_matrix(), tol=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert state.converged and state.used_log_domain
         assert peak < 0.5 * kernels.log_kernels.nbytes
         self._assert_matches_log_recomputation(state, ds)
+
+    def test_forbidden_pairs_give_one_finite_objective_from_both_finishes(self, monkeypatch):
+        # snapshot 0 forbids the off-diagonal pairs (cost +inf, kernel entry 0); at epsilon
+        # 1/600 snapshot 1's kernel is e^-600 off its diagonal, so moving 0.4 of mass across
+        # drives the potentials out of the exp range and the solve finishes in log space, while
+        # the exp finish of the same potentials stays in range; both count the forbidden pairs
+        # as 0, not as 0 * inf = NaN
+        import wasscurve.mm_sinkhorn as engine
+        from wasscurve.mm_sinkhorn import _finish_exp
+
+        costs = np.array([[[0.0, np.inf], [np.inf, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        kernels = kernels_from_costs(costs, np.ones(2), 1 / 600, (grid_1d([0.0, 1.0]),))
+        targets = np.array([[0.5, 0.5], [0.9, 0.1]])
+        state = sinkhorn_solve(kernels, targets, tol=1e-12)
+        assert state.converged and state.used_log_domain
+        monkeypatch.setattr(engine, "_finish_log", None)  # the exp finish must not fall back
+        finish = _finish_exp(kernels, kernels.exp_operator(), np.exp(state.log_potentials), targets)
+        assert np.isfinite(state.objective) and finish.residual <= 1e-12
+        assert finish.objective == pytest.approx(state.objective, rel=1e-12)
+        assert state.objective == pytest.approx(0.4, rel=1e-12)  # 0.4 of mass moves at cost 1
 
     def test_underflowing_factor_sums_finish_in_log_space(self):
         # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1];
@@ -653,7 +673,7 @@ class TestFactoredKernels:
     def _assert_matches_dense(ds, grids, epsilon):
         kernels = TestFactoredKernels._assert_shifts_match_dense(ds, grids, epsilon)
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
-        state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
+        state, ref = (sinkhorn_solve(k, ds.target_matrix(), tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
         assert (state.iterations, state.used_log_domain) == (ref.iterations, ref.used_log_domain)
         rtol = 1e-10
@@ -661,7 +681,7 @@ class TestFactoredKernels:
         np.testing.assert_allclose(state.objective, ref.objective, rtol=rtol)
         np.testing.assert_allclose(state.marginal_residual, ref.marginal_residual, rtol=rtol, atol=1e-14)
         for j in range(len(ds)):
-            np.testing.assert_allclose(project_marginal(state, j), project_marginal(ref, j), rtol=rtol)
+            np.testing.assert_allclose(oracles.project_marginal(state, j), oracles.project_marginal(ref, j), rtol=rtol)
         return state
 
     @settings(max_examples=30, deadline=None)
@@ -696,6 +716,22 @@ class TestFactoredKernels:
         rows = rng.random((len(times), n_support)) + 0.05
         ds = dataset_from_weights(sorted(times), rows / rows.sum(axis=1, keepdims=True), grid)
         self._assert_shifts_match_dense(ds, (grid, grid), epsilon)
+
+    def test_shifts_in_two_dimensions(self):
+        # the shift is the least squared distance from a curve point to the support, summed over
+        # both axes; a 6x6 grid whose parameter grids are offset from it reads 0.0113, 0.00067 and
+        # 0.0113, where a minimum over single coordinates' squares took 0.003 at t = 0 and t = 1
+        axis = np.linspace(0.0, 1.0, 6)
+        support = SupportGrid(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
+        params = SupportGrid(support.points + np.array([0.03, -0.05]))
+        ts = np.array([0.0, 0.3, 1.0])
+        ds = dataset_from_weights(ts, np.full((3, 36), 1 / 36), support)
+        stack = param_tuple_stack((params, params))
+        coefficients = np.array([LINEAR.coefficients(t) for t in ts])
+        kernels = _factored_kernels(ds, LINEAR, (params, params), stack, coefficients, 0.1)
+        built = _kernels_in_place(_curve_costs(LINEAR, ts, stack, support.points), ds.lambdas, 0.1, (params, params))
+        assert kernels.shifts.tobytes() == built.shifts.tobytes()
+        assert (kernels.shifts > 0).all()
 
     def test_support_grids_scan_where_no_diagonal_point_lands(self, monkeypatch):
         from wasscurve import kernels as kernels_module
@@ -747,7 +783,7 @@ class TestFactoredKernels:
         assert isinstance(kernels, FactoredKernelSet) and np.isinf(kernels.factor_a).any()
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**29 // 4096}.__getitem__)
         with pytest.raises(ValueError, match=r"the dense log kernels need 0\.6 GiB, more than this machine's 0\.5 GiB"):
-            sinkhorn_solve(kernels, ds)
+            sinkhorn_solve(kernels, ds.target_matrix())
         assert "log_kernels" not in vars(kernels)
 
     @pytest.mark.parametrize("spread", [1.0, 3.0])
@@ -768,7 +804,7 @@ class TestFactoredKernels:
         tensor_bytes = len(ds) * math.prod(kernels.param_shape) * kernels.n_support * 8
         tracemalloc.start()
         try:
-            state = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=20000)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=20000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -786,7 +822,7 @@ class TestFactoredKernels:
         kernels = build_kernels(ds, LINEAR, grids, epsilon)
         assert kernels.log_kernels.min() == pytest.approx(-590.0) and np.isinf(kernels.factor_a).any()
         dense = oracles.dense_curve_kernels(ds, LINEAR, grids, epsilon)
-        state, ref = (sinkhorn_solve(k, ds, tol=1e-10, max_iter=20000) for k in (kernels, dense))
+        state, ref = (sinkhorn_solve(k, ds.target_matrix(), tol=1e-10, max_iter=20000) for k in (kernels, dense))
         assert state.converged and ref.converged
         np.testing.assert_allclose(state.objective, ref.objective, rtol=1e-10)
 
@@ -799,7 +835,7 @@ class TestFactoredKernels:
         tracemalloc.start()
         try:
             kernels = build_kernels(ds, LINEAR, (grid, grid), 0.05)
-            state = sinkhorn_solve(kernels, ds)
+            state = sinkhorn_solve(kernels, ds.target_matrix())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -815,14 +851,14 @@ class TestOverrelaxation:
     over-relaxation) change the path of a solve, not its fixed point."""
 
     @staticmethod
-    def _solve(kernels, ds, plain, log_domain, **kwargs):
+    def _solve(kernels, targets, plain, log_domain, **kwargs):
         import wasscurve.mm_sinkhorn as engine
 
         solve = log_domain_solve if log_domain else sinkhorn_solve
         with ExitStack() as stack:
             if plain:  # no residual ratio counts as slow
                 stack.enter_context(mock.patch.object(engine, "_SLOW_RATIO", np.inf))
-            return solve(kernels, ds, **kwargs)
+            return solve(kernels, targets, **kwargs)
 
     @staticmethod
     def _instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets):
@@ -871,12 +907,12 @@ class TestOverrelaxation:
     def test_agrees_with_plain_sweeps(self, seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets, log_domain):
         ds, kernels = self._instance(seed, n_snapshots, n_support, param_sizes, epsilon, zero_targets)
         tol = 1e-10
-        states = [self._solve(kernels, ds, plain, log_domain, tol=tol, max_iter=50000) for plain in (True, False)]
+        states = [self._solve(kernels, ds.target_matrix(), plain, log_domain, tol=tol, max_iter=50000) for plain in (True, False)]
         for state in states:
             assert state.converged
             assert state.used_log_domain or not log_domain
             for j in range(n_snapshots):
-                assert np.abs(project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
+                assert np.abs(oracles.project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
         plain, accelerated = states
         assert plain.accelerated == plain.acceleration_reverts == 0
         assert accelerated.iterations <= 2 * plain.iterations
@@ -889,8 +925,8 @@ class TestOverrelaxation:
     def test_settled_rate_over_relaxes(self, instance):
         # a slowly contracting solve is extrapolated, and takes fewer sweeps than plain ones
         ds, kernels = self._instance(*instance)
-        plain = self._solve(kernels, ds, True, False, tol=1e-10, max_iter=50000)
-        accelerated = sinkhorn_solve(kernels, ds, tol=1e-10, max_iter=50000)
+        plain = self._solve(kernels, ds.target_matrix(), True, False, tol=1e-10, max_iter=50000)
+        accelerated = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=50000)
         assert accelerated.accelerated > 0
         assert accelerated.accelerated + accelerated.acceleration_reverts < accelerated.iterations
         assert accelerated.iterations < plain.iterations
@@ -924,7 +960,7 @@ class TestOverrelaxation:
             return kept
 
         monkeypatch.setattr(engine._Anderson, "keep", checked_keep)
-        state = self._solve(kernels, ds, False, log_domain, tol=1e-10, max_iter=50000)
+        state = self._solve(kernels, ds.target_matrix(), False, log_domain, tol=1e-10, max_iter=50000)
         assert state.converged and state.used_log_domain == log_domain
         assert len(gains) == state.accelerated > 0
         assert min(gains) >= -1e-14
@@ -937,12 +973,12 @@ class TestOverrelaxation:
         monkeypatch.setattr(engine._Anderson, "coefficients", lambda self: -40.0 * coefficients(self))
         ds, kernels = self._instance(*self.SETTLING[0])
         with caplog.at_level("DEBUG", logger="wasscurve.mm_sinkhorn"):
-            state = self._solve(kernels, ds, False, log_domain, tol=1e-10, max_iter=50000)
+            state = self._solve(kernels, ds.target_matrix(), False, log_domain, tol=1e-10, max_iter=50000)
         assert state.acceleration_reverts >= 1
         assert "extrapolation undone: dual objective change -" in caplog.text
         assert state.residual_history.size == state.iterations
         monkeypatch.undo()
-        plain = self._solve(kernels, ds, True, log_domain, tol=1e-10, max_iter=50000)
+        plain = self._solve(kernels, ds.target_matrix(), True, log_domain, tol=1e-10, max_iter=50000)
         assert state.converged and plain.converged
         assert state.used_log_domain == plain.used_log_domain == log_domain
         np.testing.assert_allclose(state.objective, plain.objective, rtol=1e-6)
@@ -957,7 +993,7 @@ class TestOverrelaxation:
         monkeypatch.setattr(engine._Anderson, "coefficients", lambda self: -40.0 * coefficients(self))
         with caplog.at_level("DEBUG", logger="wasscurve.mm_sinkhorn"):
             cost, plan = two_marginal_w2(mu, nu, 0.002, tol=1e-10)
-        assert "two-marginal iterations: extrapolation undone: dual objective change -" in caplog.text
+        assert "sinkhorn sweeps: extrapolation undone: dual objective change -" in caplog.text
         assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-10
         assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-10
         monkeypatch.undo()
@@ -974,8 +1010,8 @@ class TestOverrelaxation:
         propose = engine._Anderson.propose
         monkeypatch.setattr(engine._Anderson, "propose", lambda self: proposals.append(1) or propose(self))
         ds, kernels = random_instance(np.random.default_rng(3), n_snapshots=4, n_support=4, param_sizes=(3, 3))
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
-        plain = self._solve(kernels, ds, True, False, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
+        plain = self._solve(kernels, ds.target_matrix(), True, False, tol=1e-9)
         assert state.accelerated == state.acceleration_reverts == 0 and not proposals
         np.testing.assert_array_equal(state.log_potentials, plain.log_potentials)
         assert state.iterations == plain.iterations
@@ -992,7 +1028,7 @@ class TestExtractParamCoupling:
 
     def test_warns_when_not_converged(self):
         ds, kernels = random_instance(np.random.default_rng(7))
-        state = sinkhorn_solve(kernels, ds, tol=1e-12, max_iter=1)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-12, max_iter=1)
         assert not state.converged
         with pytest.warns(RuntimeWarning, match="non-converged"):
             extract_param_coupling(state)
@@ -1003,7 +1039,7 @@ class TestExtractParamCoupling:
         rows = np.array([[0.3, 0.4, 0.3], [0.25, 0.5, 0.25], [0.2, 0.6, 0.2]])
         ds = dataset_from_weights([0.0, 0.5, 1.0], rows, grid)
         kernels = build_kernels(ds, LINEAR, (grid, grid), 0.3)
-        state = sinkhorn_solve(kernels, ds, tol=1e-11)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-11)
         w = extract_param_coupling(state).weights
         np.testing.assert_allclose(w, w[::-1, ::-1], atol=1e-10)
 
@@ -1015,7 +1051,7 @@ class TestExtractParamCoupling:
         previous = 0.0
         for eps in (0.3, 0.1, 0.03, 0.01):
             kernels = build_kernels(ds, LINEAR, (grid, grid), eps)
-            state = sinkhorn_solve(kernels, ds, tol=1e-11)
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-11)
             w = extract_param_coupling(state).weights
             # zero-cost tuples are exactly those with x1 = 1.0 (the last column)
             mass_on_zero_cost = w[:, 2].sum()
@@ -1025,8 +1061,8 @@ class TestExtractParamCoupling:
 
     def test_solve_is_deterministic(self):
         ds, kernels = random_instance(np.random.default_rng(23), n_snapshots=3, n_support=4)
-        a = sinkhorn_solve(kernels, ds, tol=1e-10)
-        b = sinkhorn_solve(kernels, ds, tol=1e-10)
+        a = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10)
+        b = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10)
         np.testing.assert_array_equal(a.log_potentials, b.log_potentials)
         assert a.objective == b.objective and a.iterations == b.iterations
 
@@ -1040,7 +1076,7 @@ class TestExtractParamCoupling:
         ])
         ds = dataset_from_weights([0.0, 0.5, 1.0], diracs, grid)
         kernels = build_kernels(ds, LINEAR, (grid, grid), 1e-3)
-        state = sinkhorn_solve(kernels, ds, tol=1e-9)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
         mode = extract_param_coupling(state).mode()
         np.testing.assert_allclose(mode.ravel(), [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
@@ -1076,7 +1112,7 @@ class TestTimeScaling:
         ds_norm = dataset_from_weights([0.0, 0.25, 1.0], rows, grid)
         pg_scaled = (grid_1d([0.0, horizon]), grid_1d([0.0, horizon]))
         kernels_norm = build_kernels(ds_norm, LINEAR, pg_scaled, 0.2)
-        state_norm = sinkhorn_solve(kernels_norm, ds_norm, tol=1e-11)
+        state_norm = sinkhorn_solve(kernels_norm, ds_norm.target_matrix(), tol=1e-11)
         # the [0, T] problem, built from raw cost arrays
         stack = param_tuple_stack((grid_1d([0.0, 1.0]), grid_1d([0.0, 1.0])))[:, :, 0]
         raw_ts = np.array([0.0, 0.25, 1.0]) * horizon
@@ -1085,7 +1121,7 @@ class TestTimeScaling:
             phi = (horizon - t) * stack[:, 0] + t * stack[:, 1]
             costs[i] = (phi[:, None] - grid.points[:, 0][None, :]) ** 2
         kernels_scaled = kernels_from_costs(costs, ds_norm.lambdas, 0.2, (grid_1d([0.0, 1.0]),) * 2)
-        state_scaled = sinkhorn_solve(kernels_scaled, ds_norm, tol=1e-11)
+        state_scaled = sinkhorn_solve(kernels_scaled, ds_norm.target_matrix(), tol=1e-11)
         assert state_scaled.objective == pytest.approx(state_norm.objective, rel=1e-8)
 
 
@@ -1310,6 +1346,53 @@ class TestTwoMarginal:
         with pytest.raises(SolverError, match="exact transport LP failed") as info:
             exact_transport_lp(np.array([0.5, 0.5]), np.array([0.3, 0.3]), np.ones((2, 2)))
         assert isinstance(info.value, RuntimeError)  # the type wm_distance's callers catch
+
+    @staticmethod
+    def _random_measure(rng, n, d, zeros):
+        weights = rng.random(n) + 0.05
+        if zeros:
+            weights[rng.random(n) < 0.4] = 0.0
+            weights[rng.integers(n)] += 0.1
+        return DiscreteMeasure(SupportGrid(rng.random((n, d))), weights / weights.sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        d=st.integers(1, 3),
+        zeros=st.tuples(st.booleans(), st.booleans()),
+        epsilon=st.floats(np.log(0.02), 0.0).map(np.exp),
+    )
+    def test_entropic_matches_the_two_marginal_loop(self, seed, n, m, d, zeros, epsilon):
+        # the engine's two-leaf star against the loop it replaced: both plans meet their
+        # marginals to tol, so they agree to a small multiple of it, and the objectives,
+        # <c, plan> with c at most d on [0, 1]^d, to d times that
+        tol = 1e-10
+        rng = np.random.default_rng(seed)
+        mu, nu = (self._random_measure(rng, k, d, z) for k, z in zip((n, m), zeros))
+        cost, plan = two_marginal_w2(mu, nu, epsilon, tol=tol)
+        ref_cost, ref_plan = oracles.two_marginal_sinkhorn(mu, nu, epsilon, tol=tol)
+        assert plan.shape == (n, m) and plan.min() >= 0
+        assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= tol
+        assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= tol
+        assert np.abs(plan - ref_plan).sum() <= 100 * tol
+        assert abs(cost - ref_cost) <= 100 * tol * d
+
+    def test_kernels_past_memory_are_rejected_before_allocation(self):
+        # 200,000 points a side: the star's logs and exponentials would take 1.3 TB;
+        # the check runs before any (n, m) array, or any array of n * m / 1000 floats, exists
+        rng = np.random.default_rng(15)
+        n = 200_000
+        mu, nu = (DiscreteMeasure(SupportGrid(rng.random((n, 2))), np.full(n, 1 / n)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="two-marginal kernels need .* GiB"):
+                two_marginal_w2(mu, nu, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 1000
 
     def test_entropic_upper_bounds_exact(self):
         mu, nu = self.measures_on([0.0, 0.5, 1.0], [0.5, 0.25, 0.25], [0.2, 0.2, 0.6])
