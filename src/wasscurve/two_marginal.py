@@ -39,34 +39,37 @@ def two_marginal_w2(
 ) -> Tuple[float, np.ndarray]:
     """Entropic transport cost <c, plan> (entropy term excluded) and the plan.
 
-    ``sinkhorn_solve`` on a two-leaf star over mu's points, both leaves
-    padded to max(n, m) columns whose targets are 0: leaf 0 has the cost of
-    x = y (0 on the diagonal, +inf elsewhere), so its kernel is the
-    identity, and leaf 1 the squared distance to nu's points. A sweep is
-    then u = p / (K v), v = q / (K^T u), accelerated and moved to the log
-    domain as the engine's sweeps are, and with weights (1, 1) the engine's
-    objective is <c, plan>. That is the transport term of a feasible plan,
-    so it upper-bounds the exact discrete squared Wasserstein cost and
-    approaches it from above as epsilon shrinks. The kernels' logs and
-    exponentials, 4 n max(n, m) floats, are a ValueError, raised before any
-    allocation, when they exceed the machine's physical memory.
+    ``sinkhorn_solve`` on a two-leaf star over the smaller support, say
+    mu's n points (for n > m the roles swap and the plan comes back
+    transposed), both leaves padded to m columns whose targets are 0: leaf
+    0 has the cost of x = y (0 on the diagonal, +inf elsewhere), so its
+    kernel is the identity, and leaf 1 the squared distance to nu's points.
+    A sweep is then u = p / (K v), v = q / (K^T u), accelerated and moved
+    to the log domain as the engine's sweeps are, and with weights (1, 1)
+    the engine's objective is <c, plan>. That is the transport term of a
+    feasible plan, so it upper-bounds the exact discrete squared
+    Wasserstein cost and approaches it from above as epsilon shrinks. The
+    kernels' logs and exponentials, 4 n m floats, are a ValueError, raised
+    before any allocation, when they exceed the machine's physical memory.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _check_pair(mu, nu, 1.0 / epsilon)
     n, m = len(mu.grid), len(nu.grid)
-    width = max(n, m)
-    _check_memory(2 * 2 * n * width * 8, "the two-marginal kernels")
-    costs = np.full((2, n, width), np.inf)
+    if n > m:
+        cost, plan = two_marginal_w2(nu, mu, epsilon, tol, max_iter)
+        return cost, plan.T
+    _check_memory(2 * 2 * n * m * 8, "the two-marginal kernels")
+    costs = np.full((2, n, m), np.inf)
     np.fill_diagonal(costs[0], 0.0)
-    _sq_distances(mu.grid.points, nu.grid.points, costs[1, :, :m])
-    targets = np.zeros((2, width))
-    targets[0, :n], targets[1, :m] = mu.weights, nu.weights
+    _sq_distances(mu.grid.points, nu.grid.points, costs[1])
+    targets = np.stack([np.zeros(m), nu.weights])
+    targets[0, :n] = mu.weights
     kernels = _kernels_in_place(costs, np.ones(2), epsilon, (mu.grid,))
     state = sinkhorn_solve(kernels, targets, tol, max_iter)
     log_a = state.log_potentials
-    plan = np.add(log_a[0, :n, None], kernels.log_kernels[1, :, :m])
-    plan += log_a[1, :m]
+    plan = np.add(log_a[0, :n, None], kernels.log_kernels[1])
+    plan += log_a[1]
     return state.objective, np.exp(plan, out=plan)
 
 

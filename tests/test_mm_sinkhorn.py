@@ -1379,20 +1379,48 @@ class TestTwoMarginal:
         assert np.abs(plan - ref_plan).sum() <= 100 * tol
         assert abs(cost - ref_cost) <= 100 * tol * d
 
-    def test_kernels_past_memory_are_rejected_before_allocation(self):
-        # 200,000 points a side: the star's logs and exponentials would take 1.3 TB;
-        # the check runs before any (n, m) array, or any array of n * m / 1000 floats, exists
+    def test_kernels_past_memory_are_rejected_before_allocation(self, monkeypatch):
+        # 200,000 points a side on a machine of 64 GiB: the star's logs and exponentials
+        # would take 1.3 TB; the check runs before any (n, m) array, or any array of
+        # n * m / 1000 floats, exists
+        import os
+
         rng = np.random.default_rng(15)
         n = 200_000
         mu, nu = (DiscreteMeasure(SupportGrid(rng.random((n, 2))), np.full(n, 1 / n)) for _ in range(2))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**36 // 4096}.__getitem__)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="two-marginal kernels need .* GiB"):
+            with pytest.raises(ValueError, match=r"two-marginal kernels need 1192\.1 GiB, more than this machine's 64\.0 GiB"):
                 two_marginal_w2(mu, nu, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 1000
+
+    def test_star_is_built_over_the_smaller_support(self):
+        # 3,000 points against 5: the star runs over the 5, so the solve's arrays stay a
+        # small multiple of one (n, m) array in either argument order (a star over the
+        # 3,000 would hold (2, 3000, 3000) arrays, 600 such), and swapping the arguments
+        # transposes the plan and leaves the cost as it is
+        rng = np.random.default_rng(16)
+        n, m = 3000, 5
+        mu = DiscreteMeasure(SupportGrid(rng.random((n, 2))), np.full(n, 1 / n))
+        nu = DiscreteMeasure(SupportGrid(rng.random((m, 2))), np.full(m, 1 / m))
+        results = []
+        for a, b in ((mu, nu), (nu, mu)):
+            tracemalloc.start()
+            try:
+                results.append(two_marginal_w2(a, b, 0.1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * n * m * 8
+        (cost, plan), (cost_t, plan_t) = results
+        assert plan.shape == (n, m) and cost == cost_t
+        np.testing.assert_array_equal(plan, plan_t.T)
+        assert np.abs(plan.sum(axis=1) - mu.weights).sum() <= 1e-9
+        assert np.abs(plan.sum(axis=0) - nu.weights).sum() <= 1e-9
 
     def test_entropic_upper_bounds_exact(self):
         mu, nu = self.measures_on([0.0, 0.5, 1.0], [0.5, 0.25, 0.25], [0.2, 0.2, 0.6])
