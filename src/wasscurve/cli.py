@@ -1,10 +1,13 @@
 """Command-line interface tying the solvers into reproducible experiment runs.
 
 Commands: regress, gaussian, gmm, invariant, distance, generate. Each takes
-only the flags of the config fields it reads (COMMANDS). Every run echoes
-those fields, defaults included, writes results atomically, and is
-byte-deterministic for a fixed config and seed (wall-clock time is logged,
-never written to files). Exit codes map machine-readable error categories:
+only the flags of the config fields it reads (COMMANDS). A command line that
+names a command is parsed by that command's parser alone; the full parser,
+with every command's, is built only for help, for a missing or unknown
+command, and to report arguments left over. Every run echoes those fields,
+defaults included, writes results atomically, and is byte-deterministic for
+a fixed config and seed (wall-clock time is logged, never written to files).
+Exit codes map machine-readable error categories:
 io=2, schema=3, precondition=4, solver-divergence=5.
 """
 
@@ -497,7 +500,6 @@ def run(config: RunConfig) -> ResultBundle:
     elapsed = time.perf_counter() - start
     logger.info("%s finished in %.3f s", config.command, elapsed)  # wall time is logged, never written
     if config.output and config.command != "generate":
-        os.makedirs(config.output, exist_ok=True)
         dataio.write_json(os.path.join(config.output, "result.json"), bundle.to_json_dict())
         for name, (header, rows) in bundle.tables.items():
             dataio.write_csv(os.path.join(config.output, name), header, rows)
@@ -510,25 +512,48 @@ def run(config: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The CLI parser. Given the command line, it adds flags only to the command it names (when
-    argv[0] is one); every command's subparser is still there, so help and errors read the same.
-    No parser takes abbreviations: each flag has one spelling, and a prefix such as --lambda is
+def _add_flags(parser: argparse.ArgumentParser, spec: Command) -> None:
+    """Give ``parser`` one flag (or positional) per config field of ``spec``."""
+    for name, default in spec.defaults.items():
+        option, kwargs = spec.option(name), _FLAGS[name][1]
+        if option.startswith("--"):
+            kwargs = dict(kwargs, dest=name, required=default is REQUIRED)
+        parser.add_argument(option, **kwargs)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: every command's subparser with its flags.
+
+    ``main`` builds it only for help and for a missing or unknown command, and
+    reports leftover arguments through it; a command line that names a command
+    is parsed by that command's parser alone (``_parse_args``). No parser takes
+    abbreviations: each flag has one spelling, and a prefix such as --lambda is
     rejected, not read as --lambda-file."""
     parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = argv[0] if argv and argv[0] in COMMANDS else None
     for command, spec in COMMANDS.items():
         # a flag left out is absent from the parsed namespace, and RunConfig fills in its default
         p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-        if invoked not in (None, command):
-            continue
-        for name, default in spec.defaults.items():
-            option, kwargs = spec.option(name), _FLAGS[name][1]
-            if option.startswith("--"):
-                kwargs = dict(kwargs, dest=name, required=default is REQUIRED)
-            p.add_argument(option, **kwargs)
+        _add_flags(p, spec)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse the command line as ``_build_parser()`` does, building one parser when argv[0] is a command.
+
+    That parser is the command's subparser standing alone, with the same prog, so
+    its help and errors read the same; the arguments it leaves over are reported
+    by the full parser, as its top level reports them."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return _build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(
+        prog=f"wasscurve {argv[0]}", argument_default=argparse.SUPPRESS, allow_abbrev=False)
+    _add_flags(parser, spec)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -552,8 +577,7 @@ def _configure_logging() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     _configure_logging()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         config = config_from_args(args)
         bundle = run(config)

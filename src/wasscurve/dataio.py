@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import warnings
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -344,9 +343,20 @@ def generate_mixture_toy() -> dict:
 
 
 def _atomic_write(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write ``payload`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    The temporary is made as ``tempfile.mkstemp`` makes one: a random name
+    (.tmp- and 16 hex digits), mode 0o600, created exclusively and not through
+    a symlink, so a name already taken raises FileExistsError. The directory
+    is created only when that open finds it missing.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+    try:
+        fd = os.open(tmp, flags, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fd = os.open(tmp, flags, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)

@@ -330,8 +330,8 @@ def gaussian_1d_parametric_oracle(
     ts = np.array([float(r[0]) for r in data])
     lams = np.array([float(r[1]) for r in data])
     sigmas = np.array([float(r[2]) for r in data])
-    if np.any(sigmas <= 0):
-        raise ValueError("standard deviations must be positive")
+    if not np.all(np.isfinite(sigmas) & (sigmas >= 0)):
+        raise ValueError("standard deviations must be nonnegative and finite")
     if np.any(lams <= 0):
         raise ValueError("weights must be positive")
     if len(sorted_unique(ts)) < 2:

@@ -43,7 +43,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -267,17 +267,15 @@ def _with_log_zeros(a: np.ndarray) -> np.ndarray:
         return np.log(a)
 
 
-def _mass_change(mass: np.ndarray, ratio: Iterable[np.ndarray]) -> float:
+def _mass_change(mass: np.ndarray, ratio: np.ndarray) -> float:
     """sum_p mass_p (prod_j (1 + ratio_j(p)) - 1), the change of a coupling of
     parameter marginal ``mass`` whose factor sums m_j grow by the ratios
-    ratio_j (rows, one per snapshot); as sum_j ratio_j prod_{i<j} (1 + ratio_i)
+    ratio_j (the rows of the (N, P) ``ratio``); as sum_j ratio_j prod_{i<j} (1 + ratio_i)
     it is accurate relative to the change, not to the mass. Zero-mass tuples add 0."""
     with np.errstate(all="ignore"):
-        total, grown = np.zeros_like(mass), np.ones_like(mass)
-        for r in ratio:
-            term = r * grown
-            total += term
-            grown += term
+        grown = np.ones_like(ratio)  # row j: prod_{i<j} (1 + ratio_i)
+        np.cumprod(1.0 + ratio[:-1], axis=0, out=grown[1:])
+        total = (ratio * grown).sum(axis=0)
         return float(np.where(mass > 0, mass * total, 0.0).sum())
 
 
@@ -449,7 +447,7 @@ class _ExpSweepWork:
             else:
                 a[self.positive] *= np.expm1(step)
             self.update_sums()  # the changes of m
-            change = _mass_change(np.prod(m0, axis=0), (dm_j / m0_j for dm_j, m0_j in zip(m, m0)))
+            change = _mass_change(np.prod(m0, axis=0), m / m0)
             a += a0
             m += m0
         return change if self.in_range() else np.nan

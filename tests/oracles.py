@@ -29,12 +29,27 @@ from wasscurve.mm_sinkhorn import (
     _log_plan,
     _log_sums_ratio,
     _log_weights,
-    _mass_change,
     _with_log_zeros,
 )
 from wasscurve.two_marginal import two_marginal_w2_exact
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def mass_change(mass, ratio):
+    """sum_p mass_p sum_j ratio_j(p) prod_{i<j} (1 + ratio_i(p)), one ratio row at a time.
+
+    The loop form of ``mm_sinkhorn._mass_change``, which its one-pass form is
+    tested against: the rows of ``ratio`` (one per snapshot, any iterable) in
+    order, the running product grown by its own increment. Zero-mass tuples add 0.
+    """
+    with np.errstate(all="ignore"):
+        total, grown = np.zeros_like(mass), np.ones_like(mass)
+        for r in ratio:
+            term = r * grown
+            total += term
+            grown += term
+        return float(np.where(mass > 0, mass * total, 0.0).sum())
 
 
 def dense_coupling_tensor(kernels, log_potentials):
@@ -179,7 +194,7 @@ def two_marginal_sinkhorn(
             with np.errstate(over="ignore", invalid="ignore"):
                 grow = np.expm1(step)
                 ratio = _log_sums_ratio(log_k, log_v, log_rows, grow[len(p):], buf)  # of K v
-                if accel.keep(x, _mass_change(rows, np.stack([grow[: len(p)], ratio]))):
+                if accel.keep(x, mass_change(rows, np.stack([grow[: len(p)], ratio]))):
                     log_v = log_v + step[len(p):]
                     log_rows = log_rows + np.log1p(ratio)
     plan = np.exp(log_u[:, None] + log_k + log_v[None, :])

@@ -278,6 +278,18 @@ class TestRunGaussianAndGmm:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["objectives"]["sdp_quadratic"] <= summary["objectives"]["geodesic_1d"]
 
+    @pytest.mark.parametrize("rows, flags, geodesic", [
+        ("0,1\n0.5,2\n1,3\n", [], 0.0),  # one sample per time: every variance is 0
+        # sigmas 0, 1, 0 at weights 1/3: the fit is 1/3 throughout, so the residual is (1 + 4 + 1) / 27
+        ("0,1\n0,1\n0.5,0\n0.5,2\n1,5\n1,5\n", ["--tol", "1e-5"], 2 / 9),
+    ], ids=["all-zero", "zero-at-the-ends"])
+    def test_gaussian_with_zero_variance_snapshots(self, tmp_path, capsys, rows, flags, geodesic):
+        src = tmp_path / "flat.csv"
+        write(src, "t,x1\n" + rows)
+        assert cli.main(["gaussian", "--input", str(src), *flags]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["objectives"]["geodesic_1d"] == pytest.approx(geodesic, rel=1e-12, abs=1e-15)
+
     def test_gmm_toy_runs_and_meets_constraints(self, tmp_path):
         src = tmp_path / "mix.json"
         dataio.write_json(str(src), dataio.generate_mixture_toy())
@@ -807,39 +819,43 @@ def _readme_examples():
     return [shlex.split(line)[1:] for line in lines if line.startswith("wasscurve ")]
 
 
-# command lines that argparse rejects (exit 2), beside the dropped flags above
+# command lines that argparse rejects (exit 2), beside the dropped flags above; the last
+# gives every required flag, so only the leftover --bogus is wrong, and the top-level
+# parser reports it with its own usage line
 PARSER_ERRORS = [[], ["nope"], ["--input", "x.csv"], ["regress"], ["regress", "--input"], ["regress", "x.csv"],
                  ["regress", "--input", "x.csv", "--curve", "cubic"], ["gmm", "--input", "x.json", "--max-iter", "1.5"],
                  ["generate", "bogus", "--output", "x"], ["distance", "--input", "a.csv"]] + [
-    [command, flag, value] for command, flag, value in DROPPED_FLAGS]
+    [command, flag, value] for command, flag, value in DROPPED_FLAGS] + [
+    ["regress", "--input", "x.csv", "--bogus"]]
 
 
 class TestOneCommandParser:
-    """The parser main() builds holds the flags of the invoked command only; it parses as the full one does."""
+    """main() parses a command line that names a command with that command's parser alone; it parses,
+    fails and prints help as the full parser does."""
 
     @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
     def test_readme_examples_parse_the_same(self, argv):
-        assert cli._build_parser(argv).parse_args(argv) == cli._build_parser().parse_args(argv)
-
-    def test_other_commands_get_no_flags(self):
-        subparsers = next(a for a in cli._build_parser(["gmm"])._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(subparsers.choices) == list(cli.COMMANDS)
-        assert [len(p._actions) for p in subparsers.choices.values()] == [
-            1 + len(spec.defaults) if name == "gmm" else 1 for name, spec in cli.COMMANDS.items()]
+        assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
 
     def test_main_builds_the_invoked_command_only(self, monkeypatch, tmp_path):
-        built, full = [], cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda argv=None: built.append(argv) or full(argv))
-        argv = ["generate", "mixture-toy", "--output", str(tmp_path / "mix.json")]
-        assert cli.main(argv) == 0
-        assert built == [argv]
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        mixture = str(tmp_path / "mix.json")
+        dataio.write_json(mixture, dataio.generate_mixture_toy())
+        assert cli.main(["gmm", "--input", mixture, "--output", str(tmp_path / "out")]) == 0
+        assert [kw["prog"] for kw in built] == ["wasscurve gmm"]
 
     @pytest.mark.parametrize("argv", PARSER_ERRORS, ids=" ".join)
     def test_errors_print_the_same(self, capsys, argv):
         printed = []
-        for parser in (cli._build_parser(argv), cli._build_parser()):
+        for parse in (cli._parse_args, cli._build_parser().parse_args):
             with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
+                parse(argv)
             printed.append((exc.value.code, capsys.readouterr()))
         assert printed[0] == printed[1]
         assert printed[0][0] == 2 and printed[0][1].err
@@ -847,11 +863,12 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("argv", [["--help"], ["gmm", "--help"], ["generate", "-h"]], ids=" ".join)
     def test_help_prints_the_same(self, capsys, argv):
         printed = []
-        for parser in (cli._build_parser(argv), cli._build_parser()):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv)
-            printed.append(capsys.readouterr().out)
+        for parse in (cli._parse_args, cli._build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
         assert printed[0] == printed[1]
+        assert printed[0][0] == 0 and printed[0][1].out
 
 
 def test_cli_import_loads_no_scipy():

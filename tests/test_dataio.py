@@ -275,6 +275,39 @@ def test_failed_replace_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
 
 
+def test_atomic_write_is_private_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "result.json"
+    dataio.write_json(str(path), {"a": 1})
+    dataio.write_csv(str(path), ["name", "value"], [("a", 1.0)])  # over an existing file
+    assert path.read_text(encoding="utf-8") == "name,value\na,1.0\n"
+    assert path.stat().st_mode & 0o777 == 0o600  # the temporary's mode, as tempfile.mkstemp gives it
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
+def test_atomic_write_creates_missing_directories(tmp_path):
+    path = tmp_path / "out" / "nested" / "objectives.csv"
+    dataio.write_csv(str(path), ["name", "value"], [("w2", 0.5)])
+    assert path.read_text(encoding="utf-8") == "name,value\nw2,0.5\n"
+    assert [p.name for p in path.parent.iterdir()] == ["objectives.csv"]
+
+
+@pytest.mark.parametrize("taken_as", ["file", "symlink"])
+def test_atomic_write_never_opens_a_taken_temporary_name(tmp_path, monkeypatch, taken_as):
+    monkeypatch.setattr(dataio.os, "urandom", lambda n: bytes(range(n)))
+    taken = tmp_path / ".tmp-0001020304050607"
+    target = tmp_path / "target.txt"
+    target.write_text("keep", encoding="utf-8")
+    if taken_as == "file":
+        taken.write_text("keep", encoding="utf-8")
+    else:
+        taken.symlink_to(target)
+    with pytest.raises(FileExistsError):
+        dataio.write_json(str(tmp_path / "result.json"), {"a": 1})
+    assert target.read_text(encoding="utf-8") == "keep"
+    assert (taken.read_text(encoding="utf-8") == "keep") and (taken.is_symlink() == (taken_as == "symlink"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "target.txt"]
+
+
 def test_dataio_imports_only_measures():
     """The file layer sits below the solvers: of its own package it imports the measures module alone."""
     with open(dataio.__file__, encoding="utf-8") as fh:

@@ -343,9 +343,18 @@ class TestParametricOracle:
         _, residual = gaussian_1d_parametric_oracle(data)
         assert residual > 1e-4
 
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="positive"):
-            gaussian_1d_parametric_oracle([(0.0, 0.5, 1.0), (1.0, 0.5, 0.0)])
+    def test_zero_sigma_is_a_point_mass(self):
+        params, residual = gaussian_1d_parametric_oracle([(0.0, 0.5, 0.0), (1.0, 0.5, 2.0)])
+        np.testing.assert_array_equal(params, [0.0, 2.0])
+        assert residual == 0.0
+        params, residual = gaussian_1d_parametric_oracle([(t, 1 / 3, s) for t, s in ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))])
+        np.testing.assert_allclose(params, [1 / 3, 1 / 3], rtol=1e-14)
+        assert residual == pytest.approx(2 / 9, rel=1e-14)
+
+    def test_rejects_negative_or_non_finite_sigma(self):
+        for sigma in (-1.0, -5e-324, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                gaussian_1d_parametric_oracle([(0.0, 0.5, 1.0), (1.0, 0.5, sigma)])
 
     def test_rejects_degenerate_design(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -29,6 +29,7 @@ from wasscurve.mm_sinkhorn import (
     FactoredCoupling,
     SolverError,
     _log_factor_sums,
+    _mass_change,
     extract_param_coupling,
     sinkhorn_solve,
 )
@@ -1232,6 +1233,36 @@ class TestLogWeights:
             expected.append(prefix + suffix[j])
             prefix += rows[j]
         assert np.array(list(_log_weights(rows))).tobytes() == np.array(expected).tobytes()
+
+
+@st.composite
+def _mass_change_inputs(draw):
+    """An (N, P) ratio array of both signs, magnitudes 1e-14 to 10, and a parameter mass with
+    zero entries, whose ratios may be NaN or infinite, as 0 / 0 and x / 0 make them."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 50))
+    exponents = np.array(draw(st.lists(st.floats(-14, 1), min_size=n * p, max_size=n * p))).reshape(n, p)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * p, max_size=n * p))).reshape(n, p)
+    ratio = signs * 10.0 ** exponents
+    mass = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300]) | st.floats(1e-6, 1e3), min_size=p, max_size=p)))
+    for column in np.flatnonzero(mass == 0):
+        ratio[:, column] = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.5]), min_size=n, max_size=n))
+    return mass, ratio
+
+
+class TestMassChange:
+    """``_mass_change``'s one-pass form against the row loop in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mass_change_inputs())
+    def test_matches_the_row_loop(self, inputs):
+        mass, ratio = inputs
+        live = mass > 0
+        # the scale of the sum: sum_p mass_p sum_j |r_j prod_{i<j} (1 + r_i)|
+        grown = np.vstack([np.ones((1, ratio.shape[1])), np.cumprod(np.abs(1.0 + ratio[:-1]), axis=0)])
+        scale = float(mass[live] @ (np.abs(ratio) * grown)[:, live].sum(axis=0))
+        got = _mass_change(mass, ratio)
+        assert math.isfinite(got)
+        assert abs(got - oracles.mass_change(mass, ratio)) <= 1e-12 * scale
 
 
 class TestTwoMarginal:
