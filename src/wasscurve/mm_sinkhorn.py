@@ -270,13 +270,19 @@ def _with_log_zeros(a: np.ndarray) -> np.ndarray:
 def _mass_change(mass: np.ndarray, ratio: np.ndarray) -> float:
     """sum_p mass_p (prod_j (1 + ratio_j(p)) - 1), the change of a coupling of
     parameter marginal ``mass`` whose factor sums m_j grow by the ratios
-    ratio_j (the rows of the (N, P) ``ratio``); as sum_j ratio_j prod_{i<j} (1 + ratio_i)
-    it is accurate relative to the change, not to the mass. Zero-mass tuples add 0."""
+    ratio_j (the rows of the (N, P) ``ratio``, which this overwrites); as
+    sum_j ratio_j prod_{i<j} (1 + ratio_i) it is accurate relative to the
+    change, not to the mass. Zero-mass tuples add 0.
+
+    Each row becomes its term in place, and one reduction sums the rows. At P
+    in the thousands both np.cumprod along axis 0 (P inner loops of N - 1
+    entries) and fresh (N, P) temporaries are slower than this pass."""
     with np.errstate(all="ignore"):
-        grown = np.ones_like(ratio)  # row j: prod_{i<j} (1 + ratio_i)
-        np.cumprod(1.0 + ratio[:-1], axis=0, out=grown[1:])
-        total = (ratio * grown).sum(axis=0)
-        return float(np.where(mass > 0, mass * total, 0.0).sum())
+        grown = 1.0 + ratio[0]  # prod_{i<=j} (1 + ratio_i) after row j
+        for term in ratio[1:]:
+            term *= grown
+            grown += term
+        return float(np.where(mass > 0, mass * ratio.sum(axis=0), 0.0).sum())
 
 
 def _log_sums_ratio(log_k: np.ndarray, log_s: np.ndarray, log_sums: np.ndarray, grow: np.ndarray, buf: np.ndarray):
@@ -422,6 +428,7 @@ class _ExpSweepWork:
         self.positive = None if positive.all() else positive
         self.zero = None if positive.all() else ~positive
         self.plain = np.empty_like(a), np.empty_like(m)  # a and m of a plain sweep while an extrapolation is tried
+        self.ratio = np.empty_like(m)  # m / m0 of a tried extrapolation
 
     def update_sums(self) -> None:
         """Factor sums m = K a from the current potentials."""
@@ -447,7 +454,7 @@ class _ExpSweepWork:
             else:
                 a[self.positive] *= np.expm1(step)
             self.update_sums()  # the changes of m
-            change = _mass_change(np.prod(m0, axis=0), m / m0)
+            change = _mass_change(np.prod(m0, axis=0), np.divide(m, m0, out=self.ratio))
             a += a0
             m += m0
         return change if self.in_range() else np.nan
@@ -602,7 +609,7 @@ def sinkhorn_solve(
         with np.errstate(over="ignore", invalid="ignore"):
             grow[positive] = np.expm1(x - accel.g)
             ratio = np.array([_log_sums_ratio(*args, buf) for args in zip(kernels.log_kernels, log_a, log_m, grow)])
-            if accel.keep(x, _mass_change(np.exp(log_m.sum(axis=0)), ratio)):
+            if accel.keep(x, _mass_change(np.exp(log_m.sum(axis=0)), ratio.copy())):
                 log_a[positive] = x
                 log_m += np.log1p(ratio)
     else:

@@ -1260,7 +1260,7 @@ class TestMassChange:
         # the scale of the sum: sum_p mass_p sum_j |r_j prod_{i<j} (1 + r_i)|
         grown = np.vstack([np.ones((1, ratio.shape[1])), np.cumprod(np.abs(1.0 + ratio[:-1]), axis=0)])
         scale = float(mass[live] @ (np.abs(ratio) * grown)[:, live].sum(axis=0))
-        got = _mass_change(mass, ratio)
+        got = _mass_change(mass, ratio.copy())  # it overwrites its ratio
         assert math.isfinite(got)
         assert abs(got - oracles.mass_change(mass, ratio)) <= 1e-12 * scale
 
