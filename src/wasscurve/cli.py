@@ -178,9 +178,18 @@ def _marginal_payload(t: float, measure: DiscreteMeasure) -> dict:
     }
 
 
+def _marginal_file(t: float) -> str:
+    return f"marginal_t{t:g}.csv"
+
+
 def _run_regress(config: RunConfig) -> ResultBundle:
     curve = curve_from_name(config.curve)
     _check_grids(config, ("data", "x0", "x1", "x2")[: 1 + curve.n_params], min_points=2)
+    files = {}  # each query time's marginal CSV, which another time must not overwrite
+    for t in map(float, config.query_times):
+        name = _marginal_file(t)
+        if files.setdefault(name, t) != t:
+            raise ValueError(f"--query-times: {files[name]!r} and {t!r} both write {name}")
     data_grid = _grid_from_spec(config.grids["data"], 1) if "data" in config.grids else None
     dataset = dataio.load_snapshots(config.input, grid=data_grid, lambdas=_lambda_dict(config))
     solver = SolverConfig(
@@ -203,7 +212,7 @@ def _run_regress(config: RunConfig) -> ResultBundle:
             measure = marginal_at(result, float(t), dataset.grid)
         marginals.append(_marginal_payload(float(t), measure))
         points, weights = measure.grid.points.tolist(), measure.weights.tolist()
-        tables[f"marginal_t{float(t):g}.csv"] = (header, [(*p, w) for p, w in zip(points, weights)])
+        tables[_marginal_file(float(t))] = (header, [(*p, w) for p, w in zip(points, weights)])
     return ResultBundle(
         command="regress",
         objectives=objectives,

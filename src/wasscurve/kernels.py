@@ -250,9 +250,10 @@ def build_kernels(
     are written into one buffer of squared distances that then becomes the
     log kernels in place. Each snapshot's cost is shifted by its minimum before
     exponentiation, so kernel entries lie in (0, 1]. Costs that overflow
-    (``check_coordinate_scale``) and dense logs that, with their exponentials,
-    exceed the machine's physical memory are ValueErrors, raised before any
-    allocation.
+    (``check_coordinate_scale``), and kernels that with the arrays of an
+    exp-domain solve exceed the machine's physical memory (dense logs and
+    their exponentials; factors, parameter tuples and (N, P) sums), are
+    ValueErrors, raised before any allocation.
     """
     grids = tuple(grids)
     if len(grids) != curve.n_params:
@@ -264,8 +265,12 @@ def build_kernels(
     coefficients = np.array([curve.coefficients(t) for t in dataset.timestamps])
     _check_cost_scale(support, grids, coefficients, _rates(np.asarray(dataset.lambdas, dtype=float), epsilon))
     factored = dataset.dim == 1 and curve.kind == "linear"
-    if not factored:  # the (N, P, |X|) logs and, for the exp-domain sweeps, their exponentials
-        _check_memory(2 * len(dataset) * math.prod(len(g) for g in grids) * len(support) * 8, "the dense kernels")
+    n, p, nx = len(dataset), math.prod(len(g) for g in grids), len(support)
+    if factored:  # the factors, the (P, k, d) stack, an exp-domain solve's (N, P) sums: 4 in sweeps, 2 in the finish
+        n0, n1 = (len(g) for g in grids)
+        _check_memory((n * (p + (n0 + n1) * nx) + 2 * p + 6 * n * p) * 8, "the factored kernels")
+    else:  # the (N, P, |X|) logs and, for the exp-domain sweeps, their exponentials
+        _check_memory(2 * n * p * nx * 8, "the dense kernels")
     stack = param_tuple_stack(grids)  # (P, k, d)
     if factored:
         return _factored_kernels(dataset, curve, grids, stack, coefficients, epsilon)

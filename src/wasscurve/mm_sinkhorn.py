@@ -15,18 +15,20 @@ in the log domain, on the dense log kernels (built on first use for a
 factored set), and the solve stays there. A factored set's products are
 those of its kernels, so the exp domain never needs dense products.
 
-A solve finishes from the factor sums m_i = K_i a_i its sweeps already hold,
-in one pass over the snapshots: the weights w_j = prod_{i != j} m_i of
-snapshot j give both its marginal a_j * (w_j K_j), and so its share of the
+A solve finishes in one pass over the snapshots (``_finish``), from the
+factor sums m_i = K_i a_i of its potentials: the weights w_j = prod_{i != j} m_i
+of snapshot j give both its marginal a_j * (w_j K_j), and so its share of the
 marginal residual, and its objective term w_j . ((K_j o lambda_j c_j) a_j).
 Through the log sums stored on the returned state they also give the
 parameter coupling prod_i m_i. Every log w_j is the sum of the log m_i
 before j plus the sum of those after it (``_log_weights``), so nothing
 cancels. Log-space passes reduce one snapshot at a time in one (P, |X|) work
-array, so neither domain forms an (N, P, |X|) temporary; a log-space finish
+array, so neither domain forms an (N, P, |X|) temporary. A log-domain finish
 exponentiates each snapshot's plan w_j K_j a_j once (``_log_plan``). An
-exp-domain finish recomputes the sums in log space only when one falls below
-the normal float range or a w_j overflows.
+exp-domain finish works on the operator's products and leaves exp space per
+row and per snapshot: it sums in log space only a row of m holding a value
+below the normal float range, and takes ``_log_plan`` only for a snapshot
+whose w_j overflows.
 
 While sweeps contract slowly, Anderson acceleration extrapolates their
 log-potentials, keeping an extrapolation only when it raises the dual
@@ -215,51 +217,49 @@ class _Finish(NamedTuple):
     objective: float
 
 
-def _finish_log(kernels: KernelSet, log_a: np.ndarray, targets: np.ndarray, log_m: np.ndarray) -> _Finish:
-    """Finish in log space, one snapshot at a time: each plan, exponentiated once in
-    one (P, |X|) work array (``_log_plan``), gives snapshot j's marginal violation and
-    its objective term sum_{p, y} plan[p, y] lambda_j c_j[p, y]."""
-    buf = np.empty(kernels.log_kernels.shape[1:])
+def _finish(kernels: KernelSet, targets: np.ndarray, work: Optional["_ExpSweepWork"], log_a: np.ndarray,
+            log_m: np.ndarray) -> _Finish:
+    """Finish a solve in one pass over the snapshots (see the module docstring).
+
+    A log-domain solve passes ``work`` None with its log a and log m, and every
+    snapshot takes ``_log_plan``. An exp-domain solve passes its sweep state;
+    the finish measures exp(log a), which can differ from the sweep's a in the
+    last bit, with its own sums m = K exp(log a). The dense logs are read only
+    for a row of m below the normal float range, where log m would lose
+    precision, and for a snapshot whose violation is not finite on the
+    operator (w_j overflows).
+    """
+    op, buf = None, None  # buf: the (P, |X|) work array of the log-space passes, made on first use
+    if work is not None:
+        op, log_a = work.op, _with_log_zeros(work.a)
+        a = np.exp(log_a)
+        m = np.empty((a.shape[0], op.shape[1]))
+        for j in range(a.shape[0]):
+            op.m(j, a[j], m[j])()
+        low = ~(m.min(axis=1) >= _NORMAL_MIN)
+        with np.errstate(divide="ignore"):
+            log_m = np.log(m, out=m)
+        for j in np.flatnonzero(low):
+            buf = np.empty(kernels.log_kernels.shape[1:]) if buf is None else buf
+            log_m[j] = _log_kernel_sums(kernels.log_kernels[j], log_a[j], 1, buf)
+        phi = np.empty(a.shape[1])
     violations, objective = [], 0.0
     for j, log_w in enumerate(_log_weights(log_m)):
+        if op is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(log_w)
+                op.phi(j, w, phi)()
+                violation = np.abs(a[j] * phi - targets[j]).sum()
+            if np.isfinite(violation):
+                violations.append(violation)
+                objective += op.transport_term(j, w, a[j])
+                continue
+        buf = np.empty(kernels.log_kernels.shape[1:]) if buf is None else buf
         marginal, scale = _log_plan(kernels.log_kernels[j], log_w, log_a[j], buf)
         violations.append(np.abs(marginal - targets[j]).sum())
         buf *= kernels.weighted_cost(j)
         objective += float(buf.sum(axis=0) @ scale)
     return _Finish(log_a, log_m, float(np.max(violations)), objective)  # np.max keeps a NaN, where max() could drop it
-
-
-def _finish_exp(kernels: KernelSet, op: _ExpOperator, a: np.ndarray, targets: np.ndarray) -> _Finish:
-    """Finish from the exp sweep's potentials a, returned as log a.
-
-    The residual and the objective are measured on exp(log a), which can differ
-    from a in the last bit, with their own factor sums m = K exp(log a). For
-    each snapshot j, w_j = exp(sum_{i != j} log m_i) gives both its marginal
-    a_j * (w_j K_j) and its objective term w_j . ((K_j o lambda_j c_j) a_j), so
-    nothing of shape (N, P, |X|) is formed. Factor sums below the normal float
-    range (where log m loses precision) or a w_j that overflows (a non-finite
-    violation) send the finish to the log-space recomputation instead.
-    """
-    log_a = _with_log_zeros(a)
-    a = np.exp(log_a)
-    m = np.empty((a.shape[0], op.shape[1]))
-    for j in range(a.shape[0]):
-        op.m(j, a[j], m[j])()
-    if m.min() >= _NORMAL_MIN:
-        log_m = np.log(m)
-        phi = np.empty(a.shape[1])
-        violations, objective = [], 0.0
-        for j, log_w in enumerate(_log_weights(log_m)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.exp(log_w)
-                op.phi(j, w, phi)()
-                violations.append(np.abs(a[j] * phi - targets[j]).sum())
-            if not np.isfinite(violations[-1]):
-                break
-            objective += op.transport_term(j, w, a[j])
-        else:
-            return _Finish(log_a, log_m, float(max(violations)), objective)
-    return _finish_log(kernels, log_a, targets, _log_factor_sums(kernels.log_kernels, log_a))
 
 
 def _with_log_zeros(a: np.ndarray) -> np.ndarray:
@@ -566,6 +566,8 @@ def sinkhorn_solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
         raise ValueError("targets do not match kernel shapes")
     positive = targets > 0
@@ -574,12 +576,6 @@ def sinkhorn_solve(
     # the iterate: log-potentials of the kernels at positive targets, in either domain
     accel = _Anderson(targets[positive], "sinkhorn sweeps")
     log_t = _with_log_zeros(targets)
-
-    def finish_now() -> _Finish:
-        # the log sweeps keep log a and log m = log K a exact, so the finish reads them
-        if work is not None:
-            return _finish_exp(kernels, work.op, work.a, targets)
-        return _finish_log(kernels, log_a, targets, log_m)
 
     history: List[float] = []
     for sweep in range(max_iter):
@@ -592,11 +588,10 @@ def sinkhorn_solve(
         if work is None:
             res = _sweep_log(kernels.log_kernels, log_a, log_m, targets, log_t)
         history.append(res)
-        if res <= tol:
-            finish = finish_now()
-            if finish.residual <= tol:
-                iters, ok = sweep + 1, True
-                break
+        # the log sweeps keep log a and log m = log K a exact, so the finish reads them
+        if res <= tol and (finish := _finish(kernels, targets, work, log_a, log_m)).residual <= tol:
+            iters, ok = sweep + 1, True
+            break
         if not accel.record((_with_log_zeros(work.a) if work is not None else log_a)[positive], res):
             continue
         x = accel.propose()
@@ -613,7 +608,7 @@ def sinkhorn_solve(
                 log_a[positive] = x
                 log_m += np.log1p(ratio)
     else:
-        finish, iters, ok = finish_now(), max_iter, False
+        finish, iters, ok = _finish(kernels, targets, work, log_a, log_m), max_iter, False
     accel.report()
     if not np.isfinite(finish.residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")

@@ -84,6 +84,22 @@ def dense_coupling_marginals(kernels, log_potentials):
     return out
 
 
+def dense_coupling_marginals_from_logs(kernels, log_potentials):
+    """Marginals of the dense coupling tensor on every snapshot, shape (N, |X|), with
+    each entry's log summed over the snapshots before it is exponentiated, so that
+    factors outside the float range on their own (potentials near 1e155 and 1e-305)
+    still give finite entries. The (P, |X|, ..., |X|) tensor is formed: tiny instances only.
+    """
+    log_k = kernels.log_kernels  # (N, P, X)
+    n, p, x = log_k.shape
+    log_gamma = np.zeros((p,) + (1,) * n)
+    for i in range(n):
+        shape = (p,) + (1,) * i + (x,) + (1,) * (n - i - 1)
+        log_gamma = log_gamma + (log_k[i] + log_potentials[i]).reshape(shape)
+    gamma = np.exp(log_gamma)
+    return np.array([dense_marginal(gamma, j) for j in range(n)])
+
+
 def dense_curve_kernels(dataset, curve, grids, epsilon):
     """The dense kernel set of a curve-regression cost, each snapshot's (P, |X|)
     costs taken from the curve points by broadcasting, never factored."""

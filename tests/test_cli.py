@@ -565,6 +565,8 @@ MALFORMED_INPUTS = [
     (["invariant", "--input", "{samples}", "--domain=0:inf"], None, 4, "--domain: LO and HI must be finite (got '0:inf')"),
     (["regress", "--input", "{samples}", "--query-times", "0,a"], None, 4, "--query-times"),
     (["regress", "--input", "{samples}", "--query-times", "0,nan"], None, 4, "times must be finite (got '0,nan')"),
+    (["regress", "--input", "{samples}", "--query-times", "0.1234561,0.5,0.1234562,0.5"], None, 4,
+     "--query-times: 0.1234561 and 0.1234562 both write marginal_t0.123456.csv"),
     (["regress", "--input", "{samples}", "--grid", "0:nan:5"], None, 4, "must be finite (got '0:nan:5')"),
     (["regress", "--input", "{samples}", "--grid", "x0=-inf:1:5"], None, 4, "must be finite (got '-inf:1:5')"),
     (["regress", "--input", "{samples}", "--epsilon", "nan"], None, 4, "epsilon must be positive"),
@@ -670,6 +672,18 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)["error"]  # one JSON line, nothing from numpy
         assert err["category"] == "precondition"
         assert err["message"].startswith(message)
+
+    def test_factored_kernels_beyond_physical_memory_are_a_precondition_error(self, tmp_path, capsys, monkeypatch):
+        # a 400-point line's factors are refused on a machine of 1 MiB before they are built
+        _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20 // 4096}.__getitem__)
+        argv = ["regress", "--input", str(tmp_path / "samples.csv"), "--grid=0:1:400"]
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1  # one JSON line, nothing from numpy
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "precondition"
+        assert err["message"].startswith("the factored kernels need")
 
     def test_gaussian_stopped_at_max_iter_is_solver_divergence(self, tmp_path, capsys):
         _samples_at(tmp_path / "samples.csv", (0.0, 0.5, 1.0))

@@ -341,6 +341,12 @@ class TestSinkhornSolve:
         with pytest.raises(ValueError, match="tol"):
             sinkhorn_solve(kernels, ds.target_matrix(), tol=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_1(self, max_iter):
+        ds, kernels = random_instance(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            sinkhorn_solve(kernels, ds.target_matrix(), max_iter=max_iter)
+
     def test_zero_projection_at_positive_target_raises(self):
         # an infinite cost column: no parameter tuple reaches support point 1, whose target is positive
         costs = np.zeros((2, 2, 2))
@@ -577,6 +583,15 @@ class TestFinish:
         assert peak < 0.5 * kernels.log_kernels.nbytes
         self._assert_matches_log_recomputation(state, ds)
 
+    @staticmethod
+    def _exp_finish(kernels, a, targets):
+        """The finish of an exp-domain solve whose sweeps ended at the potentials a."""
+        from wasscurve.mm_sinkhorn import _exp_start, _finish
+
+        work = _exp_start(kernels.exp_operator(), targets)
+        np.copyto(work.a, a)
+        return _finish(kernels, targets, work, None, None)
+
     def test_forbidden_pairs_give_one_finite_objective_from_both_finishes(self, monkeypatch):
         # snapshot 0 forbids the off-diagonal pairs (cost +inf, kernel entry 0); at epsilon
         # 1/600 snapshot 1's kernel is e^-600 off its diagonal, so moving 0.4 of mass across
@@ -584,44 +599,32 @@ class TestFinish:
         # the exp finish of the same potentials stays in range; both count the forbidden pairs
         # as 0, not as 0 * inf = NaN
         import wasscurve.mm_sinkhorn as engine
-        from wasscurve.mm_sinkhorn import _finish_exp
 
         costs = np.array([[[0.0, np.inf], [np.inf, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
         kernels = kernels_from_costs(costs, np.ones(2), 1 / 600, (grid_1d([0.0, 1.0]),))
         targets = np.array([[0.5, 0.5], [0.9, 0.1]])
         state = sinkhorn_solve(kernels, targets, tol=1e-12)
         assert state.converged and state.used_log_domain
-        monkeypatch.setattr(engine, "_finish_log", None)  # the exp finish must not fall back
-        finish = _finish_exp(kernels, kernels.exp_operator(), np.exp(state.log_potentials), targets)
+        monkeypatch.setattr(engine, "_log_plan", None)  # no snapshot of the exp finish leaves exp space
+        finish = self._exp_finish(kernels, np.exp(state.log_potentials), targets)
         assert np.isfinite(state.objective) and finish.residual <= 1e-12
         assert finish.objective == pytest.approx(state.objective, rel=1e-12)
         assert state.objective == pytest.approx(0.4, rel=1e-12)  # 0.4 of mass moves at cost 1
 
-    def test_underflowing_factor_sums_finish_in_log_space(self):
-        # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1];
-        # the finish recomputes the factor sums in log space instead of taking log 0
-        from wasscurve.mm_sinkhorn import _finish_exp
-
+    @staticmethod
+    def _underflow_instance():
+        # K_0[1, 0] = e^-590 times a potential of 1e-150 underflows to 0 in m_0[1]
         pg = (grid_1d([0.0, 1.0]), grid_1d([0.0]))
         costs = np.array([[[0.0, 590.0], [590.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
         kernels = kernels_from_costs(costs, np.array([0.5, 0.5]), 0.5, pg)
         assert kernels.log_kernels.min() >= -600.0
-        kern = np.exp(kernels.log_kernels)
         a = np.array([[1e-150, 0.0], [2e149, 3e149]])
-        m = np.einsum("npx,nx->np", kern, a)
-        assert m.min() == 0.0
-        targets = np.array([[1.0, 0.0], [0.5, 0.5]])
-        finish = _finish_exp(kernels, kernels.exp_operator(), a, targets)
-        with np.errstate(divide="ignore"):
-            log_a = np.log(a)
-        np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
-        assert np.isfinite(finish.log_m).all()
+        assert np.einsum("npx,nx->np", np.exp(kernels.log_kernels), a).min() == 0.0
+        return kernels, a, np.array([[1.0, 0.0], [0.5, 0.5]])
 
-    def test_overflowing_weights_finish_in_log_space(self):
-        # every factor sum is a normal float, but w_2 = m_0 m_1 is about 1e310:
-        # the finish leaves the exp loop at snapshot 2 and starts over in log space
-        from wasscurve.mm_sinkhorn import _finish_exp
-
+    @staticmethod
+    def _overflow_instance():
+        # every factor sum is a normal float, but w_2 = m_0 m_1 is about 1e310
         pg = (grid_1d([0.0, 1.0]), grid_1d([0.0]))
         costs = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [0.5, 0.0]], [[0.0, 1.5], [3.0, 0.0]]])
         kernels = kernels_from_costs(costs, np.full(3, 1 / 3), 0.5, pg)
@@ -629,14 +632,57 @@ class TestFinish:
         m = np.einsum("npx,nx->np", np.exp(kernels.log_kernels), a)
         with np.errstate(over="ignore"):
             assert m.min() >= np.finfo(float).tiny and np.isinf(m[0] * m[1]).all()
-        targets = np.array([[0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
-        finish = _finish_exp(kernels, kernels.exp_operator(), a, targets)
+        return kernels, a, np.array([[0.5, 0.5], [0.25, 0.75], [0.6, 0.4]])
+
+    def test_underflowing_factor_sums_finish_in_log_space(self):
+        # the finish recomputes the underflowing factor sums in log space instead of taking log 0
+        kernels, a, targets = self._underflow_instance()
+        finish = self._exp_finish(kernels, a, targets)
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a)
+        np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
+        assert np.isfinite(finish.log_m).all()
+
+    def test_overflowing_weights_finish_in_log_space(self):
+        # the finish takes snapshot 2, whose w_2 overflows, in log space
+        kernels, a, targets = self._overflow_instance()
+        finish = self._exp_finish(kernels, a, targets)
         log_a = np.log(a)
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
         np.testing.assert_allclose(finish.log_m, log_m, rtol=1e-14)
         objective = oracles.transport_objective_from_logs(kernels, log_a, log_m)
         assert np.isfinite(objective)
         np.testing.assert_allclose(finish.objective, objective, rtol=1e-12)
+
+    @pytest.mark.parametrize("instance, log_rows, log_plans", [
+        ("_underflow_instance", [0], []),  # only m_0 holds a sum below the normal range
+        ("_overflow_instance", [], [2]),  # only w_2 overflows
+    ])
+    def test_exp_finish_leaves_exp_space_only_where_it_fails(self, monkeypatch, instance, log_rows, log_plans):
+        # the rows of log m summed in log space and the snapshots whose plan is formed
+        # in log space, told apart by the kernel row each call reads
+        import wasscurve.mm_sinkhorn as engine
+
+        kernels, a, targets = getattr(self, instance)()
+        rows, plans = [], []
+
+        def spy(calls, f):
+            def call(log_k, *args):
+                calls.extend(j for j, row in enumerate(kernels.log_kernels) if np.shares_memory(log_k, row))
+                return f(log_k, *args)
+            return call
+
+        monkeypatch.setattr(engine, "_log_kernel_sums", spy(rows, engine._log_kernel_sums))
+        monkeypatch.setattr(engine, "_log_plan", spy(plans, engine._log_plan))
+        finish = self._exp_finish(kernels, a, targets)
+        assert rows == log_rows and plans == log_plans
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a)
+        log_m = _log_factor_sums(kernels.log_kernels, log_a)
+        np.testing.assert_allclose(finish.objective, oracles.transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-12)
+        marginals = oracles.dense_coupling_marginals_from_logs(kernels, log_a)
+        residual = np.abs(marginals - targets).sum(axis=1).max()
+        np.testing.assert_allclose(finish.residual, residual, rtol=1e-10, atol=1e-14)
 
 
 class TestFactoredKernels:
@@ -786,6 +832,24 @@ class TestFactoredKernels:
         with pytest.raises(ValueError, match=r"the dense log kernels need 0\.6 GiB, more than this machine's 0\.5 GiB"):
             sinkhorn_solve(kernels, ds.target_matrix())
         assert "log_kernels" not in vars(kernels)
+
+    def test_factors_are_checked_against_physical_memory(self, monkeypatch):
+        # on a machine of 1 MiB, a 400-point line's 11.5 MB of factors, with its tuple stack
+        # and an exp-domain solve's (N, P) sums, are refused before any of them is allocated
+        import os
+
+        grid = grid_1d(np.linspace(0, 1, 400))
+        ds = dataset_from_weights([0.0, 0.5, 1.0], np.full((3, 400), 1 / 400), grid)
+        factor_bytes = 3 * 3 * 400 * 400 * 8
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20 // 4096}.__getitem__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"the factored kernels need 0\.0 GiB, more than this machine's 0\.0 GiB"):
+                build_kernels(ds, LINEAR, (grid, grid), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < factor_bytes / 100
 
     @pytest.mark.parametrize("spread", [1.0, 3.0])
     def test_wide_parameter_grids_near_exp_limit(self, spread):
