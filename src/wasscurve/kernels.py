@@ -11,7 +11,10 @@ kernel itself, and builds the dense logs only on first use. ``exp_operator()``
 gives the two products a Sinkhorn sweep needs, phi_j = K_j^T w and
 m_j = K_j a_j: bound ndarray.dot calls on the dense kernels' exponentials
 (a second (N, P, |X|) array, held while a solve runs in the exp domain), or
-two matrix products per snapshot on the factors.
+two matrix products per snapshot on the factors. Its ``pair`` gives the
+pair marginals (K_i diag a_i)^T diag(w) (K_j diag a_j) a Newton step on the
+dual needs: one batched product on the dense kernels, or per pair the two
+kernels formed from their factors.
 """
 
 import math
@@ -281,8 +284,12 @@ def _check_memory(need: int, what: str) -> None:
     """ValueError when ``need`` bytes of ``what`` exceed the machine's physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"{what} need {need / 2**30:.1f} GiB, more than this machine's "
-                         f"{have / 2**30:.1f} GiB of memory; use coarser grids")
+        raise ValueError(f"{what} need {_size(need)}, more than this machine's {_size(have)} of memory; use coarser grids")
+
+
+def _size(n: int) -> str:
+    """n bytes with one decimal, in GiB from 0.1 GiB on and in MiB below, so that it reads nonzero."""
+    return f"{n / 2**30:.1f} GiB" if n >= 2**30 / 10 else f"{n / 2**20:.1f} MiB"
 
 
 def _check_cost_scale(
@@ -355,6 +362,10 @@ def _factored_kernels(
     )
 
 
+# entries of a batched pair product's operands (32 MiB each)
+_PAIR_BATCH = 2**22
+
+
 class _DenseExp:
     """Exp-domain products with dense kernels ``kern`` (N, P, |X|): bound ndarray.dot calls."""
 
@@ -376,6 +387,23 @@ class _DenseExp:
         pair = self.weighted_cost(j)
         pair *= self.kern[j]
         return float(w @ (pair @ a_j))
+
+    def pair(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The pair marginals (K_s diag a_s)^T diag(w_k) (K_t diag a_t) of the snapshot pairs
+        (s, t) = (i[k], j[k]), with the rows w_k of the (pairs, P) weights ``w`` and the
+        potentials ``a`` (N, |X|); shape (pairs, |X|, |X|). One batched product, over as
+        many pairs at a time as keep its (pairs, P, |X|) operands within _PAIR_BATCH
+        entries: all of them on small kernels. Scaling each kernel by its potentials
+        first keeps every partial product below the factor sums m = K a, as in a sweep."""
+        _, p, nx = self.shape
+        out = np.empty((len(i), nx, nx))
+        step = max(1, _PAIR_BATCH // (p * nx))
+        for k in range(0, len(i), step):
+            s, t = i[k : k + step], j[k : k + step]
+            left = self.kern[s] * a[s][:, None, :]
+            left *= w[k : k + step, :, None]
+            np.matmul(left.transpose(0, 2, 1), self.kern[t] * a[t][:, None, :], out=out[k : k + step])
+        return out
 
 
 class _FactoredExp:
@@ -437,6 +465,27 @@ class _FactoredExp:
         total -= ba.dot(c.T) * _sq_distances(x0, x1) * (c0 * c1)
         total *= a
         return float(ks.lambdas[j] * w.dot(total.ravel()))
+
+    def pair(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The pair marginals (K_s diag a_s)^T diag(w_k) (K_t diag a_t) of the snapshot pairs
+        (s, t) = (i[k], j[k]), with the rows w_k of the (pairs, P) weights ``w`` and the
+        potentials ``a`` (N, |X|); shape (pairs, |X|, |X|). Each pair forms the two scaled
+        kernels it needs from the factors, in O(n0 n1 |X|) memory (n0 |X|^2 for grids on
+        the support), in the order of ``m``: (B o a) times C, then A, so no partial
+        product exceeds a factor sum's; the dense logs are never built."""
+        out = np.empty((len(i), self.shape[2], self.shape[2]))
+        for k, (s, t) in enumerate(zip(i, j)):
+            left = self._scaled_kernel(s, a[s])
+            left *= w[k][:, None]
+            np.matmul(left.T, self._scaled_kernel(t, a[t]), out=out[k])
+        return out
+
+    def _scaled_kernel(self, j: int, a_j: np.ndarray) -> np.ndarray:
+        """K_j diag a_j, shape (P, |X|)."""
+        fa, fb, fc = self._factors(j)
+        k = (fb * a_j)[:, None, :] * fc
+        k *= fa[:, :, None]
+        return k.reshape(self.shape[1:])
 
 
 _ExpOperator = Union[_DenseExp, _FactoredExp]

@@ -32,7 +32,15 @@ whose w_j overflows.
 
 While sweeps contract slowly, Anderson acceleration extrapolates their
 log-potentials, keeping an extrapolation only when it raises the dual
-objective above the plain sweep's (``_Anderson``).
+objective above the plain sweep's (``_Anderson``). Where accelerated
+exp-domain sweeps still stall, the solve turns to damped Newton steps on
+that dual (``_Newton``): at a kept extrapolation, once the contraction of
+the last _WINDOW sweeps projects more sweeps to tol than _NEWTON_MULTIPLE
+Newton steps cost (``_stalled``, from the operator's shape alone). The
+phase hands its last iterate back to sweeps after _PATIENCE steps that do
+not halve its residual, and is not entered again in that solve; the log
+domain keeps its sweeps. Both need a slow sweep, so with _SLOW_RATIO
+infinite a solve runs plain sweeps, bit for bit.
 
 The engine reads the targets as an (N, |X|) array and nothing else of a
 dataset, so any star of leaves on one support is a problem it solves.
@@ -41,6 +49,7 @@ star whose first leaf's kernel is the identity.
 """
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -68,6 +77,16 @@ _SLOW_RATIO = 0.3
 # an extrapolation that divides a potential by more than exp(_MAX_SHRINK) is
 # undone: its factor sums m + K (a o expm1(step)) would cancel past 8 digits
 _MAX_SHRINK = 20.0
+
+# Newton phase (see _Newton): entered when the contraction of the last
+# _WINDOW sweeps projects more sweeps to tol than _NEWTON_MULTIPLE steps
+# cost, left after _PATIENCE steps that do not halve its lowest residual
+_WINDOW = 5
+_NEWTON_MULTIPLE = 20.0
+_PATIENCE = 10
+_ARMIJO = 1e-4
+_DAMPING = 1e-5  # the first Levenberg-Marquardt shift, relative to the diagonal
+_SHORTEST = 2.0**-10  # the shortest part of a step the line search tries
 
 
 class SolverError(RuntimeError):
@@ -113,8 +132,10 @@ class FactoredCoupling:
     log m_i(p) = log sum_y K_i[p, y] a_i[y] of those potentials, shape (N, P),
     as the solver finished with them (``_log_factor_sums`` computes them for
     a state built by hand). ``used_log_domain`` tells whether the solve left
-    the exp domain. The last two fields count the kept and the undone
-    extrapolations of its sweeps (see _Anderson).
+    the exp domain. ``accelerated`` and ``acceleration_reverts`` count the
+    kept and the undone extrapolations of its sweeps (see _Anderson), and
+    ``newton_steps`` the Newton steps it took (see _Newton), each of which
+    counts as an iteration and adds its residual to ``residual_history``.
     """
 
     kernels: KernelSet
@@ -128,6 +149,7 @@ class FactoredCoupling:
     log_factor_sums: np.ndarray  # (N, P)
     accelerated: int = 0
     acceleration_reverts: int = 0
+    newton_steps: int = 0
 
 
 def _logsumexp(x: np.ndarray, axis: Optional[int] = None, work: Optional[np.ndarray] = None):
@@ -369,6 +391,11 @@ class _Anderson:
         logger.debug("%s: extrapolation undone: dual objective change %.3e, log shrink %.3g", self.what, gain, shrink)
         return False
 
+    def restart(self, x: np.ndarray, residual: float) -> None:
+        """Go on from the iterate x, of marginal residual ``residual``, with no history."""
+        self.x, self.g, self.last = x, None, residual
+        self.count = self.slot = 0
+
     def report(self) -> None:
         logger.info("%s: %d extrapolations kept, %d undone", self.what, self.accelerated, self.reverts)
 
@@ -526,6 +553,108 @@ def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
     return work
 
 
+class _Newton:
+    """Levenberg-Marquardt-damped Newton steps on the dual (Brauer, Clason,
+    Lorenz, Wirth 2017) of an exp-domain sweep state, on the log-potentials
+    of positive targets.
+
+    The dual sum_j <p_j, log a_j> - mass has gradient p - Gamma, Gamma_j the
+    plan's marginals, and its negative Hessian H has the blocks diag(Gamma_j)
+    and the pair marginals Gamma_ij (the operator's ``pair`` with the weights
+    w_ij = prod_{k != i, j} m_k); the row sums of Gamma_0j give Gamma_0 and
+    Gamma_j. The gauge a_i *= exp(c_i), sum c_i = 0, leaves the plan alone,
+    so besides the potentials of zero targets one of each snapshot after the
+    first is held, and H is regular on the others. A step solves
+    (H + mu diag(H)) s = p - Gamma; a line search halves it until the dual
+    rises by _ARMIJO times its slope (the mass change from
+    ``_ExpSweepWork.try_step``), no potential leaves the range or shrinks
+    past exp(-_MAX_SHRINK), and the products at the new potentials are
+    finite. mu is quartered after a full step and quadrupled otherwise. The
+    phase ends (``live`` False) after _PATIENCE steps that do not halve its
+    lowest residual.
+    """
+
+    def __init__(self, work: _ExpSweepWork, targets: np.ndarray):
+        n, nx = targets.shape
+        self.work = work
+        self.targets = targets
+        self.weights = targets.ravel()
+        self.pos = None if work.positive is None else work.positive.ravel()  # try_step's entries
+        # the pairs i < j, (0, j) first, and the k of their w_ij (lists: np.triu_indices
+        # costs more on its first call after a fork than the whole phase's setup)
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.first, self.second = np.array(self.pairs).T
+        self.rest = np.array([[k for k in range(n) if k not in pair] for pair in self.pairs], dtype=int).reshape(len(self.pairs), n - 2)
+        # potentials that do not move: those of zero targets, and one of each
+        # snapshot after the first (the gauge)
+        self.held = targets.ravel() == 0
+        self.held[[i * nx + int(np.argmax(targets[i] > 0)) for i in range(1, n)]] = True
+        self.mu = _DAMPING
+        self.steps = self.idle = 0
+        self.state = self._assemble()
+        self.best = self.residual = self.state[-1]
+        self.live = bool(np.isfinite(self.residual))
+
+    @np.errstate(all="ignore")
+    def _assemble(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """At the current potentials: H scaled to a unit diagonal, the gradient
+        scaled alike, the scale diag(H)^(-1/2), 0 at held potentials (so their
+        rows of H are the identity's and their steps 0), and the marginal
+        residual (NaN where the products fail)."""
+        work = self.work
+        n, nx = work.a.shape
+        work.update_sums()  # try_step's m + K (a o expm1(step)) drifts over many steps
+        q = work.op.pair(self.first, self.second, np.prod(work.m[self.rest], axis=1), work.a)
+        gamma = np.concatenate((q[0].sum(axis=1), q[: n - 1].sum(axis=1).ravel()))
+        residual = float(np.abs(gamma.reshape(n, nx) - self.targets).sum(axis=1).max())
+        h = np.zeros((n, nx, n, nx))
+        h[self.first, :, self.second] = q
+        h[self.second, :, self.first] = q.transpose(0, 2, 1)
+        h = h.reshape(n * nx, n * nx)
+        scale = np.where(self.held, 0.0, 1.0 / np.sqrt(gamma))
+        h *= scale
+        h *= scale[:, None]
+        h.flat[:: n * nx + 1] = 1.0
+        if not scale.max() < np.inf:
+            residual = np.nan
+        return h, (self.weights - gamma) * scale, scale, residual
+
+    def step(self) -> float:
+        """One damped step; returns the residual after it."""
+        self.steps += 1
+        h, rhs, scale, _ = self.state
+        h = h.copy()
+        h.flat[:: len(scale) + 1] += self.mu
+        with np.errstate(all="ignore"):
+            try:
+                z = np.linalg.solve(h, rhs)
+            except np.linalg.LinAlgError:
+                z = np.full(len(rhs), np.nan)
+        full = z * scale
+        slope = float(rhs @ z)
+        length, gain = (1.0 if slope > 0.0 else 0.0), np.nan  # a rise is only where the slope is positive
+        while length >= _SHORTEST:
+            step = length * full
+            with np.errstate(all="ignore"):
+                gain = float(self.weights @ step) - self.work.try_step(step if self.pos is None else step[self.pos])
+            if gain >= _ARMIJO * length * slope and step.min() >= -_MAX_SHRINK:
+                state = self._assemble()
+                if np.isfinite(state[-1]):
+                    self.state, self.residual = state, state[-1]
+                    break
+            self.work.restore()
+            length /= 2.0
+        else:
+            logger.debug("newton step undone: dual objective change %.3e", gain)
+        self.mu = self.mu / 4.0 if length == 1.0 else self.mu * 4.0
+        if self.residual < 0.5 * self.best:
+            self.best, self.idle = self.residual, 0
+        else:
+            self.idle += 1
+        self.live = self.idle < _PATIENCE
+        return self.residual
+
+
 def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
     """One full log-domain sweep; updates log_a and log_m in place and returns the residual."""
     residual = 0.0
@@ -545,6 +674,23 @@ def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targe
     return residual
 
 
+def _stalled(history: List[float], tol: float, shape: Tuple[int, int, int]) -> bool:
+    """Whether sweeps should give way to Newton steps, asked at a kept
+    extrapolation (so the last sweep was slow by Anderson's test): whether the
+    contraction of the last _WINDOW sweeps projects more sweeps to ``tol``
+    than _NEWTON_MULTIPLE Newton steps cost. A step costs its pair products and
+    its (N |X|)^3 / 3 solve, over a sweep's 4 N P |X| flops."""
+    n, p, nx = shape
+    if n < 2 or len(history) <= _WINDOW:
+        return False
+    cost = (n * (n - 1) * p * nx * nx + (n * nx) ** 3 / 3) / (4 * n * p * nx)
+    last, first = history[-1], history[-1 - _WINDOW]
+    if last >= first:
+        return True
+    # sweeps to tol at the window's rate: _WINDOW log(tol / last) / log(last / first)
+    return last > tol and _WINDOW * math.log(tol / last) < _NEWTON_MULTIPLE * cost * math.log(last / first)
+
+
 def sinkhorn_solve(
     kernels: KernelSet,
     targets: np.ndarray,
@@ -559,7 +705,9 @@ def sinkhorn_solve(
     its range and in the log domain from then on; while they contract
     slowly, each is followed by an Anderson extrapolation of the
     log-potentials, kept only when it raises the dual objective
-    (``_Anderson``). Convergence is declared when the max L1 marginal
+    (``_Anderson``), and exp-domain sweeps that stall give way to Newton
+    steps (``_Newton``), which count against ``max_iter`` as sweeps do.
+    Convergence is declared when the max L1 marginal
     violation of the final state is at most tol. Raises SolverError when
     the iteration produces non-finite values or a zero projection where the
     target carries mass (signals epsilon too small).
@@ -578,7 +726,17 @@ def sinkhorn_solve(
     log_t = _with_log_zeros(targets)
 
     history: List[float] = []
+    newton: Optional[_Newton] = None  # the Newton phase, from its entry on
     for sweep in range(max_iter):
+        if newton is not None and newton.live:
+            history.append(res := newton.step())
+            if res <= tol and (finish := _finish(kernels, targets, work, log_a, log_m)).residual <= tol:
+                iters, ok = sweep + 1, True
+                break
+            if not newton.live:
+                logger.info("newton steps: %d, handed back to sweeps at residual %.3e", newton.steps, res)
+                accel.restart(_with_log_zeros(work.a)[positive], res)
+            continue
         if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
             # the sweep left the safe range: redo it in the log domain from its start
             logger.info("switching to log-domain updates after %d sweeps", sweep)
@@ -598,6 +756,9 @@ def sinkhorn_solve(
         if work is not None:
             if not accel.keep(x, work.try_step(x - accel.g)):
                 work.restore()
+            elif newton is None and _stalled(history, tol, work.op.shape):
+                logger.info("newton steps after %d sweeps", sweep + 1)
+                newton = _Newton(work, targets)
             continue
         grow = np.zeros_like(log_a)
         buf = np.empty(kernels.log_kernels.shape[1:])
@@ -626,6 +787,7 @@ def sinkhorn_solve(
         log_factor_sums=finish.log_m,
         accelerated=accel.accelerated,
         acceleration_reverts=accel.reverts,
+        newton_steps=0 if newton is None else newton.steps,
     )
 
 

@@ -112,6 +112,18 @@ def dense_curve_kernels(dataset, curve, grids, epsilon):
     return kernels_from_costs(costs, dataset.lambdas, epsilon, grids)
 
 
+def dense_pair_marginals(kernels, log_potentials):
+    """Joint marginals Gamma_ij of the dense coupling tensor on the snapshot pairs i < j,
+    in the order (0, 1), (0, 2), ..., (1, 2), ...; shape (pairs, |X|, |X|). The tensor
+    is formed: tiny instances only."""
+    gamma = dense_coupling_tensor(kernels, log_potentials)
+    n = kernels.n_snapshots
+    return np.array([
+        gamma.sum(axis=tuple(ax for ax in range(gamma.ndim) if ax not in (i + 1, j + 1)))
+        for i in range(n) for j in range(i + 1, n)
+    ])
+
+
 def dense_marginal(gamma, j):
     """Marginal of the dense tensor on snapshot j (axis j+1)."""
     n_axes = gamma.ndim - 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from contextlib import ExitStack
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wasscurve.curves import LINEAR, QUADRATIC
@@ -290,6 +291,9 @@ class TestSinkhornSolve:
         n_support=st.integers(3, 8),
         smallest=st.floats(-1500.0, -600.0),
     )
+    # the exp-start solve stopped unconverged at 20,000 sweeps (residual 9.1e-4)
+    # until stalled exp-domain sweeps gave way to Newton steps
+    @example(seed=3601, kind="factored", n_snapshots=3, n_support=6, smallest=-1261.0)
     def test_low_kernels_match_the_log_domain(self, seed, kind, n_snapshots, n_support, smallest):
         # kernel entries far below exp(-600) no longer send a solve to the log
         # domain before its first sweep; it leaves the exp domain only when a
@@ -844,12 +848,15 @@ class TestFactoredKernels:
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20 // 4096}.__getitem__)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"the factored kernels need 0\.0 GiB, more than this machine's 0\.0 GiB"):
+            with pytest.raises(ValueError, match=r"the factored kernels need 35\.4 MiB, more than this machine's 1\.0 MiB") as refused:
                 build_kernels(ds, LINEAR, (grid, grid), 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < factor_bytes / 100
+        # both sizes read nonzero, where GiB with one decimal read 0.0 for each
+        sizes = [float(x) for x in re.findall(r"(\d+\.\d) [GM]iB", str(refused.value))]
+        assert len(sizes) == 2 and min(sizes) > 0
 
     @pytest.mark.parametrize("spread", [1.0, 3.0])
     def test_wide_parameter_grids_near_exp_limit(self, spread):
@@ -1080,6 +1087,102 @@ class TestOverrelaxation:
         assert state.accelerated == state.acceleration_reverts == 0 and not proposals
         np.testing.assert_array_equal(state.log_potentials, plain.log_potentials)
         assert state.iterations == plain.iterations
+
+
+class TestNewtonPhase:
+    """Stalled exp-domain sweeps give way to damped Newton steps on the dual;
+    these change the path of a solve, not its fixed point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["factored", "dense linear", "quadratic"]),
+        n_snapshots=st.integers(2, 5),
+        n_support=st.integers(2, 8),
+        epsilon=st.floats(np.log(0.002), np.log(0.05)).map(np.exp),
+        zero_targets=st.booleans(),
+    )
+    def test_agrees_with_plain_sweeps(self, seed, kind, n_snapshots, n_support, epsilon, zero_targets):
+        # every slow solve enters the phase at its first kept extrapolation
+        # past the window when a Newton step is priced at nothing
+        import wasscurve.mm_sinkhorn as engine
+
+        ds, kernels = TestOverrelaxation._instance(seed, n_snapshots, n_support, (3, 3, 3) if kind == "quadratic" else (3, 4),
+                                                   epsilon, zero_targets)
+        if kind == "dense linear":
+            kernels = oracles.dense_curve_kernels(ds, LINEAR, kernels.parameter_grids, epsilon)
+        tol = 1e-10
+        with mock.patch.object(engine, "_NEWTON_MULTIPLE", 0.0):
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=tol, max_iter=50000)
+        assume(state.newton_steps > 0)
+        plain = TestOverrelaxation._solve(kernels, ds.target_matrix(), True, False, tol=tol, max_iter=50000)
+        assert state.converged and plain.converged
+        assert state.residual_history.size == state.iterations
+        for j in range(n_snapshots):
+            assert np.abs(oracles.project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
+        np.testing.assert_allclose(state.objective, plain.objective, rtol=1e-6)
+        np.testing.assert_allclose(extract_param_coupling(state).weights, extract_param_coupling(plain).weights, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["factored", "dense linear", "quadratic"])
+    def test_pair_products_match_the_dense_tensor(self, kind):
+        # (K_i a_i)^T diag(prod_{k != i, j} m_k) (K_j a_j) is the pair marginal Gamma_ij
+        rng = np.random.default_rng(31)
+        ds, kernels = TestSinkhornSolve._low_kernel_instance(31, kind, 4, 5, -30.0)
+        log_a = rng.normal(size=(4, 5))
+        log_a[1, 2] = -np.inf  # a zero target's potential
+        a = np.exp(log_a)
+        m = np.exp(_log_factor_sums(oracles.dense_curve_kernels(ds, QUADRATIC if kind == "quadratic" else LINEAR,
+                                                                kernels.parameter_grids, kernels.epsilon).log_kernels, log_a))
+        first, second = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)]).T
+        w = np.array([np.prod([m[k] for k in range(4) if k not in (i, j)], axis=0) for i, j in zip(first, second)])
+        pairs = kernels.exp_operator().pair(first, second, w, a)
+        assert "log_kernels" not in vars(kernels) or kind != "factored"  # the factors' pairs never build the dense logs
+        np.testing.assert_allclose(pairs, oracles.dense_pair_marginals(kernels, log_a), rtol=1e-12, atol=0)
+        with mock.patch("wasscurve.kernels._PAIR_BATCH", 1):  # dense kernels: one pair per batch
+            np.testing.assert_allclose(kernels.exp_operator().pair(first, second, w, a), pairs, rtol=1e-14, atol=0)
+
+    DRAWS = [  # test_low_kernels_match_the_log_domain's draws whose sweeps stall
+        (3601, "factored", 3, 6, -1261.0),
+        (302454070, "factored", 5, 8, -940.3047664832554),
+        (2685871986, "factored", 4, 7, -1484.8),
+    ]
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_stalled_draws_converge_on_the_factors(self, draw):
+        # sweeps alone take 20,442, 22,927 and 1,419; the phase reaches tol in a
+        # few hundred iterations at most and never builds the dense logs
+        ds, kernels = TestSinkhornSolve._low_kernel_instance(*draw)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-10, max_iter=20000)
+        assert state.converged and not state.used_log_domain and state.newton_steps > 0
+        assert state.iterations < 1000
+        assert "log_kernels" not in vars(kernels)
+        np.testing.assert_allclose(state.objective, oracles.transport_objective_from_logs(
+            kernels, state.log_potentials, _log_factor_sums(kernels.log_kernels, state.log_potentials)), rtol=1e-8)
+
+    def test_phase_is_chosen_at_run_time(self, tmp_path, monkeypatch):
+        # on the benchmark inputs: the mixture toy's sweeps stall and enter the
+        # phase; regress and invariant converge in sweeps before they could
+        import wasscurve.cli as cli
+        import wasscurve.curve_regression as curve_regression
+        import wasscurve.gmm_regression as gmm_regression
+
+        states = []
+        for module in (curve_regression, gmm_regression):
+            solve = module.sinkhorn_solve
+            monkeypatch.setattr(module, "sinkhorn_solve", lambda *a, _solve=solve, **k: states.append(_solve(*a, **k)) or states[-1])
+        steps = {}
+        for name, generate, argv in [
+            ("gmm", ["mixture-toy"], ["--epsilon", "0.07", "--max-iter", "30000"]),
+            ("regress", ["ou", "--particles", "2000", "--snapshots", "10", "--seed", "0"], ["--curve", "linear", "--query-times", "0,0.5,1,1.5"]),
+            ("invariant", ["logistic", "--r", "4", "--snapshots", "6", "--particles", "1000", "--seed", "0"], ["--boxes", "80", "--epsilon", "0.05"]),
+        ]:
+            data = str(tmp_path / f"{name}.input")
+            assert cli.main(["generate", *generate, "--output", data]) == 0
+            states.clear()
+            assert cli.main([name, "--input", data, *argv, "--output", str(tmp_path / name)]) == 0
+            assert len(states) == 1 and states[0].converged
+            steps[name] = states[0].newton_steps
+        assert steps["gmm"] > 0 and steps["regress"] == steps["invariant"] == 0
 
 
 class TestExtractParamCoupling:
