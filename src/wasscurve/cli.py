@@ -1,10 +1,12 @@
 """Command-line interface tying the solvers into reproducible experiment runs.
 
 Commands: regress, gaussian, gmm, invariant, distance, generate. Each takes
-only the flags of the config fields it reads (COMMANDS). A command line that
-names a command is parsed by that command's parser alone; the full parser,
-with every command's, is built only for help, for a missing or unknown
-command, and to report arguments left over. Every run echoes those fields,
+only the flags of the config fields it reads (COMMANDS). A plain command line,
+a command and its own flags written ``--flag VALUE`` or ``--flag=VALUE``, is
+read straight from that declaration; argparse's parser is built only for
+help and for a command line it must reject or that is spelled otherwise
+(``_parse_args``). A value starting with ``-`` is written ``--flag=VALUE``,
+as in ``--query-times=-0.5,1``. Every run echoes those fields,
 defaults included, writes results atomically, and is byte-deterministic for
 a fixed config and seed (wall-clock time is logged, never written to files).
 Exit codes map machine-readable error categories:
@@ -14,7 +16,6 @@ io=2, schema=3, precondition=4, solver-divergence=5.
 import argparse
 import copy
 import json
-import locale  # noqa: F401 -- argparse's gettext imports it when the first parser is built; load it with the module
 import logging
 import math
 import os
@@ -444,8 +445,10 @@ def _parse_domain(text: str) -> Tuple[float, float]:
 
 
 # Config field -> (option string, add_argument keywords, parser of the flag's
-# text). Text with a parser is converted after argparse, so that a malformed
-# value is a precondition error (exit 4) whose message names the flag.
+# text). _read_plain reads "type", "choices" and "action" from the keywords as
+# argparse does, and no others. Text with a parser is converted after the
+# command line is read, so that a malformed value is a precondition error
+# (exit 4) whose message names the flag.
 _FLAGS = {
     "input": ("--input", {}, None),
     "input_b": ("--input-b", {}, None),
@@ -521,48 +524,81 @@ def run(config: RunConfig) -> ResultBundle:
     return bundle
 
 
-def _add_flags(parser: argparse.ArgumentParser, spec: Command) -> None:
-    """Give ``parser`` one flag (or positional) per config field of ``spec``."""
-    for name, default in spec.defaults.items():
-        option, kwargs = spec.option(name), _FLAGS[name][1]
-        if option.startswith("--"):
-            kwargs = dict(kwargs, dest=name, required=default is REQUIRED)
-        parser.add_argument(option, **kwargs)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """The full CLI parser: every command's subparser with its flags.
+    """The CLI's argparse parser: every command's subparser with its flags.
 
-    ``main`` builds it only for help and for a missing or unknown command, and
-    reports leftover arguments through it; a command line that names a command
-    is parsed by that command's parser alone (``_parse_args``). No parser takes
-    abbreviations: each flag has one spelling, and a prefix such as --lambda is
-    rejected, not read as --lambda-file."""
+    ``_parse_args`` builds it only for a command line that it cannot read plainly:
+    help, errors and the rarer spellings. No subparser takes abbreviations: each
+    flag has one spelling, and a prefix such as --lambda is rejected, not read as
+    --lambda-file."""
     parser = argparse.ArgumentParser(prog="wasscurve", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in COMMANDS.items():
         # a flag left out is absent from the parsed namespace, and RunConfig fills in its default
         p = sub.add_parser(command, help=spec.help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-        _add_flags(p, spec)
+        for name, default in spec.defaults.items():
+            option, kwargs = spec.option(name), _FLAGS[name][1]
+            if option.startswith("--"):
+                kwargs = dict(kwargs, dest=name, required=default is REQUIRED)
+            p.add_argument(option, **kwargs)
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse the command line as ``_build_parser()`` does, building one parser when argv[0] is a command.
+def _read_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of a plain command line, read from COMMANDS and _FLAGS; None for any other.
 
-    That parser is the command's subparser standing alone, with the same prog, so
-    its help and errors read the same; the arguments it leaves over are reported
-    by the full parser, as its top level reports them."""
+    A plain command line names a command, then gives only that command's flags,
+    as ``--flag VALUE`` with a VALUE that does not start with ``-`` or as
+    ``--flag=VALUE``, and ``generate``'s kind once. Each value passes its flag's
+    type and choices, and every required field is given. A repeated flag keeps
+    its last value; ``--grid`` collects them all."""
     spec = COMMANDS.get(argv[0]) if argv else None
     if spec is None:
-        return _build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(
-        prog=f"wasscurve {argv[0]}", argument_default=argparse.SUPPRESS, allow_abbrev=False)
-    _add_flags(parser, spec)
-    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+        return None
+    names = {spec.option(name): name for name in spec.defaults}
+    fields = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            option, eq, value = token.partition("=")
+            name = names.get(option)
+            if name is None:
+                return None
+            if not eq:
+                value = next(tokens, "-")  # a missing value is read as a flag: not plain
+                if value.startswith("-"):
+                    return None
+        elif "kind" in names and "kind" not in fields:
+            name, value = "kind", token
+        else:
+            return None
+        kwargs = _FLAGS[name][1]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if kwargs.get("action") == "append":
+            fields.setdefault(name, []).append(value)
+        else:
+            fields[name] = value
+    if any(default is REQUIRED and name not in fields for name, default in spec.defaults.items()):
+        return None
+    return argparse.Namespace(command=argv[0], **fields)
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse the command line as ``_build_parser().parse_args`` does, building no parser for a plain one.
+
+    A plain command line (``_read_plain``) is read straight from the command's
+    declaration. Every other one, help, an unknown or abbreviated flag, a
+    separate value starting with ``-``, ``--``, a stray token, a bad value or a
+    missing required flag, goes to the parser, which prints and exits as it
+    always has."""
+    args = _read_plain(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

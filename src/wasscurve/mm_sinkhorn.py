@@ -35,8 +35,10 @@ log-potentials, keeping an extrapolation only when it raises the dual
 objective above the plain sweep's (``_Anderson``). Where accelerated
 exp-domain sweeps still stall, the solve turns to damped Newton steps on
 that dual (``_Newton``): at a kept extrapolation, once the contraction of
-the last _WINDOW sweeps projects more sweeps to tol than _NEWTON_MULTIPLE
-Newton steps cost (``_stalled``, from the operator's shape alone). The
+the last _WINDOW sweeps (of the last 4 _WINDOW where those did not
+contract) projects more sweeps to tol than _NEWTON_MULTIPLE Newton steps
+cost, or no contraction is left to project (``_stalled``, from the
+operator's shape alone). The
 phase hands its last iterate back to sweeps after _PATIENCE steps that do
 not halve its residual, and is not entered again in that solve; the log
 domain keeps its sweeps. Both need a slow sweep, so with _SLOW_RATIO
@@ -79,8 +81,9 @@ _SLOW_RATIO = 0.3
 _MAX_SHRINK = 20.0
 
 # Newton phase (see _Newton): entered when the contraction of the last
-# _WINDOW sweeps projects more sweeps to tol than _NEWTON_MULTIPLE steps
-# cost, left after _PATIENCE steps that do not halve its lowest residual
+# _WINDOW sweeps (4 _WINDOW where those did not contract) projects more
+# sweeps to tol than _NEWTON_MULTIPLE steps cost (see _stalled), left after
+# _PATIENCE steps that do not halve its lowest residual
 _WINDOW = 5
 _NEWTON_MULTIPLE = 20.0
 _PATIENCE = 10
@@ -678,17 +681,23 @@ def _stalled(history: List[float], tol: float, shape: Tuple[int, int, int]) -> b
     """Whether sweeps should give way to Newton steps, asked at a kept
     extrapolation (so the last sweep was slow by Anderson's test): whether the
     contraction of the last _WINDOW sweeps projects more sweeps to ``tol``
-    than _NEWTON_MULTIPLE Newton steps cost. A step costs its pair products and
-    its (N |X|)^3 / 3 solve, over a sweep's 4 N P |X| flops."""
+    than _NEWTON_MULTIPLE Newton steps cost. Where those sweeps did not
+    contract, as Anderson's residual often does not over a few sweeps, the
+    last 4 _WINDOW sweeps are priced instead, and a window that did not
+    contract either gives way. A step costs its pair products and its
+    (N |X|)^3 / 3 solve, over a sweep's 4 N P |X| flops."""
     n, p, nx = shape
     if n < 2 or len(history) <= _WINDOW:
         return False
+    last, window = history[-1], _WINDOW
+    if last >= history[-1 - window]:
+        window = min(4 * _WINDOW, len(history) - 1)
+        if last >= history[-1 - window]:
+            return True
+    first = history[-1 - window]
     cost = (n * (n - 1) * p * nx * nx + (n * nx) ** 3 / 3) / (4 * n * p * nx)
-    last, first = history[-1], history[-1 - _WINDOW]
-    if last >= first:
-        return True
-    # sweeps to tol at the window's rate: _WINDOW log(tol / last) / log(last / first)
-    return last > tol and _WINDOW * math.log(tol / last) < _NEWTON_MULTIPLE * cost * math.log(last / first)
+    # sweeps to tol at the window's rate: window log(tol / last) / log(last / first)
+    return last > tol and window * math.log(tol / last) < _NEWTON_MULTIPLE * cost * math.log(last / first)
 
 
 def sinkhorn_solve(

@@ -1,6 +1,8 @@
 """File schemas, generators, CLI commands, determinism, error categories."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -843,26 +845,137 @@ PARSER_ERRORS = [[], ["nope"], ["--input", "x.csv"], ["regress"], ["regress", "-
     ["regress", "--input", "x.csv", "--bogus"]]
 
 
+# a valid value of each field, as its flag's text
+GOOD_VALUES = {
+    "input": "x.csv", "input_b": "b.csv", "kind": "ou", "curve": "quadratic", "boxes": "20", "domain": "0:1",
+    "epsilon": "0.05", "tol": "1e-6", "max_iter": "300", "grids": "x0=0:1:5", "lambda_file": "lam.csv",
+    "query_times": "0,0.5", "output": "out", "r": "4", "snapshots": "3", "particles": "50", "seed": "1",
+}
+# values for any flag: malformed ints, floats and choices, values starting with "-", and the empty value
+ANY_VALUES = ["3", "1.5", "abc", "", "-5.1:5:20", "-0.5", "-0.5,1", "0:1:5", "linear", "cubic", "mixture-toy"]
+# tokens that are no flag of the command, or not spelled as one
+ODD_TOKENS = ["--eps", "--lambda", "--bogus", "-h", "--help", "--", "-", "x.csv", "ou", ""]
+ALL_OPTIONS = sorted({spec.option(n) for spec in cli.COMMANDS.values() for n in spec.defaults} - {"kind"})
+
+
+def _flag_items(command):
+    """One flag of ``command`` (or, now and then, of another command) with a value, written either way."""
+    spec = cli.COMMANDS[command]
+    names = [n for n in spec.defaults if n != "kind"]
+
+    def written(option, value, joined):
+        return [f"{option}={value}"] if joined else [option, value]
+
+    own = st.sampled_from(names).flatmap(lambda n: st.tuples(
+        st.just(spec.option(n)), st.one_of(st.just(GOOD_VALUES[n]), st.sampled_from(ANY_VALUES)), st.booleans()))
+    foreign = st.tuples(st.sampled_from(ALL_OPTIONS), st.sampled_from(ANY_VALUES), st.booleans())
+    return st.one_of(own, own, own, foreign).map(lambda t: written(*t))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of any command: its required flags (now and then one left out), more flags, repeated
+    ones among them, generate's kind anywhere between them, and now and then an odd token."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    spec = cli.COMMANDS[command]
+    items = []
+    for name, default in spec.defaults.items():
+        if default is cli.REQUIRED and name != "kind" and draw(st.integers(0, 4)):
+            items.append([f"{spec.option(name)}={GOOD_VALUES[name]}"] if draw(st.booleans())
+                         else [spec.option(name), GOOD_VALUES[name]])
+    items += draw(st.lists(_flag_items(command), max_size=4))
+    extras = [] if draw(st.integers(0, 3)) else [draw(st.sampled_from(ODD_TOKENS))]
+    if command == "generate" and draw(st.integers(0, 4)):
+        extras.append(draw(st.sampled_from(["ou", "logistic", "mixture-toy", "cubic", ""])))
+    for token in extras:
+        items.insert(draw(st.integers(0, len(items))), [token])
+    return [command, *(token for item in items for token in item)]
+
+
+# command lines that every run of the property reads: both flag forms, repeats, values starting with "-", empty
+# values, prefixes, help, "--", stray tokens, generate's kind before and after its flags, bad values and missing
+# required flags
+PARSE_EXAMPLES = [
+    ["regress", "--input=x.csv", "--grid", "0:1:5", "--grid=x0=-5.1:5:20", "--grid", "x1=0:2:3"],
+    ["gmm", "--input", "a.json", "--input", "b.json", "--epsilon=0.05", "--epsilon", "0.07"],
+    ["gaussian", "--input", "x.csv", "--query-times", "-0.5,1"],
+    ["gaussian", "--input", "x.csv", "--query-times=-0.5,1"],
+    ["regress", "--input", "x.csv", "--epsilon", "-0.5"],
+    ["regress", "--input", "x.csv", "--grid", "-5.1:5:20"],
+    ["regress", "--input=", "--output", "", "--query-times="],
+    ["regress", "--input", "x.csv", "--eps", "0.1"],
+    ["regress", "--input", "x.csv", "--lambda=lam.csv"],
+    ["gmm", "-h"],
+    ["gmm", "--input", "x.json", "--"],
+    ["gmm", "--input", "x.json", "stray"],
+    ["generate", "--output", "o.csv", "ou", "--seed", "2"],
+    ["generate", "mixture-toy", "--output=o.json"],
+    ["generate", "ou", "ou", "--output", "o.csv"],
+    ["generate", "--output", "o.csv"],
+    ["invariant", "--input", "x.csv", "--boxes", "1.5"],
+    ["regress", "--input", "x.csv", "--tol", "abc"],
+    ["regress", "--input", "x.csv", "--curve", "cubic"],
+    ["distance", "--input-a", "a.csv", "--input-b=b.csv", "--input", "c.csv"],
+    ["distance", "--input-a", "a.csv"],
+    ["regress", "--input"],
+]
+
+
+def _with_parse_examples(test):
+    for argv in PARSE_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+def _outcome(parse, argv):
+    """The namespace ``parse`` returns for argv, or its exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of each argparse.ArgumentParser constructed while the test runs."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    return built
+
+
 class TestOneCommandParser:
-    """main() parses a command line that names a command with that command's parser alone; it parses,
-    fails and prints help as the full parser does."""
+    """main() reads a plain command line from the command's declaration, building no parser; it parses,
+    fails and prints help as the parser does."""
 
     @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
-    def test_readme_examples_parse_the_same(self, argv):
-        assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
+    def test_readme_examples_parse_the_same(self, argv, built_parsers):
+        args = cli._parse_args(argv)
+        assert built_parsers == []
+        assert args == cli._build_parser().parse_args(argv)
 
-    def test_main_builds_the_invoked_command_only(self, monkeypatch, tmp_path):
-        built, init = [], argparse.ArgumentParser.__init__
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    @_with_parse_examples
+    def test_command_lines_parse_as_the_parser_parses_them(self, argv):
+        assert _outcome(cli._parse_args, argv) == _outcome(cli._build_parser().parse_args, argv)
 
-        def counted_init(self, *args, **kwargs):
-            built.append(kwargs)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    def test_main_builds_a_parser_only_for_help_and_errors(self, built_parsers, tmp_path):
         mixture = str(tmp_path / "mix.json")
         dataio.write_json(mixture, dataio.generate_mixture_toy())
         assert cli.main(["gmm", "--input", mixture, "--output", str(tmp_path / "out")]) == 0
-        assert [kw["prog"] for kw in built] == ["wasscurve gmm"]
+        assert built_parsers == []
+        full = ["wasscurve"] + [f"wasscurve {command}" for command in cli.COMMANDS]
+        for argv, code in ((["gmm", "--help"], 0), (["gmm", "--input", mixture, "--max-iter", "1.5"], 2)):
+            assert _outcome(cli.main, argv)[0] == code
+            assert built_parsers == full, argv
+            built_parsers.clear()
 
     @pytest.mark.parametrize("argv", PARSER_ERRORS, ids=" ".join)
     def test_errors_print_the_same(self, capsys, argv):

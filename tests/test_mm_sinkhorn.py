@@ -31,6 +31,7 @@ from wasscurve.mm_sinkhorn import (
     SolverError,
     _log_factor_sums,
     _mass_change,
+    _stalled,
     extract_param_coupling,
     sinkhorn_solve,
 )
@@ -1183,6 +1184,39 @@ class TestNewtonPhase:
             assert len(states) == 1 and states[0].converged
             steps[name] = states[0].newton_steps
         assert steps["gmm"] > 0 and steps["regress"] == steps["invariant"] == 0
+
+
+class TestNewtonEntry:
+    """The phase is entered only where its steps are priced below the sweeps they save."""
+
+    # shape (4, 100, 10): a Newton step costs 8.83 sweeps, so 20 of them pay past 177 sweeps to tol
+    @pytest.mark.parametrize("rates, stalled", [
+        ([0.5] * 5, False),  # five fast sweeps: 12 more reach tol
+        ([0.99] * 5, True),  # five slow ones: 1,141 more
+        ([0.7] * 15 + [1.0] * 5, False),  # flat over five sweeps, fast over twenty: 23 more
+        ([0.995] * 15 + [1.0] * 5, True),  # flat over five, slow over twenty: 3,042 more
+        ([1.0] * 20, True),  # flat over twenty
+        ([0.1] * 3 + [1.0] * 5, False),  # flat over five, fast over the eight there are
+        ([0.5] * 4, False),  # too few sweeps to price
+    ])
+    def test_entry_is_priced_on_a_synthetic_history(self, rates, stalled):
+        history = list(1e-3 * np.cumprod([1.0, *rates]))
+        assert _stalled(history, 1e-8, (4, 100, 10)) is stalled
+
+    @pytest.mark.parametrize("epsilon, enters", [(0.01, False), (0.005, True)])
+    def test_regress_input(self, tmp_path, epsilon, enters):
+        # at 0.01 the residual is flat over five sweeps at sweep 141, but the
+        # last twenty project 97 more sweeps, where a step costs 121; at 0.005
+        # they project 96,933, and three steps converge the solve
+        from wasscurve import dataio
+        from wasscurve.curve_regression import default_param_grids
+
+        dataio.write_sample_csv(str(tmp_path / "ou.csv"), dataio.generate_ou_rows(n_times=10, n_samples=2000, seed=0))
+        ds = dataio.load_snapshots(str(tmp_path / "ou.csv"))
+        kernels = build_kernels(ds, LINEAR, default_param_grids(ds, LINEAR), epsilon)
+        state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-8, max_iter=10000)
+        assert state.converged and not state.used_log_domain
+        assert (state.newton_steps > 0) is enters
 
 
 class TestExtractParamCoupling:
