@@ -8,12 +8,14 @@ O(N * |params| * |X|) instead of O(|X|^(N+k)).
 
 The kernels come from ``kernels.py``: dense, or, for lines in one
 dimension, three (n, n) factors per snapshot. Every solve starts in the
-exponential domain, on the two products the kernel set's ``exp_operator()``
-supplies; the first sweep that leaves the representable range (potentials
-past [_POTENTIAL_LO, _POTENTIAL_HI], an underflowing projection) is redone
-in the log domain, on the dense log kernels (built on first use for a
-factored set), and the solve stays there. A factored set's products are
-those of its kernels, so the exp domain never needs dense products.
+exponential domain (``_ExpSweepWork``), on the two products the kernel set's
+``exp_operator()`` supplies; the first sweep that leaves the representable
+range (potentials past [_POTENTIAL_LO, _POTENTIAL_HI], an underflowing
+projection) is redone in the log domain (``_LogSweepWork``, the same
+``sweep``, ``iterate`` and ``extrapolate``), on the dense log kernels (built
+on first use for a factored set), and the solve stays there. A factored
+set's products are those of its kernels, so the exp domain never needs
+dense products.
 
 A solve finishes in one pass over the snapshots (``_finish``), from the
 factor sums m_i = K_i a_i of its potentials: the weights w_j = prod_{i != j} m_i
@@ -224,39 +226,37 @@ def extract_param_coupling(state: FactoredCoupling) -> ParamCoupling:
     if not state.converged:
         warnings.warn("extracting parameter coupling from a non-converged state", RuntimeWarning)
     log_w = state.log_factor_sums.sum(axis=0)
-    log_w -= _logsumexp(log_w)
-    weights = np.exp(log_w).reshape(state.kernels.param_shape)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0:
+    log_mass = _logsumexp(log_w)  # -inf for no mass, inf or NaN for sums past the float range
+    if not np.isfinite(log_mass):
         raise SolverError("parameter coupling degenerated; epsilon too small for the cost scale")
-    return ParamCoupling(state.kernels.parameter_grids, weights / total)
+    log_w -= log_mass
+    weights = np.exp(log_w).reshape(state.kernels.param_shape)
+    return ParamCoupling(state.kernels.parameter_grids, weights / weights.sum())
 
 
 class _Finish(NamedTuple):
-    """The end state of a solve: potentials, their log factor sums, the
-    marginal residual and the objective."""
+    """The end state of a solve, under the names of the FactoredCoupling fields it fills."""
 
-    log_a: np.ndarray
-    log_m: np.ndarray
-    residual: float
+    log_potentials: np.ndarray
+    log_factor_sums: np.ndarray
+    marginal_residual: float
     objective: float
 
 
-def _finish(kernels: KernelSet, targets: np.ndarray, work: Optional["_ExpSweepWork"], log_a: np.ndarray,
-            log_m: np.ndarray) -> _Finish:
+def _finish(kernels: KernelSet, phase: "_ExpSweepWork | _LogSweepWork") -> _Finish:
     """Finish a solve in one pass over the snapshots (see the module docstring).
 
-    A log-domain solve passes ``work`` None with its log a and log m, and every
-    snapshot takes ``_log_plan``. An exp-domain solve passes its sweep state;
-    the finish measures exp(log a), which can differ from the sweep's a in the
-    last bit, with its own sums m = K exp(log a). The dense logs are read only
-    for a row of m below the normal float range, where log m would lose
-    precision, and for a snapshot whose violation is not finite on the
-    operator (w_j overflows).
+    ``phase`` is the solve's sweep state. On a log-domain state every snapshot
+    takes ``_log_plan``. An exp-domain finish measures exp(log a), which can
+    differ from the sweep's a in the last bit, with its own sums
+    m = K exp(log a). The dense logs are read only for a row of m below the
+    normal float range, where log m would lose precision, and for a snapshot
+    whose violation is not finite on the operator (w_j overflows).
     """
-    op, buf = None, None  # buf: the (P, |X|) work array of the log-space passes, made on first use
-    if work is not None:
-        op, log_a = work.op, _with_log_zeros(work.a)
+    if isinstance(phase, _LogSweepWork):
+        op, log_a, log_m, buf = None, phase.log_a, phase.log_m, phase.buf
+    else:
+        op, buf, log_a = phase.op, None, _with_log_zeros(phase.a)  # buf: the (P, |X|) work array, made on first use
         a = np.exp(log_a)
         m = np.empty((a.shape[0], op.shape[1]))
         for j in range(a.shape[0]):
@@ -274,14 +274,14 @@ def _finish(kernels: KernelSet, targets: np.ndarray, work: Optional["_ExpSweepWo
             with np.errstate(over="ignore", invalid="ignore"):
                 w = np.exp(log_w)
                 op.phi(j, w, phi)()
-                violation = np.abs(a[j] * phi - targets[j]).sum()
+                violation = np.abs(a[j] * phi - phase.targets[j]).sum()
             if np.isfinite(violation):
                 violations.append(violation)
                 objective += op.transport_term(j, w, a[j])
                 continue
         buf = np.empty(kernels.log_kernels.shape[1:]) if buf is None else buf
         marginal, scale = _log_plan(kernels.log_kernels[j], log_w, log_a[j], buf)
-        violations.append(np.abs(marginal - targets[j]).sum())
+        violations.append(np.abs(marginal - phase.targets[j]).sum())
         buf *= kernels.weighted_cost(j)
         objective += float(buf.sum(axis=0) @ scale)
     return _Finish(log_a, log_m, float(np.max(violations)), objective)  # np.max keeps a NaN, where max() could drop it
@@ -404,23 +404,23 @@ class _Anderson:
 
 
 class _ExpSweepWork:
-    """Preallocated buffers and per-snapshot views reused by every numpy sweep.
+    """Exp-domain sweep state at potentials 1: a, factor sums m = K a, and the
+    buffers and per-snapshot views every sweep reuses.
 
     w_j = prod_{i != j} m_i is split as prefix_j * suffix_j: prefix_j is the
     product of the factor sums already updated in this sweep (i < j), kept as
     a running product, and suffix_j the product of those not yet updated
     (i > j), formed from the start-of-sweep values. An empty side is skipped
     and a one-factor side is a view of that row of m, so a sweep makes
-    3 (N - 2) products of length P: O(NP) in all. ``a`` and ``m`` must be
-    C-contiguous; the sweep writes through views of their rows. The kernel
-    products are the calls ``op`` binds to those views.
+    3 (N - 2) products of length P: O(NP) in all. The kernel products are
+    the calls ``op`` binds to the views of the rows of a and m.
     """
 
-    def __init__(self, op: _ExpOperator, a: np.ndarray, m: np.ndarray, targets: np.ndarray):
+    def __init__(self, op: _ExpOperator, targets: np.ndarray):
         n, p, nx = op.shape
         self.op = op
-        self.a = a
-        self.m = m
+        self.a = a = np.ones((n, nx))
+        self.m = m = np.empty((n, p))
         self.targets = targets
         self.a_start = np.empty((n, nx))
         self.phi = np.empty((n, nx))
@@ -438,7 +438,7 @@ class _ExpSweepWork:
         for j in range(n - 3, -1, -1):
             self.suffix_steps.append((m[j + 1], suf[j + 1], suffix[j]))
             suf[j] = suffix[j]
-        positive = targets > 0
+        self.positive = positive = targets > 0
         self.m_calls = [op.m(j, a[j], m[j]) for j in range(n)]
         self.steps = []
         for j in range(n):
@@ -455,10 +455,11 @@ class _ExpSweepWork:
                 w_step, op.phi(j, w, self.phi[j]), self.phi[j], targets[j], a[j], self.m_calls[j],
                 zero if zero.any() else None, pre_step,
             ))
-        self.positive = None if positive.all() else positive
         self.zero = None if positive.all() else ~positive
         self.plain = np.empty_like(a), np.empty_like(m)  # a and m of a plain sweep while an extrapolation is tried
         self.ratio = np.empty_like(m)  # m / m0 of a tried extrapolation
+        with np.errstate(all="ignore"):  # non-finite sums fail the first sweep's range check
+            self.update_sums()
 
     def update_sums(self) -> None:
         """Factor sums m = K a from the current potentials."""
@@ -467,8 +468,67 @@ class _ExpSweepWork:
 
     def in_range(self) -> bool:
         """Whether the potentials of positive targets lie in [_POTENTIAL_LO, _POTENTIAL_HI]."""
-        live = self.a if self.positive is None else self.a[self.positive]
+        live = self.a if self.zero is None else self.a[self.positive]
         return bool(live.min() >= _POTENTIAL_LO and live.max() <= _POTENTIAL_HI)
+
+    @np.errstate(all="ignore")
+    def sweep(self) -> float:
+        """One full exponential-domain sweep in ascending snapshot order.
+
+        Updates a and m in place; each snapshot costs its two kernel
+        products, O(P |X|), and w_j O(NP) per sweep. Returns the max L1
+        marginal violation observed just before each snapshot's own
+        correction, computed once per sweep from the start-of-sweep
+        potentials and the stored projections phi_j, or -1.0 when the sweep
+        leaves the representable range (the caller switches to log-domain
+        updates).
+
+        The whole sweep runs under one errstate, and its checks run once, at
+        its end: the potentials of positive targets within [_POTENTIAL_LO,
+        _POTENTIAL_HI], and phi finite where the target is zero. A zero or
+        non-finite phi at a positive target puts its potential out of range
+        (a NaN fails both comparisons); phi is never negative, so a maximum
+        below inf means finite. m needs no check: kernel entries are at most
+        1 (a FactoredKernelSet's factor_a carries the shift) and potentials
+        at most _POTENTIAL_HI; where factor_a overflows, the sums are
+        non-finite from the start and the first sweep leaves the range. Each
+        row of phi and a is written once per sweep, so these checks reject
+        exactly what the same checks after each snapshot would.
+        """
+        multiply, divide = np.multiply, np.divide
+        np.copyto(self.a_start, self.a)
+        for left, right, out in self.suffix_steps:
+            multiply(left, right, out)
+        for w_step, phi_call, phi_j, t_j, a_j, m_call, zero, pre_step in self.steps:
+            if w_step is not None:
+                multiply(*w_step)
+            phi_call()
+            divide(t_j, phi_j, out=a_j)
+            if zero is not None:
+                a_j[zero] = 0.0
+            m_call()
+            if pre_step is not None:
+                multiply(*pre_step)
+        gap = multiply(self.a_start, self.phi, self.gap)
+        np.subtract(gap, self.targets, gap)
+        np.abs(gap, gap)
+        rows = gap.dot(self.ones_x, out=self.row_l1).tolist()
+        if self.zero is not None and not self.phi[self.zero].max() < np.inf:
+            return -1.0
+        if not self.in_range():
+            return -1.0
+        return max(rows)
+
+    def iterate(self) -> np.ndarray:
+        """The log-potentials at positive targets (the iterate of ``_Anderson``)."""
+        return _with_log_zeros(self.a)[self.positive]
+
+    def extrapolate(self, accel: _Anderson, x: np.ndarray) -> bool:
+        """Move to the extrapolated iterate x if ``accel`` keeps it; whether it did."""
+        kept = accel.keep(x, self.try_step(x - accel.g))
+        if not kept:
+            self.restore()
+        return kept
 
     def try_step(self, step: np.ndarray) -> float:
         """Multiply the potentials of positive targets by exp(step), and m = K a with them,
@@ -479,7 +539,7 @@ class _ExpSweepWork:
         np.copyto(a0, a)
         np.copyto(m0, m)
         with np.errstate(all="ignore"):
-            if self.positive is None:
+            if self.zero is None:
                 a *= np.expm1(step).reshape(a.shape)
             else:
                 a[self.positive] *= np.expm1(step)
@@ -495,65 +555,52 @@ class _ExpSweepWork:
         np.copyto(self.m, self.plain[1])
 
 
-@np.errstate(all="ignore")
-def _sweep_exp_numpy(work: _ExpSweepWork) -> float:
-    """One full exponential-domain sweep in ascending snapshot order.
+class _LogSweepWork:
+    """Log-domain sweep state at potentials ``a``: log a, log m = log K a (exact, so
+    ``_finish`` reads them), the log targets and one (P, |X|) work array."""
 
-    Updates a and m in place through the views held by ``work``. w_j comes
-    from a running prefix and a start-of-sweep suffix product in O(NP), so
-    the per-snapshot cost is the two kernel products, O(P |X|). Returns the
-    max L1 marginal violation observed just before each snapshot's own
-    correction, computed once per sweep from the start-of-sweep potentials
-    and the stored projections phi_j. Returns -1.0 when the sweep leaves the
-    representable range (the caller switches to log-domain updates).
+    def __init__(self, kernels: KernelSet, targets: np.ndarray, a: np.ndarray):
+        self.log_kernels = kernels.log_kernels
+        self.targets = targets
+        self.positive = targets > 0
+        self.log_targets = _with_log_zeros(targets)
+        self.log_a = _with_log_zeros(a)
+        self.log_m = _log_factor_sums(self.log_kernels, self.log_a)
+        self.buf = np.empty(self.log_kernels.shape[1:])
 
-    The whole sweep runs under one errstate, and its checks run once, at its
-    end: the potentials of positive targets within [_POTENTIAL_LO,
-    _POTENTIAL_HI], and phi finite where the target is zero. A zero or
-    non-finite phi at a positive target puts its potential out of range (a
-    NaN fails both comparisons), so phi needs a check of its own only at zero
-    targets; phi is never negative, so a maximum below inf means finite. m
-    needs none: kernel entries are at most 1 (the kernel set's shift, which
-    a FactoredKernelSet's factor_a carries) and potentials at most
-    _POTENTIAL_HI, so m_j = K_j a_j stays finite; where factor_a overflows,
-    the sums are non-finite from ``_exp_start`` on and the first sweep
-    leaves the range. Each row
-    of phi and a is written once per sweep, so these checks reject exactly
-    what the same checks after each snapshot would, and -1.0 still marks the
-    first sweep that leaves the safe range.
-    """
-    multiply, divide = np.multiply, np.divide
-    np.copyto(work.a_start, work.a)
-    for left, right, out in work.suffix_steps:
-        multiply(left, right, out)
-    for w_step, phi_call, phi_j, t_j, a_j, m_call, zero, pre_step in work.steps:
-        if w_step is not None:
-            multiply(*w_step)
-        phi_call()
-        divide(t_j, phi_j, out=a_j)
-        if zero is not None:
-            a_j[zero] = 0.0
-        m_call()
-        if pre_step is not None:
-            multiply(*pre_step)
-    gap = multiply(work.a_start, work.phi, work.gap)
-    np.subtract(gap, work.targets, gap)
-    np.abs(gap, gap)
-    rows = gap.dot(work.ones_x, out=work.row_l1).tolist()
-    if work.zero is not None and not work.phi[work.zero].max() < np.inf:
-        return -1.0
-    if not work.in_range():
-        return -1.0
-    return max(rows)
+    def sweep(self) -> float:
+        """One full log-domain sweep; updates log a and log m in place and returns the residual."""
+        log_a, log_m, buf = self.log_a, self.log_m, self.buf
+        residual = 0.0
+        for j, log_w in enumerate(_log_weights(log_m)):
+            log_phi = _log_kernel_sums(self.log_kernels[j], log_w[:, None], 0, buf)
+            current = np.exp(log_phi + log_a[j])
+            residual = max(residual, float(np.abs(current - self.targets[j]).sum()))
+            positive = self.positive[j]
+            if np.any(np.isneginf(log_phi[positive])):
+                raise SolverError(
+                    "zero marginal projection where the target is positive; "
+                    "epsilon too small for the cost scale or kernel disconnected"
+                )
+            log_a[j] = np.where(positive, self.log_targets[j] - log_phi, -np.inf)
+            log_m[j] = _log_kernel_sums(self.log_kernels[j], log_a[j], 1, buf)
+        return residual
 
+    def iterate(self) -> np.ndarray:
+        """The log-potentials at positive targets (the iterate of ``_Anderson``)."""
+        return self.log_a[self.positive]
 
-def _exp_start(op: _ExpOperator, targets: np.ndarray) -> _ExpSweepWork:
-    """Exp-domain sweep state on the products ``op`` at potentials 1 and factor sums m = K a."""
-    n, p, nx = op.shape
-    work = _ExpSweepWork(op, np.ones((n, nx)), np.empty((n, p)), targets)
-    with np.errstate(all="ignore"):  # non-finite sums fail the first sweep's range check
-        work.update_sums()
-    return work
+    def extrapolate(self, accel: _Anderson, x: np.ndarray) -> bool:
+        """As ``_ExpSweepWork.extrapolate``; log m moves by the ratios that give the mass change."""
+        grow = np.zeros_like(self.log_a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow[self.positive] = np.expm1(x - accel.g)
+            ratio = np.array([_log_sums_ratio(*args, self.buf) for args in zip(self.log_kernels, self.log_a, self.log_m, grow)])
+            kept = accel.keep(x, _mass_change(np.exp(self.log_m.sum(axis=0)), ratio.copy()))
+            if kept:
+                self.log_a[self.positive] = x  # x itself: g + (x - g) can differ from x in the last bit
+                self.log_m += np.log1p(ratio)
+        return kept
 
 
 class _Newton:
@@ -577,12 +624,12 @@ class _Newton:
     lowest residual.
     """
 
-    def __init__(self, work: _ExpSweepWork, targets: np.ndarray):
+    def __init__(self, work: _ExpSweepWork):
+        targets = work.targets
         n, nx = targets.shape
         self.work = work
-        self.targets = targets
         self.weights = targets.ravel()
-        self.pos = None if work.positive is None else work.positive.ravel()  # try_step's entries
+        self.pos = None if work.zero is None else work.positive.ravel()  # try_step's entries
         # the pairs i < j, (0, j) first, and the k of their w_ij (lists: np.triu_indices
         # costs more on its first call after a fork than the whole phase's setup)
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -609,7 +656,7 @@ class _Newton:
         work.update_sums()  # try_step's m + K (a o expm1(step)) drifts over many steps
         q = work.op.pair(self.first, self.second, np.prod(work.m[self.rest], axis=1), work.a)
         gamma = np.concatenate((q[0].sum(axis=1), q[: n - 1].sum(axis=1).ravel()))
-        residual = float(np.abs(gamma.reshape(n, nx) - self.targets).sum(axis=1).max())
+        residual = float(np.abs(gamma.reshape(n, nx) - work.targets).sum(axis=1).max())
         h = np.zeros((n, nx, n, nx))
         h[self.first, :, self.second] = q
         h[self.second, :, self.first] = q.transpose(0, 2, 1)
@@ -656,25 +703,6 @@ class _Newton:
             self.idle += 1
         self.live = self.idle < _PATIENCE
         return self.residual
-
-
-def _sweep_log(log_kern: np.ndarray, log_a: np.ndarray, log_m: np.ndarray, targets: np.ndarray, log_targets: np.ndarray) -> float:
-    """One full log-domain sweep; updates log_a and log_m in place and returns the residual."""
-    residual = 0.0
-    buf = np.empty(log_kern.shape[1:])
-    for j, log_w in enumerate(_log_weights(log_m)):
-        log_phi = _log_kernel_sums(log_kern[j], log_w[:, None], 0, buf)
-        current = np.exp(log_phi + log_a[j])
-        residual = max(residual, float(np.abs(current - targets[j]).sum()))
-        positive = targets[j] > 0
-        if np.any(np.isneginf(log_phi[positive])):
-            raise SolverError(
-                "zero marginal projection where the target is positive; "
-                "epsilon too small for the cost scale or kernel disconnected"
-            )
-        log_a[j] = np.where(positive, log_targets[j] - log_phi, -np.inf)
-        log_m[j] = _log_kernel_sums(log_kern[j], log_a[j], 1, buf)
-    return residual
 
 
 def _stalled(history: List[float], tol: float, shape: Tuple[int, int, int]) -> bool:
@@ -727,76 +755,48 @@ def sinkhorn_solve(
         raise ValueError("max_iter must be at least 1")
     if targets.shape != (kernels.n_snapshots, kernels.n_support):
         raise ValueError("targets do not match kernel shapes")
-    positive = targets > 0
-    # exp-domain sweeps while ``work`` is live; log-domain ones on log_a, log_m
-    work, log_a, log_m = _exp_start(kernels.exp_operator(), targets), None, None
-    # the iterate: log-potentials of the kernels at positive targets, in either domain
-    accel = _Anderson(targets[positive], "sinkhorn sweeps")
-    log_t = _with_log_zeros(targets)
-
+    phase = _ExpSweepWork(kernels.exp_operator(), targets)  # the sweep state, exp- or log-domain
+    accel = _Anderson(targets[phase.positive], "sinkhorn sweeps")
     history: List[float] = []
     newton: Optional[_Newton] = None  # the Newton phase, from its entry on
     for sweep in range(max_iter):
-        if newton is not None and newton.live:
-            history.append(res := newton.step())
-            if res <= tol and (finish := _finish(kernels, targets, work, log_a, log_m)).residual <= tol:
-                iters, ok = sweep + 1, True
-                break
-            if not newton.live:
-                logger.info("newton steps: %d, handed back to sweeps at residual %.3e", newton.steps, res)
-                accel.restart(_with_log_zeros(work.a)[positive], res)
-            continue
-        if work is not None and (res := _sweep_exp_numpy(work)) < 0.0:
+        stepping = newton is not None and newton.live
+        if stepping:
+            res = newton.step()
+        elif (res := phase.sweep()) < 0.0:
             # the sweep left the safe range: redo it in the log domain from its start
             logger.info("switching to log-domain updates after %d sweeps", sweep)
-            log_a = _with_log_zeros(work.a_start)
-            log_m = _log_factor_sums(kernels.log_kernels, log_a)
-            work = None
-        if work is None:
-            res = _sweep_log(kernels.log_kernels, log_a, log_m, targets, log_t)
+            phase = _LogSweepWork(kernels, targets, phase.a_start)
+            res = phase.sweep()
         history.append(res)
-        # the log sweeps keep log a and log m = log K a exact, so the finish reads them
-        if res <= tol and (finish := _finish(kernels, targets, work, log_a, log_m)).residual <= tol:
+        if res <= tol and (finish := _finish(kernels, phase)).marginal_residual <= tol:
             iters, ok = sweep + 1, True
             break
-        if not accel.record((_with_log_zeros(work.a) if work is not None else log_a)[positive], res):
-            continue
-        x = accel.propose()
-        if work is not None:
-            if not accel.keep(x, work.try_step(x - accel.g)):
-                work.restore()
-            elif newton is None and _stalled(history, tol, work.op.shape):
-                logger.info("newton steps after %d sweeps", sweep + 1)
-                newton = _Newton(work, targets)
-            continue
-        grow = np.zeros_like(log_a)
-        buf = np.empty(kernels.log_kernels.shape[1:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            grow[positive] = np.expm1(x - accel.g)
-            ratio = np.array([_log_sums_ratio(*args, buf) for args in zip(kernels.log_kernels, log_a, log_m, grow)])
-            if accel.keep(x, _mass_change(np.exp(log_m.sum(axis=0)), ratio.copy())):
-                log_a[positive] = x
-                log_m += np.log1p(ratio)
+        if stepping:
+            if not newton.live:
+                logger.info("newton steps: %d, handed back to sweeps at residual %.3e", newton.steps, res)
+                accel.restart(phase.iterate(), res)
+        elif (accel.record(phase.iterate(), res) and phase.extrapolate(accel, accel.propose()) and newton is None
+              and isinstance(phase, _ExpSweepWork) and _stalled(history, tol, phase.op.shape)):
+            logger.info("newton steps after %d sweeps", sweep + 1)
+            newton = _Newton(phase)
     else:
-        finish, iters, ok = _finish(kernels, targets, work, log_a, log_m), max_iter, False
+        finish, iters, ok = _finish(kernels, phase), max_iter, False
     accel.report()
-    if not np.isfinite(finish.residual):
+    if not np.isfinite(finish.marginal_residual):
         raise SolverError("non-finite marginal residual; epsilon too small for the cost scale")
     if not ok:
-        logger.warning("sinkhorn stopped at max_iter=%d with residual %.3e", max_iter, finish.residual)
+        logger.warning("sinkhorn stopped at max_iter=%d with residual %.3e", max_iter, finish.marginal_residual)
     return FactoredCoupling(
         kernels=kernels,
-        log_potentials=finish.log_a,
         converged=ok,
         iterations=iters,
-        marginal_residual=finish.residual,
         residual_history=np.asarray(history),
-        objective=finish.objective,
-        used_log_domain=log_a is not None,
-        log_factor_sums=finish.log_m,
+        used_log_domain=isinstance(phase, _LogSweepWork),
         accelerated=accel.accelerated,
         acceleration_reverts=accel.reverts,
         newton_steps=0 if newton is None else newton.steps,
+        **finish._asdict(),
     )
 
 
@@ -809,20 +809,20 @@ def benchmark_sweep_seconds(
     """Wall time of one exponential-domain sweep, min over repeated timed runs.
 
     Used by the complexity-scaling checks; times the solver's own sweep,
-    ``_sweep_exp_numpy`` on the state ``_exp_start`` builds for it (the
-    kernel set's own products, w_j from running products in O(NP), the
-    residual and the range checks once per sweep, -1.0 from the first sweep
-    that leaves the safe range) for a fixed number of sweeps after one warmup
-    sweep. Its buffers are built before the clock starts; the sweeps' results
-    are not used.
+    ``_ExpSweepWork.sweep`` on a state built for it as a solve builds its
+    first one (the kernel set's own products, w_j from running products in
+    O(NP), the residual and the range checks once per sweep, -1.0 from the
+    first sweep that leaves the safe range) for a fixed number of sweeps
+    after one warmup sweep. Its buffers are built before the clock starts;
+    the sweeps' results are not used.
     """
     op = kernels.exp_operator()
     best = np.inf
     for _ in range(repeats):
-        work = _exp_start(op, targets)
-        _sweep_exp_numpy(work)  # warmup
+        work = _ExpSweepWork(op, targets)
+        work.sweep()  # warmup
         start = time.perf_counter()
         for _ in range(n_sweeps):
-            _sweep_exp_numpy(work)
+            work.sweep()
         best = min(best, (time.perf_counter() - start) / n_sweeps)
     return best

@@ -381,13 +381,14 @@ class TestExpSweep:
 
         a_ref = np.ones((kern.shape[0], kern.shape[2]))
         m_ref = np.einsum("npx,nx->np", kern, a_ref) if m_start is None else np.array(m_start, dtype=float)
-        a, m = a_ref.copy(), m_ref.copy()
-        work = engine._ExpSweepWork(_DenseExp(kern), a, m, targets)
+        work = engine._ExpSweepWork(_DenseExp(kern), targets)
+        if m_start is not None:
+            np.copyto(work.m, m_start)
         for k in range(1, n_sweeps + 1):
-            res, res_ref = engine._sweep_exp_numpy(work), oracles.reference_sweep_exp(kern, a_ref, m_ref, targets)
+            res, res_ref = work.sweep(), oracles.reference_sweep_exp(kern, a_ref, m_ref, targets)
             if res_ref >= 0:
-                np.testing.assert_allclose(a, a_ref, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(work.a, a_ref, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(work.m, m_ref, rtol=1e-12, atol=0)
             yield k, res, res_ref
 
     @pytest.mark.parametrize("n_snapshots, zero_targets, seed", [(1, False, 41), (3, True, 42), (8, False, 43), (8, True, 44)])
@@ -542,7 +543,7 @@ class TestFinish:
         ds, kernels = random_instance(np.random.default_rng(37), n_snapshots=8, n_support=40, param_sizes=(20, 20), epsilon=0.5)
         tensor_bytes = kernels.log_kernels.nbytes
         after_sweep = []
-        sweep = engine._sweep_exp_numpy
+        sweep = engine._ExpSweepWork.sweep
 
         def sweep_then_mark(work):
             res = sweep(work)
@@ -550,7 +551,7 @@ class TestFinish:
             after_sweep.append(tracemalloc.get_traced_memory()[0])
             return res
 
-        monkeypatch.setattr(engine, "_sweep_exp_numpy", sweep_then_mark)
+        monkeypatch.setattr(engine._ExpSweepWork, "sweep", sweep_then_mark)
         tracemalloc.start()
         try:
             state = sinkhorn_solve(kernels, ds.target_matrix(), tol=1e-9)
@@ -569,15 +570,15 @@ class TestFinish:
 
         ds, kernels = random_instance(np.random.default_rng(41), n_snapshots=8, n_support=50, param_sizes=(8, 8, 8), epsilon=1.5e-3)
         assert isinstance(kernels, CostKernelSet)
-        sweep, log_sweeps = engine._sweep_log, []
+        sweep, log_sweeps = engine._LogSweepWork.sweep, []
 
-        def mark_then_sweep(*args):
+        def mark_then_sweep(work):
             if not log_sweeps:
                 tracemalloc.reset_peak()
             log_sweeps.append(1)
-            return sweep(*args)
+            return sweep(work)
 
-        monkeypatch.setattr(engine, "_sweep_log", mark_then_sweep)
+        monkeypatch.setattr(engine._LogSweepWork, "sweep", mark_then_sweep)
         tracemalloc.start()
         try:
             state = log_domain_solve(kernels, ds.target_matrix(), tol=1e-9)
@@ -591,11 +592,11 @@ class TestFinish:
     @staticmethod
     def _exp_finish(kernels, a, targets):
         """The finish of an exp-domain solve whose sweeps ended at the potentials a."""
-        from wasscurve.mm_sinkhorn import _exp_start, _finish
+        from wasscurve.mm_sinkhorn import _ExpSweepWork, _finish
 
-        work = _exp_start(kernels.exp_operator(), targets)
+        work = _ExpSweepWork(kernels.exp_operator(), targets)
         np.copyto(work.a, a)
-        return _finish(kernels, targets, work, None, None)
+        return _finish(kernels, work)
 
     def test_forbidden_pairs_give_one_finite_objective_from_both_finishes(self, monkeypatch):
         # snapshot 0 forbids the off-diagonal pairs (cost +inf, kernel entry 0); at epsilon
@@ -612,7 +613,7 @@ class TestFinish:
         assert state.converged and state.used_log_domain
         monkeypatch.setattr(engine, "_log_plan", None)  # no snapshot of the exp finish leaves exp space
         finish = self._exp_finish(kernels, np.exp(state.log_potentials), targets)
-        assert np.isfinite(state.objective) and finish.residual <= 1e-12
+        assert np.isfinite(state.objective) and finish.marginal_residual <= 1e-12
         assert finish.objective == pytest.approx(state.objective, rel=1e-12)
         assert state.objective == pytest.approx(0.4, rel=1e-12)  # 0.4 of mass moves at cost 1
 
@@ -645,8 +646,8 @@ class TestFinish:
         finish = self._exp_finish(kernels, a, targets)
         with np.errstate(divide="ignore"):
             log_a = np.log(a)
-        np.testing.assert_allclose(finish.log_m, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
-        assert np.isfinite(finish.log_m).all()
+        np.testing.assert_allclose(finish.log_factor_sums, _log_factor_sums(kernels.log_kernels, log_a), rtol=1e-14)
+        assert np.isfinite(finish.log_factor_sums).all()
 
     def test_overflowing_weights_finish_in_log_space(self):
         # the finish takes snapshot 2, whose w_2 overflows, in log space
@@ -654,7 +655,7 @@ class TestFinish:
         finish = self._exp_finish(kernels, a, targets)
         log_a = np.log(a)
         log_m = _log_factor_sums(kernels.log_kernels, log_a)
-        np.testing.assert_allclose(finish.log_m, log_m, rtol=1e-14)
+        np.testing.assert_allclose(finish.log_factor_sums, log_m, rtol=1e-14)
         objective = oracles.transport_objective_from_logs(kernels, log_a, log_m)
         assert np.isfinite(objective)
         np.testing.assert_allclose(finish.objective, objective, rtol=1e-12)
@@ -687,7 +688,7 @@ class TestFinish:
         np.testing.assert_allclose(finish.objective, oracles.transport_objective_from_logs(kernels, log_a, log_m), rtol=1e-12)
         marginals = oracles.dense_coupling_marginals_from_logs(kernels, log_a)
         residual = np.abs(marginals - targets).sum(axis=1).max()
-        np.testing.assert_allclose(finish.residual, residual, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(finish.marginal_residual, residual, rtol=1e-10, atol=1e-14)
 
 
 class TestFactoredKernels:
@@ -1160,6 +1161,21 @@ class TestNewtonPhase:
         np.testing.assert_allclose(state.objective, oracles.transport_objective_from_logs(
             kernels, state.log_potentials, _log_factor_sums(kernels.log_kernels, state.log_potentials)), rtol=1e-8)
 
+    def test_phase_hands_back_to_sweeps(self, caplog):
+        # a draw of test_low_kernels_match_the_log_domain: the phase enters after 162
+        # sweeps and hands back after 27 steps at residual 1.3e-3, and the sweeps it
+        # hands back to leave the exp domain after 189 iterations and converge in 293
+        ds, kernels = TestSinkhornSolve._low_kernel_instance(159624, "factored", 4, 7, -1180.0)
+        tol = 1e-10
+        with caplog.at_level("INFO", logger="wasscurve.mm_sinkhorn"):
+            state = sinkhorn_solve(kernels, ds.target_matrix(), tol=tol, max_iter=20000)
+        assert "handed back to sweeps" in caplog.text
+        assert state.converged and state.used_log_domain and state.newton_steps > 0
+        for j in range(4):
+            assert np.abs(oracles.project_marginal(state, j) - ds.measures[j].weights).sum() <= tol
+        np.testing.assert_allclose(state.objective, oracles.transport_objective_from_logs(
+            kernels, state.log_potentials, _log_factor_sums(kernels.log_kernels, state.log_potentials)), rtol=1e-8)
+
     def test_phase_is_chosen_at_run_time(self, tmp_path, monkeypatch):
         # on the benchmark inputs: the mixture toy's sweeps stall and enter the
         # phase; regress and invariant converge in sweeps before they could
@@ -1227,6 +1243,14 @@ class TestExtractParamCoupling:
         log_a = np.zeros((2, 3))
         state = FactoredCoupling(kernels, log_a, True, 0, 0.0, np.array([]), 0.0, False, _log_factor_sums(kernels.log_kernels, log_a))
         np.testing.assert_allclose(extract_param_coupling(state).weights, 0.25)
+
+    def test_coupling_of_no_mass_raises(self):
+        # factor sums that are all zero leave no mass to normalize: a SolverError, and no numpy warning first
+        param_grids = (grid_1d([0.0, 1.0]), grid_1d([0.0, 1.0]))
+        kernels = kernels_from_costs(np.zeros((2, 4, 3)), np.array([0.5, 0.5]), 1.0, param_grids)
+        state = FactoredCoupling(kernels, np.zeros((2, 3)), True, 0, 0.0, np.array([]), 0.0, False, np.full((2, 4), -np.inf))
+        with pytest.raises(SolverError, match="parameter coupling degenerated"):
+            extract_param_coupling(state)
 
     def test_warns_when_not_converged(self):
         ds, kernels = random_instance(np.random.default_rng(7))
